@@ -15,8 +15,12 @@ Because EDA backends degrade the achievable PL clock as designs grow,
 the explorer also models the frequency a design point closes timing at
 (fitted to the paper's Table V: 450 MHz for a small single-task design
 down to 310 MHz for large or many-task designs).  A full exploration
-covers the paper's 286-point space in well under a minute — versus the
-seven hours per point of the Vitis flow the paper motivates against.
+of the paper's 286-point space (95 feasible points at 256x256) takes
+0.11 s in a fresh process; in a warm process a Table V sweep takes a
+median 34 ms (2-CPU Xeon VM; regenerate with ``python3 perfbench/run.py
+--workload dse --seed 1 --seconds 20 --trace 0``, row
+``dse/latency_p50_s``) — versus the seven hours per point of the Vitis
+flow the paper motivates against.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import P_ENG_RANGE, P_TASK_RANGE, HeteroSVDConfig
 from repro.core.perf_model import PerformanceModel
-from repro.core.placement import place
 from repro.core.power import PowerEstimate, PowerModel
 from repro.core.resources import (
     ResourceUsage,
@@ -238,8 +241,7 @@ class DesignSpaceExplorer:
         """
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        placement = place(config)
-        usage = estimate_resources(config, placement)
+        usage = estimate_resources(config)
         check_budgets(usage, config)
         model = PerformanceModel(config)
         latency = model.task_time()

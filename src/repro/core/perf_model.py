@@ -36,6 +36,7 @@ magnitudes of the paper's Table IV; see EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -192,6 +193,13 @@ class PerformanceModel:
             DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
         )
 
+    @functools.cached_property
+    def _stage_durations(self) -> "list[float]":
+        """:func:`orth_stage_durations` of this design point (computed once)."""
+        return orth_stage_durations(
+            self.config, self._schedule, self._mode, self.placement
+        )
+
     # -- primitive terms -----------------------------------------------------
     @property
     def column_bits(self) -> int:
@@ -245,11 +253,7 @@ class PerformanceModel:
         The slowest layer paces the whole pipeline: a new block pair can
         enter only every ``t_stage`` once the array is full.
         """
-        return max(
-            orth_stage_durations(
-                self.config, self._schedule, self._mode, self.placement
-            )
-        )
+        return max(self._stage_durations)
 
     def t_aiewait(self) -> float:
         """Eq. 9: stall when the array is slower than transmission."""
@@ -283,11 +287,7 @@ class PerformanceModel:
 
     def aie_total(self) -> float:
         """Traversal time of one block pair through all orth-layers."""
-        return sum(
-            orth_stage_durations(
-                self.config, self._schedule, self._mode, self.placement
-            )
-        )
+        return sum(self._stage_durations)
 
     def t_datawait(self) -> float:
         """Eq. 11: drain stall for small block-pair counts.

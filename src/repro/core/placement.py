@@ -32,12 +32,14 @@ stage-1 feasibility filter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import PlacementError
 from repro.core.config import HeteroSVDConfig
 from repro.versal.array import AIEArray
+from repro.versal.device import DeviceSpec
 from repro.versal.tile import TileKind
 
 Coord = Tuple[int, int]
@@ -317,18 +319,59 @@ def _place_norm_aies(
             task.norm.append(coord)
 
 
+@dataclass(frozen=True)
+class _FootprintKey:
+    """Memo key of :func:`_footprint`; the config rides along unhashed."""
+
+    device: DeviceSpec
+    p_eng: int
+    p_task: int
+    config: HeteroSVDConfig = field(compare=False)
+
+
+# Unbounded on purpose: at most 11 x 26 keys per device, and the values
+# are immutable (a tuple or a message string).
+@functools.lru_cache(maxsize=None)
+def _footprint(key: _FootprintKey) -> Union[Tuple[int, int, int], str]:
+    """``(orth, norm, mem)`` counts of a placement, or its error text."""
+    try:
+        placed = place(key.config)
+    except PlacementError as exc:
+        return str(exc)
+    return placed.num_orth, placed.num_norm, placed.num_mem
+
+
+def placement_footprint(config: HeteroSVDConfig) -> Tuple[int, int, int]:
+    """``(num_orth, num_norm, num_mem)`` of ``place(config)``, memoised.
+
+    Placement reads only the device, ``P_eng`` and ``P_task``, so the
+    counts are computed once per process for each such triple — a DSE
+    sweep revisits the same few hundred keys for every matrix size,
+    ordering and frequency.  Use :func:`place` for the tile
+    assignments themselves.
+
+    Raises:
+        PlacementError: with the message :func:`place` raised.
+    """
+    result = _footprint(
+        _FootprintKey(config.device, config.p_eng, config.p_task, config)
+    )
+    if isinstance(result, str):
+        raise PlacementError(result)
+    return result
+
+
 def max_feasible_tasks(config: HeteroSVDConfig) -> int:
     """Largest ``P_task`` that places successfully for this ``P_eng``.
 
     Used by the DSE's stage 1 ("maximize task parallelism by fully
-    utilizing resources according to our placement strategy").  Each
-    candidate is placed on a fresh array.
+    utilizing resources according to our placement strategy").
     """
     best = 0
     for p_task in range(1, 27):
         candidate = config.with_tasks(p_task)
         try:
-            place(candidate)
+            placement_footprint(candidate)
         except PlacementError:
             break
         best = p_task

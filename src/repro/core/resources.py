@@ -15,10 +15,10 @@ device budgets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import HeteroSVDConfig
-from repro.core.placement import Placement, place
+from repro.core.placement import placement_footprint
 from repro.errors import PlacementError, ResourceBudgetError
 from repro.pl.memory import estimate_pl_memory
 
@@ -60,23 +60,21 @@ class ResourceUsage:
         }
 
 
-def estimate_resources(
-    config: HeteroSVDConfig, placement: Optional[Placement] = None
-) -> ResourceUsage:
-    """Resource usage of a design point (placing it if necessary).
+def estimate_resources(config: HeteroSVDConfig) -> ResourceUsage:
+    """Resource usage of a design point.
 
     Raises:
         PlacementError: when the design does not fit geometrically.
     """
-    placed = placement if placement is not None else place(config)
+    orth, norm, mem = placement_footprint(config)
     pl_memory = estimate_pl_memory(
         config.m, config.n, config.p_eng, config.p_task, config.device
     )
     return ResourceUsage(
-        orth=placed.num_orth,
-        norm=placed.num_norm,
-        mem=placed.num_mem,
-        plio=placed.num_plio,
+        orth=orth,
+        norm=norm,
+        mem=mem,
+        plio=config.total_plios,
         bram=pl_memory.bram,
         uram=pl_memory.uram,
         luts=pl_memory.luts,

@@ -49,6 +49,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: Sentinel distinguishing "no entry" from a cached ``None``.
 _MISS = object()
 
+#: Canonical JSON (sorted keys, no whitespace) of keys and checksums;
+#: one shared encoder instead of one per ``json.dumps`` call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass
 class CacheStats:
@@ -111,10 +115,8 @@ def cache_key(kind: str, payload: Dict[str, Any]) -> str:
     Returns:
         A hex digest stable across processes and sessions.
     """
-    canonical = json.dumps(
-        {"kind": kind, "model": _model_version(), "payload": payload},
-        sort_keys=True,
-        separators=(",", ":"),
+    canonical = _CANONICAL_JSON.encode(
+        {"kind": kind, "model": _model_version(), "payload": payload}
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -165,10 +167,8 @@ def entry_checksum(entry: Dict[str, Any]) -> str:
     Covers the tagged value (``type`` + ``data``) in canonical JSON so
     any on-disk bit rot or truncation is detected at read time.
     """
-    canonical = json.dumps(
-        {"type": entry.get("type"), "data": entry.get("data")},
-        sort_keys=True,
-        separators=(",", ":"),
+    canonical = _CANONICAL_JSON.encode(
+        {"type": entry.get("type"), "data": entry.get("data")}
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -246,15 +246,19 @@ class EvalCache:
         assert self.disk_dir is not None
         return self.disk_dir / f"v{_model_version()}"
 
-    def _entry_path(self, key: str) -> Path:
-        return self._version_dir() / key[:2] / f"{key}.json"
+    def _entry_file(self, key: str) -> str:
+        # A plain string, not pathlib joins: lookups build one per hit.
+        return f"{self.disk_dir}/v{_model_version()}/{key[:2]}/{key}.json"
 
-    def _evict_corrupt(self, path: Path) -> Any:
+    def _entry_path(self, key: str) -> Path:
+        return Path(self._entry_file(key))
+
+    def _evict_corrupt(self, path: str) -> Any:
         """Delete an unreadable disk entry so it gets recomputed."""
         self.stats.corrupt_entries += 1
         _metrics.counter("cache.corrupt_entries").inc()
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
         return _MISS
@@ -262,15 +266,16 @@ class EvalCache:
     def _disk_get(self, key: str) -> Any:
         if self.disk_dir is None:
             return _MISS
-        path = self._entry_path(key)
+        path = self._entry_file(key)
         with _tracer.span("cache.disk_get"):
             try:
-                text = path.read_text()
+                with open(path, "rb") as handle:
+                    raw = handle.read()
             except OSError:
                 return _MISS  # genuinely absent (or unreadable): a miss
             try:
-                entry = json.loads(text)
-            except json.JSONDecodeError:
+                entry = json.loads(raw)
+            except ValueError:  # bad JSON or bad UTF-8
                 return self._evict_corrupt(path)
             stored_sum = entry.get("sha256") if isinstance(entry, dict) \
                 else None

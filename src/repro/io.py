@@ -20,6 +20,8 @@ from typing import Dict, List, Union
 
 from repro.core.config import HeteroSVDConfig
 from repro.core.dse import DesignPoint
+from repro.core.power import PowerEstimate
+from repro.core.resources import ResourceUsage
 from repro.errors import ConfigurationError
 from repro.versal.device import VCK190
 
@@ -106,9 +108,6 @@ def design_point_from_dict(data: Dict) -> DesignPoint:
     Raises:
         ConfigurationError: for missing fields or unknown devices.
     """
-    from repro.core.power import PowerEstimate
-    from repro.core.resources import ResourceUsage
-
     try:
         config = config_from_dict(data["config"])
         power_data = data["power"]

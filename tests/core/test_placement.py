@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core.config import HeteroSVDConfig
-from repro.core.placement import max_feasible_tasks, place
+from repro.core.config import P_ENG_RANGE, P_TASK_RANGE, HeteroSVDConfig
+from repro.core.placement import (
+    max_feasible_tasks,
+    place,
+    placement_footprint,
+)
 from repro.errors import PlacementError
 from repro.versal.tile import TileKind
 
@@ -39,6 +43,25 @@ class TestPlacementCounts:
         assert placement.num_aie == (
             placement.num_orth + placement.num_norm + placement.num_mem
         )
+
+    @pytest.mark.parametrize("p_eng", P_ENG_RANGE)
+    def test_footprint_memo_matches_place(self, p_eng):
+        """The memoised counts (and errors) are exactly ``place``'s."""
+        for p_task in P_TASK_RANGE:
+            cfg = config(p_eng=p_eng, p_task=p_task)
+            try:
+                placement = place(cfg)
+            except PlacementError as exc:
+                for _ in range(2):  # the second call is a memo hit
+                    with pytest.raises(PlacementError) as memo:
+                        placement_footprint(cfg)
+                    assert str(memo.value) == str(exc)
+                continue
+            expected = (
+                placement.num_orth, placement.num_norm, placement.num_mem
+            )
+            assert placement_footprint(cfg) == expected
+            assert placement_footprint(cfg) == expected
 
     def test_array_tile_kinds_agree_with_counts(self):
         placement = place(config(p_eng=4, p_task=2))

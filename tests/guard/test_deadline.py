@@ -119,6 +119,25 @@ class TestSolverDeadline:
             solve_batch(batch, deadline=0.01, precision=1e-12)
 
 
+class _ExpiresAfterChecks(Deadline):
+    """A deadline that reports expiry once ``passes`` checks have passed.
+
+    A wall-clock budget makes "expire partway" a race against the
+    sweep's speed; counting ``expired()`` checks (one per chunk
+    boundary) pins the expiry to the same chunk on every machine.
+    """
+
+    __slots__ = ("_passes",)
+
+    def __init__(self, passes: int):
+        super().__init__(60.0)
+        self._passes = passes
+
+    def expired(self) -> bool:
+        self._passes -= 1
+        return self._passes < 0
+
+
 class TestDseDeadline:
     def test_expired_dse_resumes_losing_at_most_one_chunk(self, tmp_path):
         from repro.core.dse import DesignSpaceExplorer
@@ -129,12 +148,14 @@ class TestDseDeadline:
         total = len(explorer.candidates())
         ck_path = tmp_path / "dse.ckpt.json"
 
-        # Expire partway: a budget long enough to finish some chunks.
+        # Expire partway: after three chunks have been evaluated.
         with pytest.raises(DeadlineExceeded) as excinfo:
-            explorer.explore(checkpoint=str(ck_path), deadline=0.02)
+            explorer.explore(checkpoint=str(ck_path),
+                             deadline=_ExpiresAfterChecks(3))
         partial = excinfo.value.partial
         assert partial.kind == "dse-sweep"
         assert partial.details["checkpointed"] is True
+        assert 0 < partial.completed < total
 
         # Everything the expiry reported finished must be on disk —
         # the flush-before-raise contract (lose at most one chunk).

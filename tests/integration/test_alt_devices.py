@@ -9,14 +9,25 @@ the library hard-codes the VCK190.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro.core.accelerator import HeteroSVDAccelerator
-from repro.core.config import HeteroSVDConfig
+from repro.core.config import P_ENG_RANGE, P_TASK_RANGE, HeteroSVDConfig
 from repro.core.dse import DesignSpaceExplorer
 from repro.core.perf_model import PerformanceModel
-from repro.core.placement import max_feasible_tasks, place
-from repro.core.resources import estimate_resources, is_feasible
+from repro.core.placement import (
+    max_feasible_tasks,
+    place,
+    placement_footprint,
+)
+from repro.core.resources import (
+    ResourceUsage,
+    estimate_resources,
+    is_feasible,
+)
 from repro.core.timing import TimingSimulator
+from repro.errors import PlacementError
+from repro.pl.memory import estimate_pl_memory
 from repro.versal.array import AIEArray
 from repro.versal.device import VCK190
 
@@ -46,6 +57,45 @@ class TestSmallDevice:
         placement = place(config)
         for coord in placement.tasks[0].orth.values():
             assert coord[1] < 12
+
+    @pytest.mark.parametrize("p_eng", P_ENG_RANGE)
+    def test_footprint_memo_matches_place(self, p_eng):
+        """The memo keys on the device: small-part counts are its own."""
+        for p_task in P_TASK_RANGE:
+            config = HeteroSVDConfig(
+                m=64, n=2 * p_eng, p_eng=p_eng, p_task=p_task,
+                device=SMALL_DEVICE,
+            )
+            try:
+                placement = place(config)
+            except PlacementError as exc:
+                for _ in range(2):  # the second call is a memo hit
+                    with pytest.raises(PlacementError) as memo:
+                        placement_footprint(config)
+                    assert str(memo.value) == str(exc)
+                continue
+            expected = (
+                placement.num_orth, placement.num_norm, placement.num_mem
+            )
+            assert placement_footprint(config) == expected
+            assert placement_footprint(config) == expected
+
+    def test_evaluate_config_usage_matches_explicit_placement(self):
+        config = HeteroSVDConfig(
+            m=64, n=64, p_eng=2, p_task=2, device=SMALL_DEVICE
+        )
+        placement = place(config)
+        usage = DesignSpaceExplorer(64, 64).evaluate_config(config).usage
+        pl = estimate_pl_memory(64, 64, 2, 2, SMALL_DEVICE)
+        assert usage == ResourceUsage(
+            orth=placement.num_orth,
+            norm=placement.num_norm,
+            mem=placement.num_mem,
+            plio=placement.num_plio,
+            bram=pl.bram,
+            uram=pl.uram,
+            luts=pl.luts,
+        )
 
     def test_max_tasks_smaller_than_vck190(self):
         small = HeteroSVDConfig(m=64, n=64, p_eng=4, device=SMALL_DEVICE)

@@ -23,7 +23,11 @@ in-process serial sweep of the same widened space:
    only finish their own shards.  ``dse-merge`` must exit 1 and count
    the missing units; rerunning the killed shard with ``--resume`` must
    pick up from its surviving ledger (>=1 unit resumed, bounded
-   recompute), after which the merge exits 0.
+   recompute), after which the merge exits 0.  Like an operator, the
+   drill first waits for the killed worker's lease to go stale: a
+   shard refuses to start while its lease is still live.
+
+Worker and merge stderr is captured; a failed step prints its tail.
 
 Exits non-zero with a diagnostic on the first failed assertion.  Run
 from the repo root; needs only ``PYTHONPATH=src``.
@@ -49,20 +53,26 @@ SHARD_SEED = 0
 LEASE_TTL = 2.0
 WAIT_TIMEOUT_S = 120.0
 KILL_WINDOW_S = 60.0
+STDERR_TAIL_LINES = 20
 SUMMARY_RE = re.compile(
     r"shard (\d+)/(\d+): (\d+) evaluated "
     r"\((\d+) resumed, (\d+) stolen in (\d+) steals\)"
 )
 
 
-def fail(message):
+def fail(message, stderr=""):
     print(f"dse-chaos: FAIL: {message}", file=sys.stderr)
+    tail = stderr.splitlines()[-STDERR_TAIL_LINES:]
+    if tail:
+        print("dse-chaos: last lines of the step's stderr:", file=sys.stderr)
+        for line in tail:
+            print(f"    {line}", file=sys.stderr)
     raise SystemExit(1)
 
 
-def check(condition, message):
+def check(condition, message, stderr=""):
     if not condition:
-        fail(message)
+        fail(message, stderr)
     print(f"dse-chaos: ok: {message}")
 
 
@@ -92,7 +102,7 @@ def spawn(command):
     print("dse-chaos: run:", " ".join(command), flush=True)
     return subprocess.Popen(
         command, env=cli_env(), cwd=REPO_ROOT,
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
 
 
@@ -104,17 +114,42 @@ def run_merge(workdir, metrics, *extra):
     print("dse-chaos: run:", " ".join(command), flush=True)
     return subprocess.run(
         command, env=cli_env(), cwd=REPO_ROOT,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
 
 
 def wait_shard(process, what):
+    """Wait for a worker; returns ``(returncode, stdout, stderr)``."""
     try:
-        stdout, _ = process.communicate(timeout=WAIT_TIMEOUT_S)
+        stdout, stderr = process.communicate(timeout=WAIT_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         process.kill()
-        fail(f"{what} did not finish within {WAIT_TIMEOUT_S:.0f}s")
-    return process.returncode, stdout or ""
+        _, stderr = process.communicate()
+        fail(f"{what} did not finish within {WAIT_TIMEOUT_S:.0f}s", stderr)
+    return process.returncode, stdout or "", stderr or ""
+
+
+def wait_lease_stale(workdir, shard):
+    """Block until a killed worker's lease is observed expired.
+
+    A shard refuses to start (``CheckpointError``) while its lease is
+    still live, so ``--resume`` right after a SIGKILL races the lease
+    TTL.  Polls through :class:`~repro.resilience.lease.LeaseMonitor`,
+    the same liveness test sibling shards use before stealing.
+    """
+    from repro.dse.sharded import shard_lease_path
+    from repro.resilience.lease import LeaseMonitor
+
+    lease_path = shard_lease_path(os.path.join(REPO_ROOT, workdir), shard)
+    monitor = LeaseMonitor()
+    started = time.monotonic()
+    while not monitor.expired(lease_path):
+        if time.monotonic() - started > WAIT_TIMEOUT_S:
+            fail(f"lease {lease_path} still live after "
+                 f"{WAIT_TIMEOUT_S:.0f}s")
+        time.sleep(LEASE_TTL / 10)
+    print(f"dse-chaos: lease {lease_path} stale after "
+          f"{time.monotonic() - started:.2f}s")
 
 
 def counters_of(path):
@@ -152,8 +187,9 @@ def kill_after_first_flush(process, ledger):
                   f"after {ledger} appeared")
             return
         if process.poll() is not None:
+            _, stderr = process.communicate()
             fail(f"worker exited ({process.returncode}) before the "
-                 f"kill window; nothing to reclaim")
+                 f"kill window; nothing to reclaim", stderr)
         time.sleep(0.02)
     process.kill()
     fail("worker never flushed a ledger to kill over")
@@ -197,13 +233,14 @@ def scenario_quarantine_steal(base, reference):
     victim = spawn(shard_command(workdir, 0, 2, m0,
                                  "--fault-plan", COMMITTED_PLAN))
     survivor = spawn(shard_command(workdir, 1, 2, m1))
-    victim_rc, _ = wait_shard(victim, "faulted shard 0")
-    survivor_rc, survivor_out = wait_shard(survivor, "surviving shard 1")
+    victim_rc, _, victim_err = wait_shard(victim, "faulted shard 0")
+    survivor_rc, survivor_out, survivor_err = wait_shard(
+        survivor, "surviving shard 1")
 
     check(victim_rc != 0,
           f"faulted shard 0 died from the injected crash "
-          f"(exit {victim_rc})")
-    check(survivor_rc == 0, "surviving shard 1 exited 0")
+          f"(exit {victim_rc})", victim_err)
+    check(survivor_rc == 0, "surviving shard 1 exited 0", survivor_err)
     check(counters_of(m0).get("resilience.faults_injected", 0) >= 2,
           "shard 0 took the torn write and the crash")
     corrupt = glob.glob(os.path.join(
@@ -219,11 +256,12 @@ def scenario_quarantine_steal(base, reference):
     match = SUMMARY_RE.search(survivor_out)
     check(match is not None and int(match.group(5)) >= 1,
           f"survivor re-swept the dead shard's units "
-          f"({match.group(5) if match else '?'} stolen)")
+          f"({match.group(5) if match else '?'} stolen)", survivor_err)
 
     mm = os.path.join(base, "quarantine-merge.json")
-    check(run_merge(workdir, mm).returncode == 0,
-          "dse-merge exited 0 after the steal")
+    merge = run_merge(workdir, mm)
+    check(merge.returncode == 0, "dse-merge exited 0 after the steal",
+          merge.stderr)
     check(counters_of(mm).get("dse.merge_divergences", 0) == 0,
           "zero duplicate-key divergences at merge")
     assert_parity(workdir, reference, "quarantine + steal")
@@ -243,8 +281,8 @@ def scenario_kill_steal(base, reference):
                  for i in (1, 2)]
     stolen = 0
     for process, shard in zip(survivors, (1, 2)):
-        rc, out = wait_shard(process, f"surviving shard {shard}")
-        check(rc == 0, f"surviving shard {shard} exited 0")
+        rc, out, err = wait_shard(process, f"surviving shard {shard}")
+        check(rc == 0, f"surviving shard {shard} exited 0", err)
         match = SUMMARY_RE.search(out)
         stolen += int(match.group(5)) if match else 0
 
@@ -259,8 +297,9 @@ def scenario_kill_steal(base, reference):
           f"({steals} steals, {stolen} units)")
 
     mm = os.path.join(base, "kill-steal-merge.json")
-    check(run_merge(workdir, mm).returncode == 0,
-          "dse-merge exited 0 after the kill")
+    merge = run_merge(workdir, mm)
+    check(merge.returncode == 0, "dse-merge exited 0 after the kill",
+          merge.stderr)
     counters = counters_of(mm)
     check(counters.get("dse.merge_missing_units", 0) == 0,
           "no units lost to the SIGKILL")
@@ -283,22 +322,25 @@ def scenario_kill_resume(base, reference):
     for shard in (1, 2):
         process = spawn(shard_command(workdir, shard, 3, metrics[shard],
                                       "--no-steal"))
-        rc, _ = wait_shard(process, f"shard {shard}")
-        check(rc == 0, f"shard {shard} exited 0 without stealing")
+        rc, _, err = wait_shard(process, f"shard {shard}")
+        check(rc == 0, f"shard {shard} exited 0 without stealing", err)
 
     mm_incomplete = os.path.join(base, "kill-resume-merge-1.json")
-    check(run_merge(workdir, mm_incomplete).returncode == 1,
+    merge = run_merge(workdir, mm_incomplete)
+    check(merge.returncode == 1,
           "dse-merge exited 1 while the killed shard's units "
-          "were missing")
+          "were missing", merge.stderr)
     missing = counters_of(mm_incomplete).get("dse.merge_missing_units", 0)
     check(missing >= 1, f"merge counted {missing} missing units")
 
+    wait_lease_stale(workdir, 0)
     resumed = spawn(shard_command(workdir, 0, 3, metrics[0],
                                   "--no-steal", "--resume"))
-    rc, out = wait_shard(resumed, "resumed shard 0")
-    check(rc == 0, "resumed shard 0 exited 0")
+    rc, out, err = wait_shard(resumed, "resumed shard 0")
+    check(rc == 0, "resumed shard 0 exited 0", err)
     match = SUMMARY_RE.search(out)
-    check(match is not None, f"resumed shard printed its summary ({out!r})")
+    check(match is not None, f"resumed shard printed its summary ({out!r})",
+          err)
     evaluated, skipped = int(match.group(3)), int(match.group(4))
     check(skipped >= 1,
           f"resume picked up the surviving ledger "
@@ -308,8 +350,9 @@ def scenario_kill_resume(base, reference):
           f"missing units (got {evaluated})")
 
     mm = os.path.join(base, "kill-resume-merge-2.json")
-    check(run_merge(workdir, mm).returncode == 0,
-          "dse-merge exited 0 after the resume")
+    merge = run_merge(workdir, mm)
+    check(merge.returncode == 0, "dse-merge exited 0 after the resume",
+          merge.stderr)
     check(counters_of(mm).get("dse.merge_divergences", 0) == 0,
           "zero duplicate-key divergences at merge")
     assert_parity(workdir, reference, "SIGKILL + resume")
