@@ -9,6 +9,17 @@ and reduces the convergence rate; the system module iterates until the
 precision target (or a fixed sweep budget) is met; finally the
 norm-AIEs produce ``Sigma`` and ``U`` (Eq. 7).
 
+Staging, packetization, reassembly and traffic accounting run per
+block pair, as in hardware.  The rotations themselves run one
+tournament round of block pairs at a time: those pairs touch disjoint
+columns, and one ordering round maps onto one layer of orth-AIEs that
+all rotate at once, so every ordering round of the whole tournament
+round is one call of the block driver's batched round kernel
+(:func:`repro.linalg.hestenes._sweep_pairs_indexed`).  The rotations
+are the same as sweeping the block pairs one by one, and the result
+equals ``svd(method="block", block_width=P_eng,
+strategy="vectorized")`` bit for bit after the same number of sweeps.
+
 The result must match ``numpy.linalg.svd`` — that equivalence is the
 functional-correctness contract of the whole hardware model and is
 enforced by the integration tests.
@@ -17,7 +28,7 @@ enforced by the integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,12 +38,10 @@ from repro.core.ordering_codesign import MovementSchedule
 from repro.core.placement import Placement, place
 from repro.core.routing import ForwardingRule, assign_plios
 from repro.errors import NumericalError, SimulationError
-from repro.linalg.convergence import (
-    pair_convergence_ratio,
-    zero_column_threshold_sq,
-)
+from repro.linalg.block import block_pair_round_indices
+from repro.linalg.convergence import zero_column_threshold_sq
+from repro.linalg.hestenes import _sweep_pairs_indexed
 from repro.linalg.orderings import Ordering, RingOrdering, ShiftingRingOrdering
-from repro.linalg.rotations import apply_rotation, compute_rotation
 from repro.pl.data_arrangement import DataArrangement
 from repro.pl.receiver import Receiver, reduce_convergence
 from repro.pl.sender import Packet, Sender
@@ -128,40 +137,51 @@ class HeteroSVDAccelerator:
         )
         #: Numeric type of the simulated datapath (fp32 on real AIEs).
         self._dtype = np.dtype(config.arithmetic)
+        #: Stacked local ``(ii, jj)`` per ordering round over the
+        #: ``p // 2`` block pairs of one tournament round (every round
+        #: has that many, byes excluded).
+        width = config.pair_cols
+        self._round_indices = block_pair_round_indices(
+            [range(g * width, (g + 1) * width) for g in range(config.n_blocks // 2)],
+            self._ordering,
+        )
 
     # -- AIE-side kernels -------------------------------------------------------
     def _orth_sweep(
         self,
-        pair_data: np.ndarray,
-        v_data: Optional[np.ndarray],
+        pair_data: List[np.ndarray],
+        v_data: Optional[List[np.ndarray]],
         zero_sq: float,
     ) -> "tuple[np.ndarray, Optional[np.ndarray], float]":
-        """Run the parallel-ordering sweep of one block pair.
+        """Run the parallel-ordering sweep of one tournament round.
 
-        Returns the rotated pair, the rotated V columns (when
-        accumulating), and the worst pre-rotation convergence ratio —
-        what the orth-AIEs report upstream (Algorithm 1, line 10).
+        ``pair_data`` holds the ``m x 2k`` panels of block pairs that
+        touch disjoint columns.  They are stacked side by side in a
+        fresh Fortran-order copy, and each of the ordering's ``2k - 1``
+        rounds rotates every panel in one batched kernel call: the same
+        rotations, on the same data, as sweeping the block pairs one
+        after another.
+
+        Returns the stacked rotated panels (panel ``g`` in columns
+        ``g*2k:(g+1)*2k``), the stacked rotated V columns (when
+        accumulating), and the worst pre-rotation convergence ratio
+        over the whole group — what the orth-AIEs report upstream
+        (Algorithm 1, line 10).  Each block pair's receiver may thus be
+        handed the group's worst ratio rather than its own; since
+        :func:`~repro.pl.receiver.reduce_convergence` takes the max over
+        block pairs, the iteration's convergence rate (and the
+        ``convergence_history``) is unchanged.
         """
-        b = pair_data.copy()
-        v = v_data.copy() if v_data is not None else None
+        b = _stack(pair_data)
+        v = _stack(v_data) if v_data is not None else None
         worst = 0.0
         precision = self.config.precision
-        for one_round in self._ordering:
-            for i, j in one_round:
-                alpha = float(b[:, i] @ b[:, i])
-                beta = float(b[:, j] @ b[:, j])
-                gamma = float(b[:, i] @ b[:, j])
-                ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-                if ratio > worst:
-                    worst = ratio
-                if ratio < precision:
-                    continue
-                rotation = compute_rotation(alpha, beta, gamma)
-                b[:, i], b[:, j] = apply_rotation(b[:, i], b[:, j], rotation)
-                if v is not None:
-                    v[:, i], v[:, j] = apply_rotation(
-                        v[:, i], v[:, j], rotation
-                    )
+        for ii, jj in self._round_indices:
+            round_worst, _ = _sweep_pairs_indexed(
+                b, v, ii, jj, precision, zero_sq
+            )
+            if round_worst > worst:
+                worst = round_worst
         return b, v, worst
 
     def _normalize(self, working: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -211,42 +231,58 @@ class HeteroSVDAccelerator:
         dma_per_sweep = self._schedule.dma_count(self._mode)
         total_moves = 2 * cfg.p_eng * self._schedule.n_transitions
 
+        width = cfg.pair_cols
+
         while system.phase is Phase.ORTHOGONALIZATION:
             ratios: List[float] = []
-            for job in arrangement.iteration_jobs():
-                # Jobs stage through the sender FIFOs (one per block of
-                # the pair) before packetization, as in Fig. 2.
-                arrangement.sender_fifos[0].push(job)
-                arrangement.sender_fifos[1].push(job)
-                staged = arrangement.sender_fifos[0].pop()
-                arrangement.sender_fifos[1].pop()
-                packets = self._sender.packetize(staged.columns, staged.data)
-                stats.packets_sent += len(packets)
-                pair_data = self._gather(packets, job.columns)
+            # Each tournament round's block pairs are disjoint, so they
+            # rotate as one batch.
+            for group in arrangement.iteration_jobs():
+                pair_data = []
+                for job in group:
+                    # Jobs stage through the sender FIFOs (one per block
+                    # of the pair) before packetization, as in Fig. 2.
+                    arrangement.sender_fifos[0].push(job)
+                    arrangement.sender_fifos[1].push(job)
+                    staged = arrangement.sender_fifos[0].pop()
+                    arrangement.sender_fifos[1].pop()
+                    packets = self._sender.packetize(staged.columns, staged.data)
+                    stats.packets_sent += len(packets)
+                    pair_data.append(self._gather(packets, job.columns))
                 v_cols = (
-                    v_working[:, job.columns] if v_working is not None else None
+                    [v_working[:, job.columns] for job in group]
+                    if v_working is not None
+                    else None
                 )
-                rotated, v_rotated, ratio = self._orth_sweep(pair_data, v_cols, zero_sq)
-                stats.dma_transfers += dma_per_sweep
-                stats.neighbor_transfers += total_moves - dma_per_sweep
+                rotated, v_rotated, ratio = self._orth_sweep(
+                    pair_data, v_cols, zero_sq
+                )
 
-                receiver = Receiver(job.columns)
-                for position, column in enumerate(job.columns):
-                    packet = Packet(
-                        header=(0, 0),
-                        column_index=column,
-                        payload=rotated[:, position],
-                        plio=position % 2,
+                for g, job in enumerate(group):
+                    stats.dma_transfers += dma_per_sweep
+                    stats.neighbor_transfers += total_moves - dma_per_sweep
+                    offset = g * width
+                    receiver = Receiver(job.columns)
+                    for position, column in enumerate(job.columns):
+                        packet = Packet(
+                            header=(0, 0),
+                            column_index=column,
+                            payload=rotated[:, offset + position],
+                            plio=position % 2,
+                        )
+                        receiver.accept(packet, ratio)
+                        stats.packets_received += 1
+                    # Results stage through a receiver FIFO before the
+                    # data arrangement re-pairs them.
+                    arrangement.receiver_fifos[0].push(receiver.reassemble())
+                    arrangement.retire_pair(
+                        job, arrangement.receiver_fifos[0].pop()
                     )
-                    receiver.accept(packet, ratio)
-                    stats.packets_received += 1
-                # Results stage through a receiver FIFO before the
-                # data arrangement re-pairs them.
-                arrangement.receiver_fifos[0].push(receiver.reassemble())
-                arrangement.retire_pair(job, arrangement.receiver_fifos[0].pop())
-                if v_rotated is not None:
-                    v_working[:, job.columns] = v_rotated
-                ratios.append(receiver.convergence_ratio)
+                    if v_rotated is not None:
+                        v_working[:, job.columns] = v_rotated[
+                            :, offset:offset + width
+                        ]
+                    ratios.append(receiver.convergence_ratio)
             system.report_iteration(reduce_convergence(ratios))
 
         u, sigma = self._normalize(arrangement.working)
@@ -306,3 +342,16 @@ class HeteroSVDAccelerator:
         if missing:
             raise SimulationError(f"columns lost in routing: {missing}")
         return np.column_stack([by_column[c] for c in columns])
+
+
+def _stack(panels: List[np.ndarray]) -> np.ndarray:
+    """Panels side by side in a fresh Fortran-order array.
+
+    Fortran order keeps the round kernel's column gathers contiguous.
+    """
+    out = np.empty(
+        (panels[0].shape[0], sum(p.shape[1] for p in panels)),
+        dtype=panels[0].dtype,
+        order="F",
+    )
+    return np.concatenate(panels, axis=1, out=out)

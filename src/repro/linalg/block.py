@@ -79,7 +79,7 @@ def orthogonalize_block_pair(
     if strategy in BATCHED_STRATEGIES:
         sweep_rounds_fn = _round_sweeper(strategy)
         if round_indices is None:
-            round_indices = block_pair_round_indices(cols, ordering)
+            round_indices = block_pair_round_indices([cols], ordering)
         for ii, jj in round_indices:
             round_worst, round_rotations = sweep_rounds_fn(
                 b, v, ii, jj, precision, zero_sq
@@ -176,18 +176,29 @@ class BlockPartition:
         a[:, cols] = data
 
 
-def block_pair_round_indices(cols: Sequence[int], ordering):
-    """Global ``(ii, jj)`` index arrays for each round of a block pair.
+def block_pair_round_indices(cols_per_pair: Sequence[Sequence[int]], ordering):
+    """Stacked ``(ii, jj)`` index arrays for each ordering round.
 
-    Translates an ordering over the ``2k`` local columns into global
-    column indices once, so repeated sweeps over the same block pair
-    (the common case: the pair schedule is identical every outer sweep)
-    pay no per-round translation cost in the vectorized path.
+    ``cols_per_pair`` holds the column lists of block pairs that touch
+    disjoint columns — one block pair, or every block pair of one
+    tournament round of :func:`block_pair_rounds`.  Each ordering round
+    over the ``2k`` local columns is translated through every list and
+    the results are stacked pair by pair, so one batched round kernel
+    call rotates that round of all the block pairs at once.  The
+    schedule repeats identically every outer sweep, so drivers build
+    these once and the vectorized path pays no per-round translation
+    cost.
     """
     return [
         (
-            np.fromiter((cols[i] for i, _ in one_round), dtype=np.intp),
-            np.fromiter((cols[j] for _, j in one_round), dtype=np.intp),
+            np.fromiter(
+                (cols[i] for cols in cols_per_pair for i, _ in one_round),
+                dtype=np.intp,
+            ),
+            np.fromiter(
+                (cols[j] for cols in cols_per_pair for _, j in one_round),
+                dtype=np.intp,
+            ),
         )
         for one_round in ordering
     ]
@@ -197,38 +208,22 @@ def block_pairs(n_blocks: int) -> List[BlockPair]:
     """Round-robin enumeration of all block pairs (tournament schedule).
 
     Returns the ``p(p-1)/2`` block pairs in the order the data
-    arrangement module streams them: a circle-method tournament over
-    blocks, so consecutive pairs reuse at most one block — the pattern
-    the paper's round-robin reordering of receiver-FIFO data exploits.
-    For odd ``p`` a bye is inserted internally and skipped.
+    arrangement module streams them: the rounds of
+    :func:`block_pair_rounds` flattened, so consecutive pairs reuse at
+    most one block — the pattern the paper's round-robin reordering of
+    receiver-FIFO data exploits — and every tournament round is a
+    contiguous run of the stream.
     """
-    if n_blocks < 2:
-        raise ConfigurationError(f"need at least two blocks, got {n_blocks}")
-    players = list(range(n_blocks))
-    bye = None
-    if n_blocks % 2 != 0:
-        bye = -1
-        players.append(bye)
-    size = len(players)
-    pairs: List[BlockPair] = []
-    for _ in range(size - 1):
-        for slot in range(size // 2):
-            a, b = players[slot], players[size - 1 - slot]
-            if bye is not None and (a == bye or b == bye):
-                continue
-            pairs.append((a, b) if a < b else (b, a))
-        players = [players[0], players[-1], *players[1:-1]]
-    return pairs
+    return [pair for one_round in block_pair_rounds(n_blocks) for pair in one_round]
 
 
 def block_pair_rounds(n_blocks: int) -> List[List[BlockPair]]:
     """Block pairs grouped into rounds of disjoint pairs.
 
-    Pairs within a round touch disjoint blocks and could be processed by
-    independent task pipelines; HeteroSVD's task-level parallelism
-    instead assigns whole matrices to pipelines, but the grouping is
-    useful for tests and for the data-arrangement double-buffering
-    model.
+    A circle-method tournament over the blocks; for odd ``p`` a bye is
+    inserted internally and skipped.  Pairs within a round touch
+    disjoint blocks, so their sweeps commute: the block driver and the
+    accelerator model rotate a whole round's block pairs as one batch.
     """
     if n_blocks < 2:
         raise ConfigurationError(f"need at least two blocks, got {n_blocks}")

@@ -109,20 +109,18 @@ def off_diagonal_ratio(matrix: np.ndarray) -> float:
     zero_sq = zero_column_threshold_sq(
         math.sqrt(max(float(np.sum(norms_sq)), 0.0)), matrix.dtype
     )
-    n = matrix.shape[1]
-    worst = 0.0
-    for i in range(n):
-        if norms_sq[i] <= zero_sq:
-            continue
-        for j in range(i + 1, n):
-            if norms_sq[j] <= zero_sq:
-                continue
-            ratio = abs(gram[i, j]) / (
-                math.sqrt(norms_sq[i]) * math.sqrt(norms_sq[j])
-            )
-            if ratio > worst:
-                worst = ratio
-    return float(worst)
+    # ``~(x <= floor)`` rather than ``x > floor`` keeps NaN norms in,
+    # and the NaN ratios they produce are then skipped by the max.
+    live = np.flatnonzero(~(norms_sq <= zero_sq))
+    if live.size < 2:
+        return 0.0
+    # Roots and their product in float64, the quotient in the Gram's
+    # own precision: the same IEEE operations as the per-pair formula.
+    roots = np.sqrt(norms_sq[live].astype(np.float64))
+    first, second = np.triu_indices(live.size, 1)
+    denominator = (roots[first] * roots[second]).astype(gram.dtype)
+    ratios = np.abs(gram[live[first], live[second]]) / denominator
+    return float(np.max(ratios, initial=0.0, where=~np.isnan(ratios)))
 
 
 def is_converged(matrix: np.ndarray, precision: float = DEFAULT_PRECISION) -> bool:

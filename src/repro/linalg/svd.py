@@ -27,6 +27,7 @@ from repro.guard.validate import (
 )
 from repro.linalg.block import (
     BlockPartition,
+    block_pair_round_indices,
     block_pair_rounds,
     block_pairs,
     orthogonalize_block_pair,
@@ -112,30 +113,14 @@ def _block_jacobi_svd(
         b = np.asfortranarray(a)
         v = np.asfortranarray(np.eye(n))
         sweep_rounds_fn = _round_sweeper(strategy)
-        ordering_rounds = ordering.rounds()
-        stacked_rounds = []
-        for block_round in block_pair_rounds(partition.n_blocks):
-            cols_per_pair = [
-                partition.pair_columns(pair) for pair in block_round
-            ]
-            for one_round in ordering_rounds:
-                ii = np.fromiter(
-                    (
-                        cols[i]
-                        for cols in cols_per_pair
-                        for i, _ in one_round
-                    ),
-                    dtype=np.intp,
-                )
-                jj = np.fromiter(
-                    (
-                        cols[j]
-                        for cols in cols_per_pair
-                        for _, j in one_round
-                    ),
-                    dtype=np.intp,
-                )
-                stacked_rounds.append((ii, jj))
+        stacked_rounds = [
+            indices
+            for block_round in block_pair_rounds(partition.n_blocks)
+            for indices in block_pair_round_indices(
+                [partition.pair_columns(pair) for pair in block_round],
+                ordering,
+            )
+        ]
     else:
         b = a.copy()
         v = np.eye(n)

@@ -4,8 +4,9 @@ Responsibilities mirrored from the paper:
 
 * read the full matrix ``A_{m x n}`` from DDR and split it into
   ``m x k`` column blocks (``k = P_eng``);
-* enumerate block pairs in round-robin order and feed them to the two
-  sender FIFOs (one per block of the pair);
+* enumerate block pairs in round-robin order, one tournament round of
+  disjoint pairs at a time, and feed them to the two sender FIFOs (one
+  per block of the pair);
 * between iterations, re-pair the updated blocks arriving back through
   the receiver FIFOs;
 * after convergence, stream single blocks to the norm-AIEs and collect
@@ -23,7 +24,7 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.linalg.block import BlockPartition, block_pairs
+from repro.linalg.block import BlockPartition, block_pair_rounds
 from repro.pl.fifo import FIFO
 
 
@@ -95,15 +96,26 @@ class DataArrangement:
         """Block pairs per iteration — the performance model's ``num``."""
         return self.partition.n_block_pairs
 
-    def iteration_jobs(self) -> Iterator[BlockPairJob]:
-        """Yield the round-robin stream of block-pair jobs for one sweep."""
-        for pair in block_pairs(self.n_blocks):
-            cols = self.partition.pair_columns(pair)
-            job = BlockPairJob(
-                pair=pair, columns=cols, data=self.working[:, cols].copy()
-            )
-            self.pairs_issued += 1
-            yield job
+    def iteration_jobs(self) -> Iterator[List[BlockPairJob]]:
+        """Yield one sweep's block-pair jobs, one tournament round at a time.
+
+        Each list holds the jobs of one round of
+        :func:`~repro.linalg.block.block_pair_rounds`.  Their block
+        pairs touch disjoint columns, so the round can be rotated as
+        one batch; the next round's payloads are copied only when it is
+        requested, after the previous round's jobs were retired.
+        """
+        for one_round in block_pair_rounds(self.n_blocks):
+            jobs = []
+            for pair in one_round:
+                cols = self.partition.pair_columns(pair)
+                jobs.append(
+                    BlockPairJob(
+                        pair=pair, columns=cols, data=self.working[:, cols].copy()
+                    )
+                )
+            self.pairs_issued += len(jobs)
+            yield jobs
 
     def retire_pair(self, job: BlockPairJob, updated: np.ndarray) -> None:
         """Write an orthogonalized block pair back into working storage."""

@@ -11,6 +11,7 @@ from repro.core.ordering_codesign import (
 )
 from repro.errors import NumericalError, SimulationError
 from repro.linalg.reference import validate_svd
+from repro.linalg.svd import svd
 
 
 def make_accel(m, n, p_eng, **kwargs):
@@ -118,6 +119,73 @@ class TestTransferAccounting:
         expected = accel.config.num_block_pairs * accel.config.pair_cols
         assert result.transfers.packets_sent == expected
         assert result.transfers.packets_received == expected
+
+
+class TestBlockDriverParity:
+    """The accelerator rotates exactly what the block driver rotates.
+
+    Both run each tournament round of block pairs through the same
+    batched round kernel, so after the same number of sweeps the
+    accumulated V is bit-identical — odd block counts (a bye in every
+    tournament round) included.
+    """
+
+    @pytest.mark.parametrize("use_codesign", [True, False])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    @pytest.mark.parametrize("n,p_eng", [(36, 4), (30, 2), (40, 8)])
+    def test_v_matches_block_svd_bit_for_bit(
+        self, rng, n, p_eng, sweeps, use_codesign
+    ):
+        a = rng.standard_normal((n, n))
+        accel = make_accel(
+            n, n, p_eng, fixed_iterations=sweeps, use_codesign=use_codesign
+        )
+        result = accel.run(a, accumulate_v=True)
+        reference = svd(
+            a,
+            method="block",
+            block_width=p_eng,
+            fixed_sweeps=sweeps,
+            strategy="vectorized",
+        )
+        assert result.iterations == sweeps
+        assert np.array_equal(result.v, reference.v)
+
+
+class TestGoldenTraffic:
+    """Traffic counts recorded with the per-pair rotation loop.
+
+    Batching a tournament round's rotations must not move a single
+    count: iterations, DMA/neighbour transfers, packets and the FIFO
+    high-water mark stay per block pair.
+    """
+
+    GOLDEN = {
+        # (n, p_eng, use_codesign): (iterations, dma, neighbour, packets)
+        (32, 4, True): (8, 1344, 9408, 1792),
+        (32, 4, False): (8, 5376, 5376, 1792),
+        (48, 8, True): (7, 1470, 22050, 1680),
+        (48, 8, False): (7, 11760, 11760, 1680),
+        (64, 4, True): (9, 6480, 45360, 8640),
+        (64, 4, False): (9, 25920, 25920, 8640),
+    }
+
+    @pytest.mark.parametrize("arithmetic", ["float64", "float32"])
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_counts_match_recorded(self, key, arithmetic):
+        n, p_eng, use_codesign = key
+        iterations, dma, neighbour, packets = self.GOLDEN[key]
+        a = np.random.default_rng(n + p_eng).standard_normal((n, n))
+        result = make_accel(
+            n, n, p_eng, use_codesign=use_codesign, arithmetic=arithmetic
+        ).run(a)
+        transfers = result.transfers
+        assert result.iterations == iterations
+        assert transfers.dma_transfers == dma
+        assert transfers.neighbor_transfers == neighbour
+        assert transfers.packets_sent == packets
+        assert transfers.packets_received == packets
+        assert transfers.fifo_high_water == 1
 
 
 class TestAcceleratorErrors:

@@ -6,9 +6,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.linalg.block import (
     BlockPartition,
+    block_pair_round_indices,
     block_pair_rounds,
     block_pairs,
 )
+from repro.linalg.orderings import ShiftingRingOrdering
 
 
 class TestBlockPartition:
@@ -88,3 +90,29 @@ class TestBlockPairs:
         rounds = block_pair_rounds(6)
         flat = [pair for r in rounds for pair in r]
         assert sorted(flat) == sorted(block_pairs(6))
+
+
+class TestBlockPairRoundIndices:
+    def test_single_pair_translates_the_ordering(self):
+        ordering = ShiftingRingOrdering(4)
+        cols = [10, 11, 20, 21]
+        indices = block_pair_round_indices([cols], ordering)
+        assert len(indices) == ordering.n_rounds
+        for (ii, jj), one_round in zip(indices, ordering):
+            assert list(ii) == [cols[i] for i, _ in one_round]
+            assert list(jj) == [cols[j] for _, j in one_round]
+
+    def test_round_of_pairs_stacks_pair_by_pair(self):
+        ordering = ShiftingRingOrdering(4)
+        first, second = [0, 1, 4, 5], [2, 3, 6, 7]
+        stacked = block_pair_round_indices([first, second], ordering)
+        alone = [
+            block_pair_round_indices([cols], ordering)
+            for cols in (first, second)
+        ]
+        for r, (ii, jj) in enumerate(stacked):
+            assert list(ii) == [*alone[0][r][0], *alone[1][r][0]]
+            assert list(jj) == [*alone[0][r][1], *alone[1][r][1]]
+            touched = np.concatenate((ii, jj))
+            assert np.unique(touched).size == touched.size
+

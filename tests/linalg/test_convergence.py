@@ -1,5 +1,7 @@
 """Unit tests for the convergence criterion (Eq. 6)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,31 @@ from repro.linalg.convergence import (
     is_converged,
     off_diagonal_ratio,
     pair_convergence_ratio,
+    zero_column_threshold_sq,
 )
+
+
+def reference_off_diagonal_ratio(matrix):
+    """The per-pair double loop the vectorized form must reproduce."""
+    gram = matrix.T @ matrix
+    norms_sq = np.diag(gram).copy()
+    zero_sq = zero_column_threshold_sq(
+        math.sqrt(max(float(np.sum(norms_sq)), 0.0)), matrix.dtype
+    )
+    n = matrix.shape[1]
+    worst = 0.0
+    for i in range(n):
+        if norms_sq[i] <= zero_sq:
+            continue
+        for j in range(i + 1, n):
+            if norms_sq[j] <= zero_sq:
+                continue
+            ratio = abs(gram[i, j]) / (
+                math.sqrt(norms_sq[i]) * math.sqrt(norms_sq[j])
+            )
+            if ratio > worst:
+                worst = ratio
+    return float(worst)
 
 
 class TestPairConvergenceRatio:
@@ -65,6 +91,24 @@ class TestOffDiagonalRatio:
                     ),
                 )
         assert off_diagonal_ratio(a) == pytest.approx(worst)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "kind", ["random", "zero_columns", "tiny", "orthonormal", "duplicate"]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
+    def test_bit_identical_to_pairwise_loop(self, rng, n, kind, dtype):
+        a = rng.standard_normal((n + 3, n))
+        if kind == "zero_columns":
+            a[:, ::3] = 0.0
+        elif kind == "tiny":
+            a *= 1e-200 if dtype == np.float64 else 1e-20
+        elif kind == "orthonormal":
+            a, _ = np.linalg.qr(a)
+        elif kind == "duplicate":
+            a[:, 0] = a[:, -1]
+        a = a.astype(dtype)
+        assert off_diagonal_ratio(a) == reference_off_diagonal_ratio(a)
 
 
 class TestIsConverged:
