@@ -1,0 +1,60 @@
+"""Per-round cost of the vectorized Jacobi round kernel.
+
+One call rotates one ordering round (``n / 2`` disjoint column pairs).
+``fused`` is :func:`repro.linalg.hestenes._sweep_pairs_indexed` on a
+stacked ``W = [B; V]``; ``three-call`` is the kernel it replaced, kept
+verbatim in ``tests/linalg/test_round_kernel.py``, on separate
+Fortran-order ``B`` and ``V``.  Together they regenerate the per-round
+table in docs/performance.md: ``n`` in {16, 32, 64, 128}, with ``V``
+rows (what ``hestenes_svd`` runs) and without.  Every pair rotates in
+every call (precision 0), so each timing covers the whole gather, Gram,
+angle, update and scatter path.  No speed bound is asserted.
+
+Run:  make microbench   (or: python -m pytest benchmarks/bench_round_kernel.py
+--benchmark-only)
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.linalg.block import block_pair_round_indices
+from repro.linalg.hestenes import (
+    _sweep_pairs_indexed,
+    round_workspace,
+    stack_panels,
+)
+from repro.linalg.orderings import RingOrdering
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.linalg.test_round_kernel import (  # noqa: E402
+    reference_sweep_pairs_indexed,
+)
+
+
+def _fused(a, with_v, idx):
+    n = a.shape[0]
+    w = stack_panels([a], [np.eye(n)] if with_v else None)
+    work = round_workspace(w.shape, w.dtype)
+    return lambda: _sweep_pairs_indexed(w, n, idx, 0.0, 0.0, work)
+
+
+def _three_call(a, with_v, idx):
+    b = np.asfortranarray(a)
+    v = np.asfortranarray(np.eye(a.shape[1])) if with_v else None
+    ii, jj = np.split(idx, 2)
+    return lambda: reference_sweep_pairs_indexed(b, v, ii, jj, 0.0, 0.0)
+
+
+@pytest.mark.benchmark(group="round-kernel")
+@pytest.mark.parametrize("kernel", [_fused, _three_call],
+                         ids=["fused", "three-call"])
+@pytest.mark.parametrize("with_v", [True, False], ids=["with-v", "no-v"])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_bench_round(benchmark, n, with_v, kernel):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    idx = block_pair_round_indices([range(n)], RingOrdering(n))[0]
+    worst, count = benchmark(kernel(a, with_v, idx))
+    assert count == n // 2

@@ -40,7 +40,11 @@ from repro.core.routing import ForwardingRule, assign_plios
 from repro.errors import NumericalError, SimulationError
 from repro.linalg.block import block_pair_round_indices
 from repro.linalg.convergence import zero_column_threshold_sq
-from repro.linalg.hestenes import _sweep_pairs_indexed
+from repro.linalg.hestenes import (
+    _sweep_pairs_indexed,
+    round_workspace,
+    stack_panels,
+)
 from repro.linalg.orderings import Ordering, RingOrdering, ShiftingRingOrdering
 from repro.pl.data_arrangement import DataArrangement
 from repro.pl.receiver import Receiver, reduce_convergence
@@ -137,7 +141,7 @@ class HeteroSVDAccelerator:
         )
         #: Numeric type of the simulated datapath (fp32 on real AIEs).
         self._dtype = np.dtype(config.arithmetic)
-        #: Stacked local ``(ii, jj)`` per ordering round over the
+        #: Stacked local round-kernel ``idx`` per ordering round over the
         #: ``p // 2`` block pairs of one tournament round (every round
         #: has that many, byes excluded).
         width = config.pair_cols
@@ -152,15 +156,18 @@ class HeteroSVDAccelerator:
         pair_data: List[np.ndarray],
         v_data: Optional[List[np.ndarray]],
         zero_sq: float,
+        work: "tuple[np.ndarray, np.ndarray]",
     ) -> "tuple[np.ndarray, Optional[np.ndarray], float]":
         """Run the parallel-ordering sweep of one tournament round.
 
         ``pair_data`` holds the ``m x 2k`` panels of block pairs that
-        touch disjoint columns.  They are stacked side by side in a
-        fresh Fortran-order copy, and each of the ordering's ``2k - 1``
-        rounds rotates every panel in one batched kernel call: the same
-        rotations, on the same data, as sweeping the block pairs one
-        after another.
+        touch disjoint columns.  They are stacked side by side, over
+        their V columns when accumulating, in one fresh Fortran-order
+        ``W = [B; V]`` (:func:`~repro.linalg.hestenes.stack_panels`),
+        and each of the ordering's ``2k - 1`` rounds rotates every
+        panel in one batched kernel call through the run's ``work``
+        space: the same rotations, on the same data, as sweeping the
+        block pairs one after another.
 
         Returns the stacked rotated panels (panel ``g`` in columns
         ``g*2k:(g+1)*2k``), the stacked rotated V columns (when
@@ -172,17 +179,17 @@ class HeteroSVDAccelerator:
         block pairs, the iteration's convergence rate (and the
         ``convergence_history``) is unchanged.
         """
-        b = _stack(pair_data)
-        v = _stack(v_data) if v_data is not None else None
+        w = stack_panels(pair_data, v_data)
+        m = self.config.m
         worst = 0.0
         precision = self.config.precision
-        for ii, jj in self._round_indices:
+        for idx in self._round_indices:
             round_worst, _ = _sweep_pairs_indexed(
-                b, v, ii, jj, precision, zero_sq
+                w, m, idx, precision, zero_sq, work
             )
             if round_worst > worst:
                 worst = round_worst
-        return b, v, worst
+        return w[:m], (w[m:] if v_data is not None else None), worst
 
     def _normalize(self, working: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Norm-AIE stage: Eq. 7 column by column."""
@@ -232,6 +239,11 @@ class HeteroSVDAccelerator:
         total_moves = 2 * cfg.p_eng * self._schedule.n_transitions
 
         width = cfg.pair_cols
+        work = round_workspace(
+            (cfg.m + (cfg.n if accumulate_v else 0),
+             width * (cfg.n_blocks // 2)),
+            self._dtype,
+        )
 
         while system.phase is Phase.ORTHOGONALIZATION:
             ratios: List[float] = []
@@ -255,7 +267,7 @@ class HeteroSVDAccelerator:
                     else None
                 )
                 rotated, v_rotated, ratio = self._orth_sweep(
-                    pair_data, v_cols, zero_sq
+                    pair_data, v_cols, zero_sq, work
                 )
 
                 for g, job in enumerate(group):
@@ -343,15 +355,3 @@ class HeteroSVDAccelerator:
             raise SimulationError(f"columns lost in routing: {missing}")
         return np.column_stack([by_column[c] for c in columns])
 
-
-def _stack(panels: List[np.ndarray]) -> np.ndarray:
-    """Panels side by side in a fresh Fortran-order array.
-
-    Fortran order keeps the round kernel's column gathers contiguous.
-    """
-    out = np.empty(
-        (panels[0].shape[0], sum(p.shape[1] for p in panels)),
-        dtype=panels[0].dtype,
-        order="F",
-    )
-    return np.concatenate(panels, axis=1, out=out)

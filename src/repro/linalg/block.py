@@ -34,7 +34,6 @@ def orthogonalize_block_pair(
     precision: float,
     zero_sq: float,
     strategy: str = "vectorized",
-    round_indices=None,
 ) -> "tuple[float, int]":
     """Run a full parallel-ordering sweep over one block pair's columns.
 
@@ -42,11 +41,11 @@ def orthogonalize_block_pair(
     streamed block pair (Algorithm 1, lines 6-10): the ordering's
     ``2k - 1`` rounds cover every local column pair once, and each round
     is either walked pair by pair (``strategy="scalar"``) or rotated as
-    one batch (``strategy="vectorized"`` via
-    :func:`repro.linalg.hestenes.sweep_pairs`, or ``strategy="native"``
-    via the compiled kernel of :mod:`repro.linalg.native`).  Batching
-    is safe for
-    the same reason a round maps onto one hardware layer: a round's
+    one batch on a stacked copy of the block pair's ``B`` and ``V``
+    columns (``strategy="vectorized"`` via the round kernel of
+    :mod:`repro.linalg.hestenes`, or ``strategy="native"`` via the
+    compiled kernel of :mod:`repro.linalg.native`).  Batching is safe
+    for the same reason a round maps onto one hardware layer: a round's
     pairs are disjoint, so its rotations touch disjoint columns.
 
     Args:
@@ -61,32 +60,35 @@ def orthogonalize_block_pair(
         strategy: ``"scalar"``, ``"vectorized"`` or ``"native"``
             (already resolved; see
             :func:`repro.linalg.hestenes.resolve_strategy`).
-        round_indices: Optional precomputed global ``(ii, jj)`` index
-            arrays per round (from :func:`block_pair_round_indices`);
-            the vectorized path builds them from the ordering
-            otherwise.  The schedule is sweep-invariant, so drivers
-            compute them once per block pair.
 
     Returns:
         ``(worst_ratio, rotations)`` for the block-pair sweep.
     """
     from repro.linalg.convergence import pair_convergence_ratio
-    from repro.linalg.hestenes import BATCHED_STRATEGIES, _round_sweeper
+    from repro.linalg.hestenes import (
+        BATCHED_STRATEGIES,
+        _round_sweeper,
+        round_workspace,
+        stack_panels,
+    )
     from repro.linalg.rotations import apply_rotation, compute_rotation
 
     worst = 0.0
     rotations = 0
     if strategy in BATCHED_STRATEGIES:
         sweep_rounds_fn = _round_sweeper(strategy)
-        if round_indices is None:
-            round_indices = block_pair_round_indices([cols], ordering)
-        for ii, jj in round_indices:
+        m = b.shape[0]
+        w = stack_panels([b[:, cols]], [v[:, cols]])
+        work = round_workspace(w.shape, w.dtype)
+        for idx in block_pair_round_indices([range(len(cols))], ordering):
             round_worst, round_rotations = sweep_rounds_fn(
-                b, v, ii, jj, precision, zero_sq
+                w, m, idx, precision, zero_sq, work
             )
             if round_worst > worst:
                 worst = round_worst
             rotations += round_rotations
+        b[:, cols] = w[:m]
+        v[:, cols] = w[m:]
         return worst, rotations
 
     for one_round in ordering:
@@ -176,29 +178,32 @@ class BlockPartition:
         a[:, cols] = data
 
 
-def block_pair_round_indices(cols_per_pair: Sequence[Sequence[int]], ordering):
-    """Stacked ``(ii, jj)`` index arrays for each ordering round.
+def block_pair_round_indices(
+    cols_per_pair: Sequence[Sequence[int]], ordering
+) -> List[np.ndarray]:
+    """Round-kernel column indices for each ordering round.
 
     ``cols_per_pair`` holds the column lists of block pairs that touch
     disjoint columns — one block pair, or every block pair of one
     tournament round of :func:`block_pair_rounds`.  Each ordering round
-    over the ``2k`` local columns is translated through every list and
-    the results are stacked pair by pair, so one batched round kernel
+    over the ``2k`` local columns is translated through every list, and
+    the round's left columns (block pair by block pair) are followed by
+    its right columns in the same order: the ``idx`` that
+    :func:`repro.linalg.hestenes._sweep_pairs_indexed` takes, so one
     call rotates that round of all the block pairs at once.  The
     schedule repeats identically every outer sweep, so drivers build
-    these once and the vectorized path pays no per-round translation
+    these once and the batched path pays no per-round translation
     cost.
     """
     return [
-        (
-            np.fromiter(
-                (cols[i] for cols in cols_per_pair for i, _ in one_round),
-                dtype=np.intp,
+        np.fromiter(
+            (
+                cols[pair[side]]
+                for side in (0, 1)
+                for cols in cols_per_pair
+                for pair in one_round
             ),
-            np.fromiter(
-                (cols[j] for cols in cols_per_pair for _, j in one_round),
-                dtype=np.intp,
-            ),
+            dtype=np.intp,
         )
         for one_round in ordering
     ]

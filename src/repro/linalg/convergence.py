@@ -68,7 +68,7 @@ def pair_convergence_ratio(
 
 def pair_convergence_ratios(
     alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
-    zero_sq: float = 0.0,
+    zero_sq: float = 0.0, *, norm_product: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Vectorized :func:`pair_convergence_ratio` over arrays of pairs.
 
@@ -78,22 +78,21 @@ def pair_convergence_ratios(
     ``pair_convergence_ratio(alpha[k], beta[k], gamma[k], zero_sq)``:
     the same zero-column floor applies, and the denominator is computed
     as ``sqrt(alpha) * sqrt(beta)`` (not ``sqrt(alpha * beta)``) so
-    near-zero columns cannot underflow the product.
+    near-zero columns cannot underflow the product.  The entries are
+    upcast to float64 first.  The round kernel passes that
+    denominator in as ``norm_product`` and shares it with
+    :func:`~repro.linalg.rotations.compute_rotations_batch`.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    live = (alpha > zero_sq) & (beta > zero_sq) & (alpha > 0.0) & (beta > 0.0)
-    ratios = np.zeros_like(alpha)
-    if np.any(live):
-        denominator = np.sqrt(alpha[live]) * np.sqrt(beta[live])
-        safe = denominator > 0.0
-        quotient = np.zeros_like(denominator)
-        np.divide(
-            np.abs(gamma[live]), denominator, out=quotient, where=safe
-        )
-        ratios[live] = quotient
-    return ratios
+    if norm_product is None:
+        norm_product = np.sqrt(alpha) * np.sqrt(beta)
+    # One floor test covers both squared norms (NaN compares false).
+    live = np.minimum(alpha, beta) > max(zero_sq, 0.0)
+    live &= norm_product > 0.0
+    ratios = np.zeros_like(norm_product)
+    return np.divide(np.abs(gamma), norm_product, out=ratios, where=live)
 
 
 def off_diagonal_ratio(matrix: np.ndarray) -> float:

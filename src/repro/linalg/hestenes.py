@@ -41,6 +41,7 @@ from repro.linalg.convergence import (
     pair_convergence_ratios,
     zero_column_threshold_sq,
 )
+from repro.linalg.block import block_pair_round_indices
 from repro.linalg.orderings import Ordering, RingOrdering
 from repro.linalg.rotations import (
     apply_rotation,
@@ -100,6 +101,49 @@ def _round_sweeper(strategy: str):
     return _sweep_pairs_indexed
 
 
+def stack_panels(
+    b_panels: "list[np.ndarray]",
+    v_panels: "Optional[list[np.ndarray]]" = None,
+) -> np.ndarray:
+    """The round kernel's working array ``W = [B; V]``.
+
+    The ``b_panels`` sit side by side in the top rows and the
+    ``v_panels`` (when given) side by side below them, in one fresh
+    Fortran-order array: a column of ``W`` is a column of ``B`` and its
+    ``V`` column, contiguous, so the kernel moves both with one gather
+    and one scatter.  ``W[:m]`` and ``W[m:]`` are ``B`` and ``V``.
+    """
+    m = b_panels[0].shape[0]
+    rows = m + (v_panels[0].shape[0] if v_panels is not None else 0)
+    w = np.empty(
+        (rows, sum(p.shape[1] for p in b_panels)),
+        dtype=np.result_type(*b_panels, *(v_panels or ())),
+        order="F",
+    )
+    np.concatenate(b_panels, axis=1, out=w[:m])
+    if v_panels is not None:
+        np.concatenate(v_panels, axis=1, out=w[m:])
+    return w
+
+
+def round_workspace(
+    shape: "tuple[int, int]", dtype
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Scratch panels for :func:`_sweep_pairs_indexed` on a ``W`` of
+    this shape and dtype.
+
+    Two Fortran-order arrays shaped like ``W``; a round of ``k`` pairs
+    uses their first ``2k`` columns.  They are float64 whatever ``W``'s
+    type, so a float32 ``W`` is updated in float64 and rounded once on
+    the scatter.  One workspace serves every round of a factorization.
+    """
+    dtype = np.result_type(dtype, np.float64)
+    return (
+        np.empty(shape, dtype=dtype, order="F"),
+        np.empty(shape, dtype=dtype, order="F"),
+    )
+
+
 def sweep_pairs(
     b: np.ndarray,
     v: Optional[np.ndarray],
@@ -111,10 +155,9 @@ def sweep_pairs(
 
     This is the vectorized hot path: where the scalar driver walks the
     round's pairs one by one (three dot products, one angle, two column
-    updates per pair), this routine gathers the round's left and right
-    columns into two ``m x k`` panels and performs the identical
-    arithmetic as whole-panel NumPy operations — one ``einsum`` per Gram
-    diagonal and two panel updates for the rotation.
+    updates per pair), this routine performs the identical arithmetic
+    as whole-panel NumPy operations through :func:`_sweep_pairs_indexed`
+    on a stacked copy of ``b`` and ``v``, then writes the result back.
 
     **Why batching a round is safe** (the independent-pair invariant):
     every parallel Jacobi ordering — ring, round-robin, and the paper's
@@ -142,76 +185,104 @@ def sweep_pairs(
         convergence ratio and the number of rotations applied, matching
         the scalar loop's accounting.
     """
-    ii = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
-    jj = np.fromiter((j for _, j in pairs), dtype=np.intp, count=len(pairs))
-    touched = np.concatenate((ii, jj))
-    if np.unique(touched).size != touched.size:
+    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T.ravel()
+    if np.unique(idx).size != idx.size:
         raise NumericalError(
             "pairs of one round must be disjoint (each column at most "
             "once); batching overlapping pairs would reorder rotations"
         )
-    return _sweep_pairs_indexed(b, v, ii, jj, precision, zero_sq)
+    m = b.shape[0]
+    w = stack_panels([b], [v] if v is not None else None)
+    result = _sweep_pairs_indexed(
+        w, m, idx, precision, zero_sq, round_workspace(w.shape, w.dtype)
+    )
+    b[...] = w[:m]
+    if v is not None:
+        v[...] = w[m:]
+    return result
 
 
 def _sweep_pairs_indexed(
-    b: np.ndarray,
-    v: Optional[np.ndarray],
-    ii: np.ndarray,
-    jj: np.ndarray,
+    w: np.ndarray,
+    m: int,
+    idx: np.ndarray,
     precision: float,
     zero_sq: float,
+    work: "tuple[np.ndarray, np.ndarray]",
 ) -> "tuple[float, int]":
-    """:func:`sweep_pairs` core on precomputed index arrays.
+    """Rotate one ordering round of ``W = [B; V]`` in place.
 
-    The drivers convert each ordering round to ``(ii, jj)`` index
-    arrays once per factorization (the schedule does not change between
-    sweeps), so the hot loop pays no per-round Python-to-NumPy
-    conversion.  Works fastest on Fortran-ordered ``b``/``v`` where a
-    column gather is a contiguous copy.
+    ``idx`` is the round's left columns then its right columns
+    (``concat(ii, jj)``); the drivers build it once per factorization,
+    as the schedule does not change between sweeps.  ``w`` is a
+    Fortran-order :func:`stack_panels` array whose first ``m`` rows are
+    ``B``, and ``work`` its :func:`round_workspace`.  One pass:
+
+    1. gather the round's ``2k`` columns, ``B`` and ``V`` rows at once;
+    2. take the Gram triple from the gathered ``B`` rows (norms of all
+       ``2k`` columns in one ``einsum``, the ``k`` cross products in a
+       second) and upcast it to float64;
+    3. form ``sqrt(alpha) * sqrt(beta)`` once for both the Eq. 6
+       ratios and the angles' identity test;
+    4. rotate into the workspace and scatter back in one assignment.
+
+    Pairs below ``precision`` keep their columns.  When most pairs
+    rotate (mid-convergence) the whole panel is updated with identity
+    angles for the converged pairs; when few do (final sweeps) only
+    their columns are taken and written.  Every step is the
+    element-wise arithmetic of the per-pair formulas, so the result
+    does not depend on how the pairs were batched.
+
+    Returns:
+        ``(worst_ratio, rotations)`` — the round's worst pre-rotation
+        ratio and the number of pairs at or above ``precision``.
     """
-    bi = b[:, ii]
-    bj = b[:, jj]
-    alpha = np.einsum("ij,ij->j", bi, bi)
-    beta = np.einsum("ij,ij->j", bj, bj)
-    gamma = np.einsum("ij,ij->j", bi, bj)
-    ratios = pair_convergence_ratios(alpha, beta, gamma, zero_sq)
-    worst = float(ratios.max()) if ratios.size else 0.0
+    k = idx.size // 2
+    panel = w[:, idx]
+    top = panel[:m]
+    norms = np.einsum("ij,ij->j", top, top).astype(np.float64, copy=False)
+    gamma = np.einsum("ij,ij->j", top[:, :k], top[:, k:]).astype(
+        np.float64, copy=False
+    )
+    roots = np.sqrt(norms)
+    alpha = norms[:k]
+    beta = norms[k:]
+    norm_product = roots[:k] * roots[k:]
+    ratios = pair_convergence_ratios(
+        alpha, beta, gamma, zero_sq, norm_product=norm_product
+    )
+    worst = float(ratios.max()) if k else 0.0
     rotate = ratios >= precision
     count = int(np.count_nonzero(rotate))
     if count == 0:
         return worst, 0
-    if 2 * count >= ii.size:
-        # Most pairs rotate (typical mid-convergence): update the whole
-        # panel, giving converged pairs the identity rotation (c=1,
-        # s=0 writes their columns back unchanged) — cheaper than
-        # sub-gathering the rotated subset a second time.
-        c, s, _ = compute_rotations_batch(alpha, beta, gamma)
-        if count < ii.size:
-            c = np.where(rotate, c, 1.0)
-            s = np.where(rotate, s, 0.0)
-        b[:, ii] = c * bi - s * bj
-        b[:, jj] = s * bi + c * bj
-        if v is not None:
-            vi = v[:, ii]
-            vj = v[:, jj]
-            v[:, ii] = c * vi - s * vj
-            v[:, jj] = s * vi + c * vj
-        return worst, count
-    # Few pairs rotate (final sweeps): gather just the rotated subset.
-    c, s, _ = compute_rotations_batch(
-        alpha[rotate], beta[rotate], gamma[rotate]
-    )
-    sel_i = ii[rotate]
-    sel_j = jj[rotate]
-    bi = bi[:, rotate]
-    bj = bj[:, rotate]
-    b[:, sel_i] = c * bi - s * bj
-    b[:, sel_j] = s * bi + c * bj
-    if v is not None:
-        vi = v[:, sel_i]
-        vj = v[:, sel_j]
-        v[:, sel_i] = c * vi - s * vj
-        v[:, sel_j] = s * vi + c * vj
+    if 2 * count >= k:
+        # Cheaper than taking the rotated subset: converged pairs get
+        # the identity (c=1, s=0 writes their columns back unchanged).
+        c, s, _ = compute_rotations_batch(
+            alpha, beta, gamma, norm_product=norm_product
+        )
+        if count < k:
+            still = ~rotate
+            c[still] = 1.0
+            s[still] = 0.0
+        targets = idx
+    else:
+        c, s, _ = compute_rotations_batch(
+            alpha[rotate], beta[rotate], gamma[rotate],
+            norm_product=norm_product[rotate],
+        )
+        both = np.concatenate((rotate, rotate))
+        panel = panel[:, both]
+        targets = idx[both]
+        k = count
+    out = work[0][:, :2 * k]
+    scaled = work[1][:, :2 * k]
+    np.multiply(panel, np.concatenate((c, c)), out=out)
+    np.multiply(panel, np.concatenate((s, s)), out=scaled)
+    np.subtract(out[:, :k], scaled[:, k:], out=out[:, :k])  # c bi - s bj
+    np.add(out[:, k:], scaled[:, :k], out=out[:, k:])  # c bj + s bi
+    w[:, targets] = out
     return worst, count
 
 
@@ -327,7 +398,8 @@ def hestenes_svd(
             (default) keeps the raising behavior.
         strategy: ``"scalar"`` walks each round's pairs in a Python
             loop (the original reference path); ``"vectorized"``
-            batches every round through :func:`sweep_pairs`;
+            rotates every round as one batch on a stacked ``[B; V]``
+            (see :func:`sweep_pairs`);
             ``"native"`` runs the compiled whole-round kernel of
             :mod:`repro.linalg.native` (falling back to vectorized
             when Numba is absent); ``"auto"`` (default) probes
@@ -390,11 +462,14 @@ def hestenes_svd(
     zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
     batched = strategy in BATCHED_STRATEGIES
     if batched:
-        # Fortran order makes every column gather/scatter in the round
-        # kernels a contiguous copy (~2x per round), and gives the
-        # native kernel stride-1 column walks.
-        b = np.asfortranarray(a)
-        v = np.asfortranarray(np.eye(n))
+        # One Fortran-order W = [B; V]: each round kernel call moves a
+        # column of B and its V column as one contiguous copy, and the
+        # native kernel walks them stride-1.
+        w = stack_panels([a], [np.eye(n)])
+        b, v = w[:m], w[m:]
+        work = round_workspace(w.shape, w.dtype)
+        sweep_rounds_fn = _round_sweeper(strategy)
+        round_indices = block_pair_round_indices([range(n)], ordering)
     else:
         b = a.copy()
         v = np.eye(n)
@@ -402,16 +477,6 @@ def hestenes_svd(
     sweep_residuals: List[float] = []
     converged = False
     budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
-
-    if batched:
-        sweep_rounds_fn = _round_sweeper(strategy)
-        round_indices = [
-            (
-                np.fromiter((i for i, _ in one_round), dtype=np.intp),
-                np.fromiter((j for _, j in one_round), dtype=np.intp),
-            )
-            for one_round in ordering
-        ]
     sweeps_done = 0
 
     def check_deadline() -> None:
@@ -431,10 +496,10 @@ def hestenes_svd(
         sweep_worst = 0.0
         sweep_rotations = 0
         if batched:
-            for ii, jj in round_indices:
+            for idx in round_indices:
                 check_deadline()
                 round_worst, round_rotations = sweep_rounds_fn(
-                    b, v, ii, jj, precision, zero_sq
+                    w, m, idx, precision, zero_sq, work
                 )
                 if round_worst > sweep_worst:
                     sweep_worst = round_worst

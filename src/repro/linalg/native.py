@@ -3,15 +3,16 @@
 ``strategy="native"`` runs the same whole-round sweep the vectorized
 NumPy path performs — Gram triple, convergence test, rotation angle,
 column update, for every disjoint pair of an ordering round — as one
-fused, JIT-compiled loop.  Where the vectorized path materializes the
-gathered panels, the Gram ``einsum`` results, and the rotated panels as
-separate temporaries (each a full pass over the data), the native
-kernel streams every column pair exactly once: Gram accumulation,
-rotation, and update happen in registers while the pair is hot in
-cache.  That is the same fusion argument the HeteroSVD orth-AIE kernel
-makes in hardware (one 58-cycle FMACS bucket instead of separate
-load/compute/store passes), and it is what buys the next order of
-magnitude past the ~3x of vectorization.
+fused, JIT-compiled loop.  Where the vectorized path gathers the round
+into a panel, makes whole-panel passes for the Gram ``einsum`` and the
+update, and scatters the panel back (each a full pass over the data),
+the native kernel streams every column pair exactly once: Gram
+accumulation, rotation, and update happen in registers while the pair
+is hot in cache.  That is the same fusion argument the HeteroSVD
+orth-AIE kernel makes in hardware (one 58-cycle FMACS bucket instead
+of separate load/compute/store passes); its speed-up over the
+vectorized tier is a target, not a measured figure (see
+docs/performance.md).
 
 The module degrades gracefully along two axes:
 
@@ -31,22 +32,27 @@ The module degrades gracefully along two axes:
   out when chasing a numerical discrepancy.
 
 **Parity contract**: the kernels replicate the arithmetic of
-:func:`repro.linalg.rotations.compute_rotation` and
-:func:`repro.linalg.hestenes._sweep_pairs_indexed` step for step —
-including the exact power-of-two Gram rescale
+:func:`repro.linalg.rotations.compute_rotation` and of the vectorized
+round kernel :func:`repro.linalg.hestenes._sweep_pairs_indexed`, on
+the same stacked Fortran-order ``W = [B; V]`` with the Gram triple
+taken from its first ``m`` rows: the ``zero_sq`` dead-column floor and
+Eq. 6 ratio with the ``sqrt(alpha) * sqrt(beta)`` denominator, the
+exact power-of-two Gram rescale
 (:data:`~repro.linalg.rotations.GRAM_SCALE_MAX` range gating), the
 relative :data:`~repro.linalg.rotations.ORTHOGONALITY_EPS` identity
-test, and the ``zero_sq`` dead-column floor — so the three tiers agree
-to floating-point summation order (the dot products accumulate
-sequentially here versus pairwise in NumPy; singular values agree to
-~1e-14 relative and sweep counts are identical on the parity suite).
+test, and one rotation applied to a column's ``B`` and ``V`` rows
+alike.  Where the vectorized kernel gathers the round into a panel and
+scatters it back, this one updates ``W`` in place pair by pair.  The
+tiers agree to floating-point summation order (the dot products
+accumulate sequentially here versus NumPy's ``einsum`` order; singular
+values agree to ~1e-14 relative and sweep counts are identical on the
+parity suite).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -96,9 +102,6 @@ def available() -> bool:
     return NUMBA_AVAILABLE and not _disabled_by_env()
 
 
-_EMPTY_V = np.zeros((0, 0), dtype=np.float64, order="F")
-
-
 @njit(cache=True)
 def _rotations_kernel(alpha, beta, gamma, c, s, identity):  # pragma: no cover
     """Per-lane Jacobi rotation angles (Eqs. 3-5), compiled.
@@ -136,38 +139,39 @@ def _rotations_kernel(alpha, beta, gamma, c, s, identity):  # pragma: no cover
 
 
 @njit(cache=True)
-def _sweep_kernel(b, v, ii, jj, precision, zero_sq, update_v):  # pragma: no cover
+def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
     """Fused whole-round sweep: Gram + convergence + rotate + update.
 
     The compiled mirror of
     :func:`repro.linalg.hestenes._sweep_pairs_indexed`: for each
-    disjoint pair ``(ii[p], jj[p])`` of one ordering round, accumulate
-    the Gram triple over the pair's columns, apply the ``zero_sq``
-    dead-column floor and the Eq. 6 convergence test, and — for pairs
-    at or above ``precision`` — compute the rotation (with the same
-    range-gated rescale and relative identity test as
-    ``compute_rotation``) and update ``b`` (and ``v``) in place.
+    disjoint pair ``(idx[p], idx[k + p])`` of one ordering round,
+    accumulate the Gram triple over the first ``m`` rows of ``w``,
+    apply the ``zero_sq`` dead-column floor and the Eq. 6 convergence
+    test, and — for pairs at or above ``precision`` — compute the
+    rotation (with the same range-gated rescale and relative identity
+    test as ``compute_rotation``) and apply it to every row of the
+    pair's two columns, ``B`` and ``V`` alike, in place.
 
     Returns ``(worst_ratio, rotations)`` with the scalar driver's
     accounting: ``rotations`` counts pairs that met the precision
     gate, whether or not the angle came out as the identity.
     """
-    m = b.shape[0]
-    n_v = v.shape[0]
+    rows = w.shape[0]
+    k = idx.shape[0] // 2
     worst = 0.0
     count = 0
-    for p in range(ii.shape[0]):
-        i = ii[p]
-        j = jj[p]
+    for p in range(k):
+        i = idx[p]
+        j = idx[k + p]
         alpha = 0.0
         beta = 0.0
         gamma = 0.0
         for r in range(m):
-            bi = b[r, i]
-            bj = b[r, j]
-            alpha += bi * bi
-            beta += bj * bj
-            gamma += bi * bj
+            wi = w[r, i]
+            wj = w[r, j]
+            alpha += wi * wi
+            beta += wj * wj
+            gamma += wi * wj
         if alpha <= zero_sq or beta <= zero_sq or alpha <= 0.0 or beta <= 0.0:
             ratio = 0.0
         else:
@@ -197,17 +201,11 @@ def _sweep_kernel(b, v, ii, jj, precision, zero_sq, update_v):  # pragma: no cov
         t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
         c = 1.0 / math.hypot(1.0, t)
         s = math.copysign(1.0, gamma) * t * c
-        for r in range(m):
-            bi = b[r, i]
-            bj = b[r, j]
-            b[r, i] = c * bi - s * bj
-            b[r, j] = s * bi + c * bj
-        if update_v:
-            for r in range(n_v):
-                vi = v[r, i]
-                vj = v[r, j]
-                v[r, i] = c * vi - s * vj
-                v[r, j] = s * vi + c * vj
+        for r in range(rows):
+            wi = w[r, i]
+            wj = w[r, j]
+            w[r, i] = c * wi - s * wj
+            w[r, j] = s * wi + c * wj
     return worst, count
 
 
@@ -250,31 +248,26 @@ def rotations_batch(
 
 
 def sweep_pairs_indexed(
-    b: np.ndarray,
-    v: Optional[np.ndarray],
-    ii: np.ndarray,
-    jj: np.ndarray,
+    w: np.ndarray,
+    m: int,
+    idx: np.ndarray,
     precision: float,
     zero_sq: float,
+    work: "tuple[np.ndarray, np.ndarray]",
 ) -> "tuple[float, int]":
     """Native-tier drop-in for ``hestenes._sweep_pairs_indexed``.
 
-    Same signature and accounting as the vectorized routine; the
-    drivers select it when the resolved strategy is ``"native"``.
+    Same calling form and accounting as the vectorized routine; the
+    drivers select it when the resolved strategy is ``"native"``.  The
+    compiled kernel updates ``w`` in place and leaves ``work`` unused.
     Without Numba (the resolver should not route here then, but direct
     callers exist), delegates to the NumPy implementation.
     """
     if not available():
         from repro.linalg.hestenes import _sweep_pairs_indexed
 
-        return _sweep_pairs_indexed(b, v, ii, jj, precision, zero_sq)
-    if v is None:
-        v_arr = _EMPTY_V
-        update_v = False
-    else:
-        v_arr = v
-        update_v = True
+        return _sweep_pairs_indexed(w, m, idx, precision, zero_sq, work)
     worst, count = _sweep_kernel(
-        b, v_arr, ii, jj, float(precision), float(zero_sq), update_v
+        w, int(m), idx, float(precision), float(zero_sq)
     )
     return float(worst), int(count)

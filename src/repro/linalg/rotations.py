@@ -140,7 +140,11 @@ def compute_rotation(alpha: float, beta: float, gamma: float) -> JacobiRotation:
 
 
 def compute_rotations_batch(
-    alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    gamma: np.ndarray,
+    *,
+    norm_product: "np.ndarray | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Vectorized :func:`compute_rotation` over arrays of Gram entries.
 
@@ -152,10 +156,20 @@ def compute_rotations_batch(
     reads Gram entries another rotation of the same round invalidates
     (see :mod:`repro.linalg.orderings`).
 
+    Lanes are independent: each runs the same element-wise operations
+    whichever other lanes share the call.  The entries are upcast to
+    float64 first (a float32 datapath gets float64 angles).  The
+    finiteness and rescale checks read one ``peak = max(alpha, beta,
+    |gamma|)`` vector, reduced once each way.
+
     Args:
         alpha: 1-D array, ``a_i^T a_i`` per pair.
         beta: 1-D array, ``a_j^T a_j`` per pair.
         gamma: 1-D array, ``a_i^T a_j`` per pair.
+        norm_product: ``sqrt(alpha) * sqrt(beta)`` when the caller has
+            it already (the round kernel shares it with
+            :func:`~repro.linalg.convergence.pair_convergence_ratios`);
+            recomputed for lanes that need the power-of-two rescale.
 
     Returns:
         ``(c, s, identity)`` arrays of the same length: cosines, sines,
@@ -170,44 +184,68 @@ def compute_rotations_batch(
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if not (
-        np.all(np.isfinite(alpha))
-        and np.all(np.isfinite(beta))
-        and np.all(np.isfinite(gamma))
+    abs_gamma = np.abs(gamma)
+    peak = np.maximum(alpha, beta)
+    np.maximum(peak, abs_gamma, out=peak)
+    # A NaN anywhere propagates into ``top``; -inf or a negative norm
+    # shows in ``floor``.
+    top = np.maximum.reduce(peak, initial=0.0)
+    floor = np.minimum.reduce(np.minimum(alpha, beta), initial=0.0)
+    if not (math.isfinite(top) and floor >= 0.0):
+        raise _gram_error(alpha, beta, gamma)
+    if top > GRAM_SCALE_MAX or (
+        np.minimum.reduce(peak, initial=GRAM_SCALE_MIN) < GRAM_SCALE_MIN
     ):
-        raise NumericalError(
-            "non-finite Gram entries in batched rotation computation"
-        )
-    if np.any(alpha < 0) or np.any(beta < 0):
-        raise NumericalError(
-            "squared norms must be non-negative in batched rotation "
-            "computation"
-        )
-    peak = np.maximum(np.maximum(alpha, beta), np.abs(gamma))
-    needs_rescale = (peak > GRAM_SCALE_MAX) | (
-        (peak > 0.0) & (peak < GRAM_SCALE_MIN)
-    )
-    if np.any(needs_rescale):
         # Same exact power-of-two rescale as the scalar path; lanes in
-        # the safe range get exponent 0 (ldexp(x, 0) is bit-identical).
+        # the safe range (or all zero) get exponent 0, and ldexp(x, 0)
+        # is bit-identical.
+        needs_rescale = (peak > GRAM_SCALE_MAX) | (
+            (peak > 0.0) & (peak < GRAM_SCALE_MIN)
+        )
         exponent = np.where(needs_rescale, -np.frexp(peak)[1], 0)
         alpha = np.ldexp(alpha, exponent)
         beta = np.ldexp(beta, exponent)
         gamma = np.ldexp(gamma, exponent)
-    norm_product = np.sqrt(alpha) * np.sqrt(beta)
-    identity = (gamma == 0.0) | (
-        np.abs(gamma) <= ORTHOGONALITY_EPS * norm_product
-    )
+        abs_gamma = np.abs(gamma)
+        norm_product = None
+    if norm_product is None:
+        norm_product = np.sqrt(alpha) * np.sqrt(beta)
+    # ``gamma == 0`` needs no test of its own: |0| <= eps * (x >= 0).
+    identity = abs_gamma <= ORTHOGONALITY_EPS * norm_product
     # Compute tau only where a rotation happens; identity slots get a
     # harmless placeholder denominator to avoid divide-by-zero warnings.
-    abs_gamma = np.where(identity, 1.0, np.abs(gamma))
-    tau = (beta - alpha) / (2.0 * abs_gamma)
-    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.hypot(1.0, t)
-    s = np.copysign(1.0, gamma) * t * c
-    c = np.where(identity, 1.0, c)
-    s = np.where(identity, 0.0, s)
+    denominator = 2.0 * abs_gamma
+    denominator[identity] = 2.0
+    tau = beta - alpha
+    tau /= denominator
+    t = np.copysign(1.0, tau)
+    t /= np.abs(tau) + np.hypot(1.0, tau)
+    c = np.hypot(1.0, t)
+    np.divide(1.0, c, out=c)
+    s = np.copysign(1.0, gamma)
+    s *= t
+    s *= c
+    c[identity] = 1.0
+    s[identity] = 0.0
     return c, s, identity
+
+
+def _gram_error(
+    alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
+) -> NumericalError:
+    """The :func:`compute_rotations_batch` error for bad Gram entries."""
+    if not (
+        np.isfinite(alpha).all()
+        and np.isfinite(beta).all()
+        and np.isfinite(gamma).all()
+    ):
+        return NumericalError(
+            "non-finite Gram entries in batched rotation computation"
+        )
+    return NumericalError(
+        "squared norms must be non-negative in batched rotation "
+        "computation"
+    )
 
 
 def apply_rotation(

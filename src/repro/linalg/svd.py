@@ -46,6 +46,8 @@ from repro.linalg.hestenes import (
     normalize_columns,
     reference_fallback,
     resolve_strategy,
+    round_workspace,
+    stack_panels,
 )
 from repro.linalg.orderings import Ordering, ShiftingRingOrdering
 from repro.obs import metrics as _metrics
@@ -102,25 +104,27 @@ def _block_jacobi_svd(
     zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
     batched = strategy in BATCHED_STRATEGIES
     if batched:
-        # Fortran order keeps the batched column gathers contiguous.
-        # Block pairs of one tournament round touch disjoint column
-        # sets, so their (identical) sweeps commute: interleaving them
-        # round by round performs the exact same rotations as visiting
-        # each block pair in sequence, while multiplying the batch
-        # width by the number of concurrent block pairs.  Stack the
-        # per-round global index arrays across each round's pairs once;
-        # the schedule repeats identically every outer sweep.
-        b = np.asfortranarray(a)
-        v = np.asfortranarray(np.eye(n))
+        # One Fortran-order W = [B; V] (see stack_panels) keeps the
+        # batched column gathers contiguous.  Block pairs of one
+        # tournament round touch disjoint column sets, so their
+        # (identical) sweeps commute: interleaving them round by round
+        # performs the exact same rotations as visiting each block pair
+        # in sequence, while multiplying the batch width by the number
+        # of concurrent block pairs.  Stack the per-round global index
+        # arrays across each round's pairs once; the schedule repeats
+        # identically every outer sweep.
+        w = stack_panels([a], [np.eye(n)])
+        b, v = w[:m], w[m:]
         sweep_rounds_fn = _round_sweeper(strategy)
         stacked_rounds = [
-            indices
+            idx
             for block_round in block_pair_rounds(partition.n_blocks)
-            for indices in block_pair_round_indices(
+            for idx in block_pair_round_indices(
                 [partition.pair_columns(pair) for pair in block_round],
                 ordering,
             )
         ]
+        work = round_workspace(w.shape, w.dtype)
     else:
         b = a.copy()
         v = np.eye(n)
@@ -147,10 +151,10 @@ def _block_jacobi_svd(
         sweep_worst = 0.0
         sweep_rotations = 0
         if batched:
-            for ii, jj in stacked_rounds:
+            for idx in stacked_rounds:
                 check_deadline()
                 round_worst, round_rotations = sweep_rounds_fn(
-                    b, v, ii, jj, precision, zero_sq
+                    w, m, idx, precision, zero_sq, work
                 )
                 if round_worst > sweep_worst:
                     sweep_worst = round_worst

@@ -1,9 +1,20 @@
 """Unit tests for the GPU baseline model [11]."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.baselines.gpu_wcycle import RTX3090, GPUBaselineModel
+from repro.baselines.gpu_wcycle import (
+    BATCH_EFFICIENCY_BASE,
+    BATCH_EFFICIENCY_SLOPE,
+    RTX3090,
+    SINGLE_EFFICIENCY,
+    GPUBaselineModel,
+)
 from repro.errors import ConfigurationError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Table III GPU columns (converged runs; throughput at batch 100).
 TABLE3_GPU_LATENCY = {128: 0.0166, 256: 0.0429, 512: 0.1237, 1024: 0.6857}
@@ -72,3 +83,39 @@ class TestValidation:
     def test_invalid_batch(self, gpu):
         with pytest.raises(ConfigurationError):
             gpu.batch_seconds(128, 128, 0)
+
+
+class TestDocumentedConstants:
+    """The calibration the docs quote is the one the model runs."""
+
+    CODE = (
+        RTX3090.kernel_launch_seconds * 1e6,
+        SINGLE_EFFICIENCY,
+        BATCH_EFFICIENCY_BASE,
+        BATCH_EFFICIENCY_SLOPE,
+    )
+
+    def _numbers(self, pattern, path):
+        text = " ".join((REPO_ROOT / path).read_text().split())
+        match = re.search(pattern, text)
+        assert match, f"GPU calibration not found in {path}"
+        return tuple(float(x) for x in match.groups())
+
+    def test_experiments_summary(self):
+        documented = self._numbers(
+            r"GPU baseline \[11\]: ([\d.]+) us kernel launch, single-run "
+            r"bandwidth efficiency ([\d.]+), batch efficiency ([\d.]+) "
+            r"\+ ([\d.]+) per size doubling",
+            "EXPERIMENTS.md",
+        )
+        assert documented == pytest.approx(self.CODE, rel=1e-12)
+
+    def test_calibration_table(self):
+        documented = self._numbers(
+            r"\| GPU \[11\] kernel launch \| ([\d.]+) us \|.*?"
+            r"\| GPU single-run bandwidth eff\. \| ([\d.]+) \|.*?"
+            r"\| GPU batch bandwidth eff\. \| ([\d.]+) \+ ([\d.]+)"
+            r"/size-doubling \|",
+            "docs/calibration.md",
+        )
+        assert documented == pytest.approx(self.CODE, rel=1e-12)

@@ -98,7 +98,8 @@ class TestBlockPairRoundIndices:
         cols = [10, 11, 20, 21]
         indices = block_pair_round_indices([cols], ordering)
         assert len(indices) == ordering.n_rounds
-        for (ii, jj), one_round in zip(indices, ordering):
+        for idx, one_round in zip(indices, ordering):
+            ii, jj = np.split(idx, 2)
             assert list(ii) == [cols[i] for i, _ in one_round]
             assert list(jj) == [cols[j] for _, j in one_round]
 
@@ -110,9 +111,11 @@ class TestBlockPairRoundIndices:
             block_pair_round_indices([cols], ordering)
             for cols in (first, second)
         ]
-        for r, (ii, jj) in enumerate(stacked):
-            assert list(ii) == [*alone[0][r][0], *alone[1][r][0]]
-            assert list(jj) == [*alone[0][r][1], *alone[1][r][1]]
-            touched = np.concatenate((ii, jj))
+        for r, touched in enumerate(stacked):
+            ii, jj = np.split(touched, 2)
+            first_ii, first_jj = np.split(alone[0][r], 2)
+            second_ii, second_jj = np.split(alone[1][r], 2)
+            assert list(ii) == [*first_ii, *second_ii]
+            assert list(jj) == [*first_jj, *second_jj]
             assert np.unique(touched).size == touched.size
 

@@ -18,6 +18,8 @@ from repro.linalg import native
 from repro.linalg.hestenes import (
     _sweep_pairs_indexed,
     resolve_strategy,
+    round_workspace,
+    stack_panels,
 )
 from repro.linalg.rotations import compute_rotations_batch
 
@@ -35,12 +37,22 @@ def _py_rotations(alpha, beta, gamma):
 
 
 def _py_sweep(b, v, ii, jj, precision, zero_sq):
+    """Run the sweep kernel body on ``[b; v]``, writing back in place."""
     kernel = getattr(native._sweep_kernel, "py_func",
                      native._sweep_kernel)
-    if v is None:
-        return kernel(b, native._EMPTY_V, ii, jj, precision, zero_sq,
-                      False)
-    return kernel(b, v, ii, jj, precision, zero_sq, True)
+    m = b.shape[0]
+    w = stack_panels([b], [v] if v is not None else None)
+    result = kernel(w, m, np.concatenate((ii, jj)), precision, zero_sq)
+    b[...] = w[:m]
+    if v is not None:
+        v[...] = w[m:]
+    return result
+
+
+def _vectorized(w, m, idx, precision, zero_sq):
+    return _sweep_pairs_indexed(
+        w, m, idx, precision, zero_sq, round_workspace(w.shape, w.dtype)
+    )
 
 
 class TestRotationsKernel:
@@ -112,27 +124,30 @@ class TestSweepKernel:
 
     def test_matches_vectorized_round(self, rng):
         b, v, ii, jj = self._round(rng)
-        b_ref, v_ref = b.copy(order="F"), v.copy(order="F")
+        n = b.shape[0]
+        w = stack_panels([b], [v])
+        w_ref = w.copy(order="F")
+        idx = np.concatenate((ii, jj))
+        kernel = getattr(native._sweep_kernel, "py_func",
+                         native._sweep_kernel)
 
-        worst, count = _py_sweep(b, v, ii, jj, 1e-12, 0.0)
-        ref_worst, ref_count = _sweep_pairs_indexed(
-            b_ref, v_ref, ii, jj, 1e-12, 0.0
-        )
+        worst, count = kernel(w, n, idx, 1e-12, 0.0)
+        ref_worst, ref_count = _vectorized(w_ref, n, idx, 1e-12, 0.0)
 
         assert count == ref_count
         assert worst == pytest.approx(ref_worst, rel=1e-12)
-        np.testing.assert_allclose(b, b_ref, atol=1e-13)
-        np.testing.assert_allclose(v, v_ref, atol=1e-13)
+        np.testing.assert_allclose(w[:n], w_ref[:n], atol=1e-13)
+        np.testing.assert_allclose(w[n:], w_ref[n:], atol=1e-13)
 
     def test_none_v_updates_only_b(self, rng):
         b, v, ii, jj = self._round(rng)
-        b_ref = b.copy(order="F")
+        w_ref = b.copy(order="F")
         worst, count = _py_sweep(b, None, ii, jj, 1e-12, 0.0)
-        ref_worst, ref_count = _sweep_pairs_indexed(
-            b_ref, None, ii, jj, 1e-12, 0.0
+        ref_worst, ref_count = _vectorized(
+            w_ref, b.shape[0], np.concatenate((ii, jj)), 1e-12, 0.0
         )
         assert count == ref_count
-        np.testing.assert_allclose(b, b_ref, atol=1e-13)
+        np.testing.assert_allclose(b, w_ref, atol=1e-13)
 
     def test_zero_sq_floor_skips_dead_columns(self, rng):
         b, v, ii, jj = self._round(rng, n=8)
@@ -157,11 +172,16 @@ class TestSweepKernel:
     def test_wrapper_delegates_without_numba(self, rng, monkeypatch):
         monkeypatch.setattr(native, "NUMBA_AVAILABLE", False)
         b, v, ii, jj = self._round(rng)
-        b_ref, v_ref = b.copy(order="F"), v.copy(order="F")
-        worst, count = native.sweep_pairs_indexed(b, v, ii, jj, 1e-12, 0.0)
-        ref = _sweep_pairs_indexed(b_ref, v_ref, ii, jj, 1e-12, 0.0)
+        n = b.shape[0]
+        w = stack_panels([b], [v])
+        w_ref = w.copy(order="F")
+        idx = np.concatenate((ii, jj))
+        worst, count = native.sweep_pairs_indexed(
+            w, n, idx, 1e-12, 0.0, round_workspace(w.shape, w.dtype)
+        )
+        ref = _vectorized(w_ref, n, idx, 1e-12, 0.0)
         assert (worst, count) == ref
-        np.testing.assert_array_equal(b, b_ref)
+        np.testing.assert_array_equal(w[:n], w_ref[:n])
 
 
 class TestAvailabilityProbe:
