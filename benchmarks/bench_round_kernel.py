@@ -1,10 +1,13 @@
-"""Per-round cost of the vectorized Jacobi round kernel.
+"""Per-round cost of the Jacobi round kernels.
 
 One call rotates one ordering round (``n / 2`` disjoint column pairs).
 ``fused`` is :func:`repro.linalg.hestenes._sweep_pairs_indexed` on a
-stacked ``W = [B; V]``; ``three-call`` is the kernel it replaced, kept
-verbatim in ``tests/linalg/test_round_kernel.py``, on separate
-Fortran-order ``B`` and ``V``.  Together they regenerate the per-round
+stacked ``W = [B; V]``; ``scalar`` is the per-pair reference kernel
+:func:`repro.linalg.hestenes._sweep_pairs_scalar` on the same ``W``
+(what ``strategy="scalar"`` runs); ``three-call`` is the kernel
+``fused`` replaced, kept verbatim in
+``tests/linalg/test_round_kernel.py``, on separate Fortran-order ``B``
+and ``V``.  Together they regenerate the per-round
 table in docs/performance.md: ``n`` in {16, 32, 64, 128}, with ``V``
 rows (what ``hestenes_svd`` runs) and without.  Every pair rotates in
 every call (precision 0), so each timing covers the whole gather, Gram,
@@ -23,6 +26,7 @@ import pytest
 from repro.linalg.block import block_pair_round_indices
 from repro.linalg.hestenes import (
     _sweep_pairs_indexed,
+    _sweep_pairs_scalar,
     round_workspace,
     stack_panels,
 )
@@ -41,6 +45,12 @@ def _fused(a, with_v, idx):
     return lambda: _sweep_pairs_indexed(w, n, idx, 0.0, 0.0, work)
 
 
+def _scalar(a, with_v, idx):
+    n = a.shape[0]
+    w = stack_panels([a], [np.eye(n)] if with_v else None)
+    return lambda: _sweep_pairs_scalar(w, n, idx, 0.0, 0.0, None)
+
+
 def _three_call(a, with_v, idx):
     b = np.asfortranarray(a)
     v = np.asfortranarray(np.eye(a.shape[1])) if with_v else None
@@ -49,8 +59,8 @@ def _three_call(a, with_v, idx):
 
 
 @pytest.mark.benchmark(group="round-kernel")
-@pytest.mark.parametrize("kernel", [_fused, _three_call],
-                         ids=["fused", "three-call"])
+@pytest.mark.parametrize("kernel", [_fused, _scalar, _three_call],
+                         ids=["fused", "scalar", "three-call"])
 @pytest.mark.parametrize("with_v", [True, False], ids=["with-v", "no-v"])
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_bench_round(benchmark, n, with_v, kernel):

@@ -11,8 +11,10 @@ engine.
 
 That buys two cross-checks the separated models cannot provide:
 
-* the co-simulated singular values must match the functional
-  accelerator's (same arithmetic, same rotation schedule), and
+* the co-simulated ``U`` and singular values must equal the functional
+  accelerator's bit for bit (same round kernel,
+  :func:`repro.linalg.hestenes._sweep_pairs_indexed`, on the same
+  rotation schedule), and
 * the co-simulated makespan validates the timing simulator's collapsed
   recurrence against the brute-force per-layer interleaving (the
   recurrence is exact for deterministic homogeneous stages; the
@@ -35,12 +37,17 @@ from repro.core.config import HeteroSVDConfig
 from repro.core.perf_model import COLUMN_GAP_PL_CYCLES, orth_stage_durations
 from repro.core.placement import Placement, place
 from repro.errors import NumericalError
-from repro.linalg.block import BlockPartition, block_pairs
-from repro.linalg.convergence import (
-    pair_convergence_ratio,
-    zero_column_threshold_sq,
+from repro.linalg.block import (
+    BlockPartition,
+    block_pair_round_indices,
+    block_pairs,
 )
-from repro.linalg.rotations import apply_rotation, compute_rotation
+from repro.linalg.convergence import zero_column_threshold_sq
+from repro.linalg.hestenes import (
+    _sweep_pairs_indexed,
+    round_workspace,
+    stack_panels,
+)
 from repro.pl.hls import HLS_LOOP_SWITCH_CYCLES
 from repro.sim.engine import Resource, SimulationEngine
 from repro.sim.trace import Trace
@@ -120,7 +127,12 @@ class CoSimulator:
 
         partition = BlockPartition(cfg.n, cfg.block_width)
         pairs = block_pairs(partition.n_blocks)
-        rounds = self._ordering.rounds()
+        # One ordering round per orth-layer: the round kernel's ``idx``
+        # over the ``2k`` local columns of a block pair's panel.
+        layer_indices = block_pair_round_indices(
+            [range(cfg.pair_cols)], self._ordering
+        )
+        work = round_workspace((cfg.m, cfg.pair_cols), self._dtype)
         stages = orth_stage_durations(
             cfg, self._schedule, self._mode, self.placement
         )
@@ -156,26 +168,18 @@ class CoSimulator:
 
                 # The pair's data travels layer by layer: each layer is
                 # a FIFO resource executing the round's slot-parallel
-                # rotations (functional) for its stage duration (timing).
-                data = working[:, cols].copy()
+                # rotations (functional: one round-kernel call on the
+                # pair's panel) for its stage duration (timing).
+                data = stack_panels([working[:, cols]])
                 entry = tx_end
                 for layer in range(cfg.orth_layers):
                     exit_time = layer_ports[layer].serve(entry, stages[layer])
-                    for i, j in rounds[layer]:
-                        alpha = float(data[:, i] @ data[:, i])
-                        beta = float(data[:, j] @ data[:, j])
-                        gamma = float(data[:, i] @ data[:, j])
-                        ratio = pair_convergence_ratio(
-                            alpha, beta, gamma, zero_sq
-                        )
-                        if ratio > worst_ratio:
-                            worst_ratio = ratio
-                        if ratio < precision:
-                            continue
-                        rotation = compute_rotation(alpha, beta, gamma)
-                        data[:, i], data[:, j] = apply_rotation(
-                            data[:, i], data[:, j], rotation
-                        )
+                    layer_worst, _ = _sweep_pairs_indexed(
+                        data, cfg.m, layer_indices[layer], precision,
+                        zero_sq, work,
+                    )
+                    if layer_worst > worst_ratio:
+                        worst_ratio = layer_worst
                     kernel_events += 1
                     trace.log("orth_layer", exit_time - stages[layer], exit_time)
                     engine.schedule(

@@ -8,14 +8,15 @@ new data's frame, and convergence restarts from an almost-orthogonal
 configuration — typically 2-4 sweeps instead of ``log2(n) + 3``.
 
 Concretely, with a previous factorization ``A0 = U0 S0 V0^T`` and new
-data ``A1``, the warm start runs the sweeps on ``B_init = A1 V0``: if
-``A1`` is close to ``A0``, ``B_init`` is close to column-orthogonal
-``U0 S0``.  The accumulated rotations compose onto ``V0``.
+data ``A1``, the warm start factors ``B_init = A1 V0`` with
+:func:`~repro.linalg.hestenes.hestenes_svd`: if ``A1`` is close to
+``A0``, ``B_init`` is close to column-orthogonal ``U0 S0`` and the
+sweeps stop early.  ``B_init = U S W^T`` then gives ``A1 = U S (V0 W)^T``,
+so the new right singular vectors are ``V0 W``.
 
 This is an extension beyond the paper (its real-time motivation applied
-to temporally correlated streams); it reuses the block-Jacobi sweep
-machinery unchanged, so everything maps to the accelerator exactly as
-cold solves do — only the PL-side seeding differs.
+to temporally correlated streams).  The sweeps are a cold solve's,
+unchanged; only the seeding (``A1 V0``) and the final ``V0 W`` differ.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from typing import List, Optional, Type
 
 import numpy as np
 
-from repro.errors import ConvergenceError, NumericalError
-from repro.linalg.convergence import (
-    DEFAULT_PRECISION,
-    pair_convergence_ratio,
-    zero_column_threshold_sq,
-)
-from repro.linalg.hestenes import DEFAULT_MAX_SWEEPS, normalize_columns
+from repro.errors import NumericalError
+from repro.linalg.convergence import DEFAULT_PRECISION
+from repro.linalg.hestenes import DEFAULT_MAX_SWEEPS, hestenes_svd
 from repro.linalg.orderings import Ordering, ShiftingRingOrdering
-from repro.linalg.rotations import apply_rotation, compute_rotation
 
 
 @dataclass
@@ -87,85 +83,39 @@ class IncrementalSVD:
         """Factor the new snapshot, warm-starting when possible.
 
         Raises:
-            NumericalError: for invalid shapes (must be tall, even
-                column count, consistent with the tracked state).
+            NumericalError: for invalid input (must be tall, finite,
+                with an even column count — checked by
+                :func:`~repro.linalg.hestenes.hestenes_svd` — and as
+                wide as the tracked state).
             ConvergenceError: if the sweep budget is exhausted.
         """
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] < a.shape[1]:
-            raise NumericalError(
-                f"expected a tall matrix, got shape {a.shape}"
-            )
-        n = a.shape[1]
-        if n < 2 or n % 2:
-            raise NumericalError(
-                f"column count must be even and >= 2, got {n}"
-            )
-        if not np.all(np.isfinite(a)):
-            raise NumericalError("input contains non-finite entries")
-        if self._v is not None and self._v.shape[0] != n:
+        if self._v is not None and (
+            a.ndim != 2 or a.shape[1] != self._v.shape[0]
+        ):
             raise NumericalError(
                 f"tracked width {self._v.shape[0]} does not match new "
-                f"width {n}; reset() before changing problem size"
+                f"shape {a.shape}; reset() before changing problem size"
             )
 
-        if self._v is None:
-            b = a.copy()
-            v = np.eye(n)
-        else:
-            # Warm start: rotate the new data into the previous right
-            # singular frame — near-orthogonal if the data moved little.
-            v = self._v.copy()
-            b = a @ v
-
-        ordering = self._ordering_cls(n)
-        zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-        sweeps = 0
-        converged = False
-        # Initialized before the loop: with max_sweeps=0 no sweep runs
-        # and the ConvergenceError below still needs a residual.
-        worst = float("inf")
-        for _ in range(self.max_sweeps):
-            worst = 0.0
-            for one_round in ordering:
-                for i, j in one_round:
-                    alpha = float(b[:, i] @ b[:, i])
-                    beta = float(b[:, j] @ b[:, j])
-                    gamma = float(b[:, i] @ b[:, j])
-                    ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-                    if ratio > worst:
-                        worst = ratio
-                    if ratio < self.precision:
-                        continue
-                    rotation = compute_rotation(alpha, beta, gamma)
-                    b[:, i], b[:, j] = apply_rotation(
-                        b[:, i], b[:, j], rotation
-                    )
-                    v[:, i], v[:, j] = apply_rotation(
-                        v[:, i], v[:, j], rotation
-                    )
-            sweeps += 1
-            if worst < self.precision:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"incremental update did not converge in "
-                f"{self.max_sweeps} sweeps "
-                f"({sweeps} iterations, residual {worst:.3e})",
-                iterations=sweeps,
-                residual=worst,
-            )
-
-        u, sigma, v_sorted = normalize_columns(b, v)
-        self._v = v_sorted
-        self.history.append(sweeps)
+        # Warm start: rotate the new data into the previous right
+        # singular frame — near-orthogonal if the data moved little.
+        seeded = a if self._v is None else a @ self._v
+        result = hestenes_svd(
+            seeded,
+            precision=self.precision,
+            max_sweeps=self.max_sweeps,
+            ordering_cls=self._ordering_cls,
+        )
+        v = result.v if self._v is None else self._v @ result.v
+        self._v = v
+        self.history.append(result.sweeps)
         return IncrementalResult(
-            u=u,
-            singular_values=sigma,
-            v=v_sorted,
-            sweeps=sweeps,
-            converged=converged,
+            u=result.u,
+            singular_values=result.singular_values,
+            v=v,
+            sweeps=result.sweeps,
+            converged=result.converged,
         )
 
     def reset(self) -> None:

@@ -11,7 +11,7 @@ accelerates (paper Section II-A):
 * :mod:`repro.linalg.convergence` — the convergence criterion (Eq. 6).
 * :mod:`repro.linalg.hestenes` — the full one-sided Hestenes-Jacobi SVD
   driver, including the normalization step (Eq. 7).
-* :mod:`repro.linalg.native` — compiled (Numba) whole-round kernels
+* :mod:`repro.linalg.native` — the compiled (Numba) whole-round kernel
   behind ``strategy="native"``, with a graceful no-Numba fallback.
 * :mod:`repro.linalg.block` — column-block partitioning and block-pair
   enumeration used by the block-Jacobi variant (Algorithm 1).
@@ -44,7 +44,6 @@ from repro.linalg.convergence import (
     pair_convergence_ratios,
 )
 from repro.linalg.hestenes import (
-    BATCHED_STRATEGIES,
     STRATEGIES,
     HestenesResult,
     hestenes_svd,
@@ -55,7 +54,6 @@ from repro.linalg.native import available as native_available
 from repro.linalg.block import (
     BlockPartition,
     block_pairs,
-    orthogonalize_block_pair,
 )
 from repro.linalg.svd import SVDResult, svd
 from repro.linalg.kogbetliantz import KogbetliantzResult, kogbetliantz_svd
@@ -71,9 +69,7 @@ __all__ = [
     "apply_rotation",
     "sweep_pairs",
     "pair_convergence_ratios",
-    "orthogonalize_block_pair",
     "STRATEGIES",
-    "BATCHED_STRATEGIES",
     "resolve_strategy",
     "native_available",
     "Ordering",

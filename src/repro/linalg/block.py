@@ -26,89 +26,6 @@ from repro.errors import ConfigurationError
 BlockPair = Tuple[int, int]
 
 
-def orthogonalize_block_pair(
-    b: np.ndarray,
-    v: np.ndarray,
-    cols: Sequence[int],
-    ordering,
-    precision: float,
-    zero_sq: float,
-    strategy: str = "vectorized",
-) -> "tuple[float, int]":
-    """Run a full parallel-ordering sweep over one block pair's columns.
-
-    This is the software mirror of what the orth-AIE group does to a
-    streamed block pair (Algorithm 1, lines 6-10): the ordering's
-    ``2k - 1`` rounds cover every local column pair once, and each round
-    is either walked pair by pair (``strategy="scalar"``) or rotated as
-    one batch on a stacked copy of the block pair's ``B`` and ``V``
-    columns (``strategy="vectorized"`` via the round kernel of
-    :mod:`repro.linalg.hestenes`, or ``strategy="native"`` via the
-    compiled kernel of :mod:`repro.linalg.native`).  Batching is safe
-    for the same reason a round maps onto one hardware layer: a round's
-    pairs are disjoint, so its rotations touch disjoint columns.
-
-    Args:
-        b: Full working matrix, updated in place.
-        v: Full accumulated rotation matrix, updated in place.
-        cols: Global column indices of the block pair (first block then
-            second, as from :meth:`BlockPartition.pair_columns`).
-        ordering: An :class:`~repro.linalg.orderings.Ordering` over the
-            ``2k`` local columns.
-        precision: Eq. 6 threshold below which a pair is skipped.
-        zero_sq: Zero-column floor for the convergence ratio.
-        strategy: ``"scalar"``, ``"vectorized"`` or ``"native"``
-            (already resolved; see
-            :func:`repro.linalg.hestenes.resolve_strategy`).
-
-    Returns:
-        ``(worst_ratio, rotations)`` for the block-pair sweep.
-    """
-    from repro.linalg.convergence import pair_convergence_ratio
-    from repro.linalg.hestenes import (
-        BATCHED_STRATEGIES,
-        _round_sweeper,
-        round_workspace,
-        stack_panels,
-    )
-    from repro.linalg.rotations import apply_rotation, compute_rotation
-
-    worst = 0.0
-    rotations = 0
-    if strategy in BATCHED_STRATEGIES:
-        sweep_rounds_fn = _round_sweeper(strategy)
-        m = b.shape[0]
-        w = stack_panels([b[:, cols]], [v[:, cols]])
-        work = round_workspace(w.shape, w.dtype)
-        for idx in block_pair_round_indices([range(len(cols))], ordering):
-            round_worst, round_rotations = sweep_rounds_fn(
-                w, m, idx, precision, zero_sq, work
-            )
-            if round_worst > worst:
-                worst = round_worst
-            rotations += round_rotations
-        b[:, cols] = w[:m]
-        v[:, cols] = w[m:]
-        return worst, rotations
-
-    for one_round in ordering:
-        for local_i, local_j in one_round:
-            gi, gj = cols[local_i], cols[local_j]
-            alpha = float(b[:, gi] @ b[:, gi])
-            beta = float(b[:, gj] @ b[:, gj])
-            gamma = float(b[:, gi] @ b[:, gj])
-            ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-            if ratio > worst:
-                worst = ratio
-            if ratio < precision:
-                continue
-            rotation = compute_rotation(alpha, beta, gamma)
-            b[:, gi], b[:, gj] = apply_rotation(b[:, gi], b[:, gj], rotation)
-            v[:, gi], v[:, gj] = apply_rotation(v[:, gi], v[:, gj], rotation)
-            rotations += 1
-    return worst, rotations
-
-
 @dataclass(frozen=True)
 class BlockPartition:
     """Partition of an ``m x n`` matrix into ``p`` column blocks of width ``k``.
@@ -189,11 +106,11 @@ def block_pair_round_indices(
     over the ``2k`` local columns is translated through every list, and
     the round's left columns (block pair by block pair) are followed by
     its right columns in the same order: the ``idx`` that
-    :func:`repro.linalg.hestenes._sweep_pairs_indexed` takes, so one
-    call rotates that round of all the block pairs at once.  The
-    schedule repeats identically every outer sweep, so drivers build
-    these once and the batched path pays no per-round translation
-    cost.
+    :func:`repro.linalg.hestenes._sweep_pairs_indexed` (and every
+    other round kernel) takes, so one call rotates that round of all
+    the block pairs at once.  The schedule repeats identically every
+    outer sweep, so drivers build these once and pay no per-round
+    translation cost.
     """
     return [
         np.fromiter(

@@ -54,17 +54,13 @@ from repro.linalg.rotations import (
 DEFAULT_MAX_SWEEPS = 60
 
 #: Recognized values for the ``strategy`` knob of the Jacobi solvers.
-#: ``"auto"`` probes availability (native -> vectorized); ``"scalar"``
-#: forces the original per-pair Python loop (the golden reference the
-#: other tiers are pinned against); ``"vectorized"`` forces batched
-#: NumPy rounds; ``"native"`` requests the compiled (Numba) kernels of
-#: :mod:`repro.linalg.native`.
+#: The strategy picks only the round kernel the drivers call on their
+#: stacked ``W = [B; V]``: ``"auto"`` probes availability (native ->
+#: vectorized); ``"scalar"`` forces the per-pair reference kernel (the
+#: golden reference the other tiers are pinned against);
+#: ``"vectorized"`` forces the batched NumPy kernel; ``"native"``
+#: requests the compiled (Numba) kernel of :mod:`repro.linalg.native`.
 STRATEGIES = ("auto", "scalar", "vectorized", "native")
-
-#: Strategies that batch whole ordering rounds on Fortran-ordered
-#: panels (the drivers share one code path for them and only swap the
-#: round kernel).
-BATCHED_STRATEGIES = ("vectorized", "native")
 
 
 def resolve_strategy(strategy: str) -> str:
@@ -93,11 +89,17 @@ def resolve_strategy(strategy: str) -> str:
 
 
 def _round_sweeper(strategy: str):
-    """The whole-round kernel for a resolved batched strategy."""
+    """The round kernel for a resolved strategy.
+
+    All three share the ``(w, m, idx, precision, zero_sq, work)``
+    calling form and ``(worst_ratio, rotations)`` accounting.
+    """
     if strategy == "native":
         from repro.linalg import native
 
         return native.sweep_pairs_indexed
+    if strategy == "scalar":
+        return _sweep_pairs_scalar
     return _sweep_pairs_indexed
 
 
@@ -153,9 +155,9 @@ def sweep_pairs(
 ) -> "tuple[float, int]":
     """Rotate all pairs of one parallel-ordering round as a batch.
 
-    This is the vectorized hot path: where the scalar driver walks the
-    round's pairs one by one (three dot products, one angle, two column
-    updates per pair), this routine performs the identical arithmetic
+    This is the vectorized hot path: where the scalar kernel walks the
+    round's pairs one by one (three dot products, one angle, one column
+    update per pair), this routine performs the identical arithmetic
     as whole-panel NumPy operations through :func:`_sweep_pairs_indexed`
     on a stacked copy of ``b`` and ``v``, then writes the result back.
 
@@ -166,7 +168,7 @@ def sweep_pairs(
     neither reads nor writes any column touched by another pair of the
     same round.  The Gram entries of all pairs can therefore be computed
     from the pre-round state, and all rotations applied at once, and the
-    result is element-for-element the computation the scalar loop
+    result is element-for-element the computation the scalar kernel
     performs in sequence (up to floating-point summation order inside
     the dot products).  This is exactly the concurrency the HeteroSVD
     hardware exploits: one round maps to one layer of orth-AIEs, all
@@ -183,7 +185,7 @@ def sweep_pairs(
     Returns:
         ``(worst_ratio, rotations)`` — the round's worst pre-rotation
         convergence ratio and the number of rotations applied, matching
-        the scalar loop's accounting.
+        the scalar kernel's accounting.
     """
     idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T.ravel()
     if np.unique(idx).size != idx.size:
@@ -283,6 +285,47 @@ def _sweep_pairs_indexed(
     np.subtract(out[:, :k], scaled[:, k:], out=out[:, :k])  # c bi - s bj
     np.add(out[:, k:], scaled[:, :k], out=out[:, k:])  # c bj + s bi
     w[:, targets] = out
+    return worst, count
+
+
+def _sweep_pairs_scalar(
+    w: np.ndarray,
+    m: int,
+    idx: np.ndarray,
+    precision: float,
+    zero_sq: float,
+    work: "tuple[np.ndarray, np.ndarray]",
+) -> "tuple[float, int]":
+    """Per-pair reference for :func:`_sweep_pairs_indexed`.
+
+    Same arguments and accounting; ``work`` is unused.  Walks the
+    round's pairs ``(idx[p], idx[k + p])`` one at a time: three dot
+    products on the pair's ``B`` rows ``w[:m]``, the Eq. 6 ratio
+    (:func:`~repro.linalg.convergence.pair_convergence_ratio`), and for
+    a pair at or above ``precision`` one
+    :func:`~repro.linalg.rotations.compute_rotation` applied by
+    :func:`~repro.linalg.rotations.apply_rotation` to the whole ``W``
+    column pair, ``B`` and ``V`` rows alike.  This is Eqs. 5-6 as
+    written, the golden reference the batched and compiled kernels are
+    pinned against (they agree to dot-product summation order).
+    """
+    k = idx.size // 2
+    worst = 0.0
+    count = 0
+    for i, j in zip(idx[:k].tolist(), idx[k:].tolist()):
+        bi = w[:m, i]
+        bj = w[:m, j]
+        alpha = float(bi @ bi)
+        beta = float(bj @ bj)
+        gamma = float(bi @ bj)
+        ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
+        if ratio > worst:
+            worst = ratio
+        if ratio < precision:
+            continue
+        rotation = compute_rotation(alpha, beta, gamma)
+        w[:, i], w[:, j] = apply_rotation(w[:, i], w[:, j], rotation)
+        count += 1
     return worst, count
 
 
@@ -396,15 +439,15 @@ def hestenes_svd(
             non-convergence — the reference LAPACK SVD is returned
             (marked ``degraded=True``) instead of raising; None
             (default) keeps the raising behavior.
-        strategy: ``"scalar"`` walks each round's pairs in a Python
-            loop (the original reference path); ``"vectorized"``
-            rotates every round as one batch on a stacked ``[B; V]``
-            (see :func:`sweep_pairs`);
-            ``"native"`` runs the compiled whole-round kernel of
-            :mod:`repro.linalg.native` (falling back to vectorized
-            when Numba is absent); ``"auto"`` (default) probes
-            native -> vectorized.  All tiers perform the same
-            rotations in the same logical order and agree to
+        strategy: The round kernel run on the stacked ``[B; V]``:
+            ``"scalar"`` walks each round's pairs in a Python loop
+            (the reference, :func:`_sweep_pairs_scalar`);
+            ``"vectorized"`` rotates every round as one batch (see
+            :func:`sweep_pairs`); ``"native"`` runs the compiled
+            whole-round kernel of :mod:`repro.linalg.native` (falling
+            back to vectorized when Numba is absent); ``"auto"``
+            (default) probes native -> vectorized.  All tiers perform
+            the same rotations in the same logical order and agree to
             floating-point summation order (singular values within
             ~1e-12 relative; pinned at 1e-10 by tests).
         deadline: Optional wall-clock budget — a
@@ -460,19 +503,14 @@ def hestenes_svd(
 
     ordering = (ordering_cls or RingOrdering)(n)
     zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-    batched = strategy in BATCHED_STRATEGIES
-    if batched:
-        # One Fortran-order W = [B; V]: each round kernel call moves a
-        # column of B and its V column as one contiguous copy, and the
-        # native kernel walks them stride-1.
-        w = stack_panels([a], [np.eye(n)])
-        b, v = w[:m], w[m:]
-        work = round_workspace(w.shape, w.dtype)
-        sweep_rounds_fn = _round_sweeper(strategy)
-        round_indices = block_pair_round_indices([range(n)], ordering)
-    else:
-        b = a.copy()
-        v = np.eye(n)
+    # One Fortran-order W = [B; V]: each round kernel call moves a
+    # column of B and its V column as one contiguous copy, and the
+    # native kernel walks them stride-1.
+    w = stack_panels([a], [np.eye(n)])
+    b, v = w[:m], w[m:]
+    work = round_workspace(w.shape, w.dtype)
+    sweep_rounds_fn = _round_sweeper(strategy)
+    round_indices = block_pair_round_indices([range(n)], ordering)
     rotations = 0
     sweep_residuals: List[float] = []
     converged = False
@@ -495,31 +533,14 @@ def hestenes_svd(
     def run_sweep() -> "tuple[float, int]":
         sweep_worst = 0.0
         sweep_rotations = 0
-        if batched:
-            for idx in round_indices:
-                check_deadline()
-                round_worst, round_rotations = sweep_rounds_fn(
-                    w, m, idx, precision, zero_sq, work
-                )
-                if round_worst > sweep_worst:
-                    sweep_worst = round_worst
-                sweep_rotations += round_rotations
-        else:
-            for one_round in ordering:
-                check_deadline()
-                for i, j in one_round:
-                    alpha = float(b[:, i] @ b[:, i])
-                    beta = float(b[:, j] @ b[:, j])
-                    gamma = float(b[:, i] @ b[:, j])
-                    ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-                    if ratio > sweep_worst:
-                        sweep_worst = ratio
-                    if ratio < precision:
-                        continue
-                    rotation = compute_rotation(alpha, beta, gamma)
-                    b[:, i], b[:, j] = apply_rotation(b[:, i], b[:, j], rotation)
-                    v[:, i], v[:, j] = apply_rotation(v[:, i], v[:, j], rotation)
-                    sweep_rotations += 1
+        for idx in round_indices:
+            check_deadline()
+            round_worst, round_rotations = sweep_rounds_fn(
+                w, m, idx, precision, zero_sq, work
+            )
+            if round_worst > sweep_worst:
+                sweep_worst = round_worst
+            sweep_rotations += round_rotations
         return sweep_worst, sweep_rotations
 
     for _ in range(budget):

@@ -1,4 +1,4 @@
-"""Compiled (Numba) kernel tier for the Jacobi hot loops.
+"""Compiled (Numba) kernel tier for the Jacobi round loop.
 
 ``strategy="native"`` runs the same whole-round sweep the vectorized
 NumPy path performs — Gram triple, convergence test, rotation angle,
@@ -17,24 +17,26 @@ docs/performance.md).
 The module degrades gracefully along two axes:
 
 * **Numba absent** — importing this module never fails.  ``njit``
-  becomes a no-op decorator, so every kernel below remains a plain
-  Python function (used by the parity tests to pin the kernel's
-  arithmetic without a compiler), and :func:`available` returns False
-  so :func:`~repro.linalg.hestenes.resolve_strategy` routes ``"auto"``
+  becomes a no-op decorator, so the kernel below remains a plain
+  Python function (used by the parity tests to pin its arithmetic
+  without a compiler), and :func:`available` returns False so
+  :func:`~repro.linalg.hestenes.resolve_strategy` routes ``"auto"``
   and explicit ``"native"`` requests to the vectorized tier instead of
-  raising.  The public wrappers likewise delegate to the NumPy
-  implementations, so calling them without Numba is correct, just not
-  compiled.
+  raising.  The public wrapper likewise delegates to the NumPy round
+  kernel, so calling it without Numba is correct, just not compiled.
 * **Explicitly disabled** — setting the ``HETEROSVD_NO_NATIVE``
   environment variable (to anything but ``""``/``"0"``) forces the
   probe to report unavailability even with Numba installed; CI uses it
   to pin the fallback leg, and operators can use it to rule the JIT
   out when chasing a numerical discrepancy.
 
-**Parity contract**: the kernels replicate the arithmetic of
-:func:`repro.linalg.rotations.compute_rotation` and of the vectorized
-round kernel :func:`repro.linalg.hestenes._sweep_pairs_indexed`, on
-the same stacked Fortran-order ``W = [B; V]`` with the Gram triple
+**Parity contract**: :func:`_sweep_kernel` is the compiled mirror of
+the per-pair reference kernel
+:func:`repro.linalg.hestenes._sweep_pairs_scalar` (Eqs. 5-6 through
+:func:`repro.linalg.rotations.compute_rotation`) and takes the calling
+form of the vectorized round kernel
+:func:`repro.linalg.hestenes._sweep_pairs_indexed`: the same stacked
+Fortran-order ``W = [B; V]`` with the Gram triple
 taken from its first ``m`` rows: the ``zero_sq`` dead-column floor and
 Eq. 6 ratio with the ``sqrt(alpha) * sqrt(beta)`` denominator, the
 exact power-of-two Gram rescale
@@ -42,9 +44,9 @@ exact power-of-two Gram rescale
 relative :data:`~repro.linalg.rotations.ORTHOGONALITY_EPS` identity
 test, and one rotation applied to a column's ``B`` and ``V`` rows
 alike.  Where the vectorized kernel gathers the round into a panel and
-scatters it back, this one updates ``W`` in place pair by pair.  The
-tiers agree to floating-point summation order (the dot products
-accumulate sequentially here versus NumPy's ``einsum`` order; singular
+scatters it back, this one updates ``W`` in place pair by pair, as the
+scalar reference does.  The tiers agree to floating-point summation order (the dot products
+accumulate sequentially here versus NumPy's ``einsum`` and BLAS order; singular
 values agree to ~1e-14 relative and sweep counts are identical on the
 parity suite).
 """
@@ -103,47 +105,13 @@ def available() -> bool:
 
 
 @njit(cache=True)
-def _rotations_kernel(alpha, beta, gamma, c, s, identity):  # pragma: no cover
-    """Per-lane Jacobi rotation angles (Eqs. 3-5), compiled.
-
-    Same arithmetic as :func:`repro.linalg.rotations.compute_rotation`:
-    range-gated exact power-of-two rescale, relative orthogonality
-    test, then the tau/t/c/s formulas.  Outputs are written into the
-    preallocated ``c``/``s``/``identity`` arrays.
-    """
-    for lane in range(alpha.shape[0]):
-        a = alpha[lane]
-        b = beta[lane]
-        g = gamma[lane]
-        peak = a if a > b else b
-        ag = abs(g)
-        if ag > peak:
-            peak = ag
-        if peak != 0.0 and (peak > GRAM_SCALE_MAX or peak < GRAM_SCALE_MIN):
-            exponent = -math.frexp(peak)[1]
-            a = math.ldexp(a, exponent)
-            b = math.ldexp(b, exponent)
-            g = math.ldexp(g, exponent)
-        norm_product = math.sqrt(a) * math.sqrt(b)
-        if g == 0.0 or abs(g) <= ORTHOGONALITY_EPS * norm_product:
-            c[lane] = 1.0
-            s[lane] = 0.0
-            identity[lane] = True
-            continue
-        tau = (b - a) / (2.0 * abs(g))
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-        cl = 1.0 / math.hypot(1.0, t)
-        c[lane] = cl
-        s[lane] = math.copysign(1.0, g) * t * cl
-        identity[lane] = False
-
-
-@njit(cache=True)
 def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
     """Fused whole-round sweep: Gram + convergence + rotate + update.
 
-    The compiled mirror of
-    :func:`repro.linalg.hestenes._sweep_pairs_indexed`: for each
+    The compiled mirror of the round kernels in
+    :mod:`repro.linalg.hestenes` (same arguments as
+    :func:`~repro.linalg.hestenes._sweep_pairs_indexed`, minus the
+    workspace): for each
     disjoint pair ``(idx[p], idx[k + p])`` of one ordering round,
     accumulate the Gram triple over the first ``m`` rows of ``w``,
     apply the ``zero_sq`` dead-column floor and the Eq. 6 convergence
@@ -152,7 +120,7 @@ def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
     test as ``compute_rotation``) and apply it to every row of the
     pair's two columns, ``B`` and ``V`` alike, in place.
 
-    Returns ``(worst_ratio, rotations)`` with the scalar driver's
+    Returns ``(worst_ratio, rotations)`` with the scalar kernel's
     accounting: ``rotations`` counts pairs that met the precision
     gate, whether or not the angle came out as the identity.
     """
@@ -194,7 +162,7 @@ def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
         norm_product = math.sqrt(alpha) * math.sqrt(beta)
         if gamma == 0.0 or abs(gamma) <= ORTHOGONALITY_EPS * norm_product:
             # Identity angle: counted (the precision gate passed) but
-            # nothing to apply — matches the scalar path, where
+            # nothing to apply — matches the scalar kernel, where
             # apply_rotation on an identity rotation is a no-op copy.
             continue
         tau = (beta - alpha) / (2.0 * abs(gamma))
@@ -207,44 +175,6 @@ def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
             w[r, i] = c * wi - s * wj
             w[r, j] = s * wi + c * wj
     return worst, count
-
-
-def rotations_batch(
-    alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Native-tier :func:`~repro.linalg.rotations.compute_rotations_batch`.
-
-    Validates like the NumPy routine (finite Gram entries, non-negative
-    squared norms), then computes all angles in one compiled pass.
-    Without Numba, delegates to the NumPy implementation.
-    """
-    from repro.errors import NumericalError
-
-    alpha = np.ascontiguousarray(alpha, dtype=np.float64)
-    beta = np.ascontiguousarray(beta, dtype=np.float64)
-    gamma = np.ascontiguousarray(gamma, dtype=np.float64)
-    if not available():
-        from repro.linalg.rotations import compute_rotations_batch
-
-        return compute_rotations_batch(alpha, beta, gamma)
-    if not (
-        np.all(np.isfinite(alpha))
-        and np.all(np.isfinite(beta))
-        and np.all(np.isfinite(gamma))
-    ):
-        raise NumericalError(
-            "non-finite Gram entries in batched rotation computation"
-        )
-    if np.any(alpha < 0) or np.any(beta < 0):
-        raise NumericalError(
-            "squared norms must be non-negative in batched rotation "
-            "computation"
-        )
-    c = np.empty_like(alpha)
-    s = np.empty_like(alpha)
-    identity = np.empty(alpha.shape, dtype=np.bool_)
-    _rotations_kernel(alpha, beta, gamma, c, s, identity)
-    return c, s, identity
 
 
 def sweep_pairs_indexed(

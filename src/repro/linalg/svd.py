@@ -29,8 +29,6 @@ from repro.linalg.block import (
     BlockPartition,
     block_pair_round_indices,
     block_pair_rounds,
-    block_pairs,
-    orthogonalize_block_pair,
 )
 from repro.linalg.convergence import (
     DEFAULT_PRECISION,
@@ -38,7 +36,6 @@ from repro.linalg.convergence import (
     zero_column_threshold_sq,
 )
 from repro.linalg.hestenes import (
-    BATCHED_STRATEGIES,
     DEFAULT_MAX_SWEEPS,
     HestenesResult,
     _round_sweeper,
@@ -99,41 +96,33 @@ def _block_jacobi_svd(
     m, n = a.shape
     partition = BlockPartition(n_cols=n, block_width=block_width)
     ordering = ordering_cls(2 * block_width)
-    pairs = block_pairs(partition.n_blocks)
 
     zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-    batched = strategy in BATCHED_STRATEGIES
-    if batched:
-        # One Fortran-order W = [B; V] (see stack_panels) keeps the
-        # batched column gathers contiguous.  Block pairs of one
-        # tournament round touch disjoint column sets, so their
-        # (identical) sweeps commute: interleaving them round by round
-        # performs the exact same rotations as visiting each block pair
-        # in sequence, while multiplying the batch width by the number
-        # of concurrent block pairs.  Stack the per-round global index
-        # arrays across each round's pairs once; the schedule repeats
-        # identically every outer sweep.
-        w = stack_panels([a], [np.eye(n)])
-        b, v = w[:m], w[m:]
-        sweep_rounds_fn = _round_sweeper(strategy)
-        stacked_rounds = [
-            idx
-            for block_round in block_pair_rounds(partition.n_blocks)
-            for idx in block_pair_round_indices(
-                [partition.pair_columns(pair) for pair in block_round],
-                ordering,
-            )
-        ]
-        work = round_workspace(w.shape, w.dtype)
-    else:
-        b = a.copy()
-        v = np.eye(n)
-        stacked_rounds = []
+    # One Fortran-order W = [B; V] (see stack_panels) keeps the round
+    # kernel's column gathers contiguous.  Block pairs of one
+    # tournament round touch disjoint column sets, so their (identical)
+    # sweeps commute: interleaving them round by round performs the
+    # exact same rotations as visiting each block pair in sequence,
+    # while multiplying the batch width by the number of concurrent
+    # block pairs.  Stack the per-round global index arrays across each
+    # round's pairs once; the schedule repeats identically every outer
+    # sweep.
+    w = stack_panels([a], [np.eye(n)])
+    b, v = w[:m], w[m:]
+    sweep_rounds_fn = _round_sweeper(strategy)
+    stacked_rounds = [
+        idx
+        for block_round in block_pair_rounds(partition.n_blocks)
+        for idx in block_pair_round_indices(
+            [partition.pair_columns(pair) for pair in block_round],
+            ordering,
+        )
+    ]
+    work = round_workspace(w.shape, w.dtype)
     rotations = 0
     sweep_residuals: List[float] = []
     converged = False
     budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
-
     sweeps_done = 0
 
     def check_deadline() -> None:
@@ -150,26 +139,14 @@ def _block_jacobi_svd(
     def run_sweep() -> "tuple[float, int]":
         sweep_worst = 0.0
         sweep_rotations = 0
-        if batched:
-            for idx in stacked_rounds:
-                check_deadline()
-                round_worst, round_rotations = sweep_rounds_fn(
-                    w, m, idx, precision, zero_sq, work
-                )
-                if round_worst > sweep_worst:
-                    sweep_worst = round_worst
-                sweep_rotations += round_rotations
-        else:
-            for pair in pairs:
-                check_deadline()
-                cols = partition.pair_columns(pair)
-                pair_worst, pair_rotations = orthogonalize_block_pair(
-                    b, v, cols, ordering, precision, zero_sq,
-                    strategy=strategy,
-                )
-                if pair_worst > sweep_worst:
-                    sweep_worst = pair_worst
-                sweep_rotations += pair_rotations
+        for idx in stacked_rounds:
+            check_deadline()
+            round_worst, round_rotations = sweep_rounds_fn(
+                w, m, idx, precision, zero_sq, work
+            )
+            if round_worst > sweep_worst:
+                sweep_worst = round_worst
+            sweep_rotations += round_rotations
         return sweep_worst, sweep_rotations
 
     for _ in range(budget):
@@ -329,7 +306,8 @@ def svd(
         fallback: ``"reference"`` returns the LAPACK factorization
             (``degraded=True``) on non-convergence instead of raising
             :class:`~repro.errors.ConvergenceError`.
-        strategy: ``"scalar"`` for the per-pair reference loops,
+        strategy: The round kernel both Jacobi drivers run:
+            ``"scalar"`` for the per-pair reference kernel,
             ``"vectorized"`` for batched rounds
             (:func:`~repro.linalg.hestenes.sweep_pairs`), ``"native"``
             for the compiled (Numba) whole-round kernels of

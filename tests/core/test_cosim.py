@@ -15,13 +15,18 @@ def config(m=32, n=16, p_eng=4, **kwargs):
 
 
 class TestCoSimFunctional:
-    def test_matches_functional_accelerator(self, rng):
-        cfg = config()
+    @pytest.mark.parametrize("use_codesign", [True, False])
+    @pytest.mark.parametrize("arithmetic", ["float32", "float64"])
+    def test_matches_functional_accelerator(self, rng, arithmetic,
+                                            use_codesign):
+        # Same round kernel on the same schedule: bit for bit.
+        cfg = config(arithmetic=arithmetic, use_codesign=use_codesign)
         a = rng.standard_normal((32, 16))
         cosim = CoSimulator(cfg).run(a)
         accel = HeteroSVDAccelerator(cfg).run(a)
         assert cosim.iterations == accel.iterations
-        assert np.allclose(cosim.sigma, accel.sigma, rtol=1e-12)
+        assert np.array_equal(cosim.sigma, accel.sigma)
+        assert np.array_equal(cosim.u, accel.u)
 
     def test_matches_lapack(self, rng):
         cfg = config(m=24, n=24, p_eng=3)

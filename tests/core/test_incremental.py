@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalSVD
-from repro.errors import NumericalError
+from repro.errors import ConvergenceError, NumericalError
 
 
 def drifted(a, rng, scale=0.01):
@@ -84,3 +84,23 @@ class TestIncrementalSVD:
             tracker.update(rng.standard_normal((8, 16)))
         with pytest.raises(NumericalError):
             tracker.update(rng.standard_normal((16, 7)))
+
+    def test_zero_sweep_budget_raises(self, rng):
+        tracker = IncrementalSVD(max_sweeps=0)
+        with pytest.raises(ConvergenceError) as info:
+            tracker.update(rng.standard_normal((16, 8)))
+        assert info.value.iterations == 0
+        assert info.value.residual == float("inf")
+        assert not tracker.warm
+
+    def test_warm_updates_keep_v_orthonormal(self, rng):
+        # V0 @ W composes across updates; it must stay orthonormal.
+        tracker = IncrementalSVD(precision=1e-10)
+        a = rng.standard_normal((32, 16))
+        tracker.update(a)
+        for _ in range(3):
+            a = drifted(a, rng)
+            result = tracker.update(a)
+        assert len(tracker.history) == 4
+        np.testing.assert_allclose(result.v.T @ result.v, np.eye(16),
+                                   rtol=0.0, atol=1e-12)

@@ -1,9 +1,9 @@
 """Kernel-level tests for the native (compiled) Jacobi tier.
 
 The ``@njit`` decorator degrades to a no-op without Numba, so the
-kernel bodies in :mod:`repro.linalg.native` stay executable as plain
-Python.  These tests pin the kernels' *arithmetic* against the golden
-NumPy implementations — Gram accumulation, the range-gated rescale,
+kernel body in :mod:`repro.linalg.native` stays executable as plain
+Python.  These tests pin the kernel's *arithmetic* against the golden
+NumPy round kernel — Gram accumulation, the range-gated rescale,
 the identity test, the rotation accounting — in every environment,
 whether or not a JIT compiler is present.  The compiled tier's speed
 is checked separately (TestAcceptance256 in test_strategy_parity.py,
@@ -13,7 +13,6 @@ CI's Numba leg).
 import numpy as np
 import pytest
 
-from repro.errors import NumericalError
 from repro.linalg import native
 from repro.linalg.hestenes import (
     _sweep_pairs_indexed,
@@ -21,19 +20,6 @@ from repro.linalg.hestenes import (
     round_workspace,
     stack_panels,
 )
-from repro.linalg.rotations import compute_rotations_batch
-
-
-def _py_rotations(alpha, beta, gamma):
-    """Run the kernel body as plain Python (works with or without
-    Numba: ``py_func`` unwraps a compiled dispatcher)."""
-    kernel = getattr(native._rotations_kernel, "py_func",
-                     native._rotations_kernel)
-    c = np.empty_like(alpha)
-    s = np.empty_like(alpha)
-    identity = np.empty(alpha.shape, dtype=np.bool_)
-    kernel(alpha, beta, gamma, c, s, identity)
-    return c, s, identity
 
 
 def _py_sweep(b, v, ii, jj, precision, zero_sq):
@@ -53,64 +39,6 @@ def _vectorized(w, m, idx, precision, zero_sq):
     return _sweep_pairs_indexed(
         w, m, idx, precision, zero_sq, round_workspace(w.shape, w.dtype)
     )
-
-
-class TestRotationsKernel:
-    def test_matches_numpy_batch(self, rng):
-        n = 64
-        x = rng.standard_normal((40, n))
-        y = rng.standard_normal((40, n))
-        alpha = np.einsum("ij,ij->j", x, x)
-        beta = np.einsum("ij,ij->j", y, y)
-        gamma = np.einsum("ij,ij->j", x, y)
-
-        ref_c, ref_s, ref_id = compute_rotations_batch(alpha, beta, gamma)
-        c, s, identity = _py_rotations(alpha, beta, gamma)
-
-        np.testing.assert_array_equal(identity, ref_id)
-        np.testing.assert_allclose(c, ref_c, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(s, ref_s, rtol=0.0, atol=1e-15)
-
-    def test_extreme_scale_lanes(self):
-        # Lanes whose Gram entries over/underflow a naive tau formula:
-        # the rescale gate must produce the same angles the scalar
-        # routine's frexp/ldexp path does.
-        alpha = np.array([1e300, 1e-300, 4.0, 1e308])
-        beta = np.array([2e300, 3e-300, 1.0, 1e307])
-        gamma = np.array([5e299, 1e-300, 1.0, 5e307])
-        ref_c, ref_s, ref_id = compute_rotations_batch(alpha, beta, gamma)
-        c, s, identity = _py_rotations(alpha, beta, gamma)
-        np.testing.assert_array_equal(identity, ref_id)
-        np.testing.assert_allclose(c, ref_c, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(s, ref_s, rtol=0.0, atol=1e-15)
-        assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
-
-    def test_orthogonal_lane_is_identity(self):
-        c, s, identity = _py_rotations(
-            np.array([4.0]), np.array([1.0]), np.array([0.0])
-        )
-        assert identity[0]
-        assert c[0] == 1.0 and s[0] == 0.0
-
-    def test_wrapper_validates_like_numpy(self):
-        with pytest.raises(NumericalError):
-            native.rotations_batch(
-                np.array([1.0]), np.array([np.nan]), np.array([0.5])
-            )
-        with pytest.raises(NumericalError):
-            native.rotations_batch(
-                np.array([-1.0]), np.array([1.0]), np.array([0.5])
-            )
-
-    def test_wrapper_matches_numpy_batch(self, rng):
-        alpha = rng.uniform(0.5, 2.0, 16)
-        beta = rng.uniform(0.5, 2.0, 16)
-        gamma = rng.standard_normal(16)
-        ref = compute_rotations_batch(alpha, beta, gamma)
-        got = native.rotations_batch(alpha, beta, gamma)
-        for got_arr, ref_arr in zip(got, ref):
-            np.testing.assert_allclose(got_arr, ref_arr,
-                                       rtol=0.0, atol=1e-15)
 
 
 class TestSweepKernel:
@@ -149,6 +77,38 @@ class TestSweepKernel:
         assert count == ref_count
         np.testing.assert_allclose(b, w_ref, atol=1e-13)
 
+    def test_extreme_scale_lanes(self, rng):
+        # Columns at 1e+-150 put the Gram entries near 1e+-300, outside
+        # [GRAM_SCALE_MIN, GRAM_SCALE_MAX]: the kernel's frexp/ldexp
+        # rescale must give the angles the NumPy kernel's rescale does.
+        b, v, ii, jj = self._round(rng)
+        b[:, ::2] *= 1e150
+        b[:, 1::2] *= 1e-150
+        # One pair at the top of the range, (alpha, beta, gamma) =
+        # (1.6, 1.2, 1.0) * 1e308: 2*|gamma| overflows unless rescaled.
+        i, j = int(ii[0]), int(jj[0])
+        b[:, [i, j]] = 0.0
+        b[0, i] = np.sqrt(1.6e308)
+        b[0, j] = 1e308 / b[0, i]
+        b[1, j] = np.sqrt(1.2e308 - b[0, j] ** 2)
+        n = b.shape[0]
+        w = stack_panels([b], [v])
+        w_ref = w.copy(order="F")
+        idx = np.concatenate((ii, jj))
+        kernel = getattr(native._sweep_kernel, "py_func",
+                         native._sweep_kernel)
+
+        worst, count = kernel(w, n, idx, 1e-12, 0.0)
+        ref_worst, ref_count = _vectorized(w_ref, n, idx, 1e-12, 0.0)
+
+        assert count == ref_count == ii.size
+        assert worst == pytest.approx(ref_worst, rel=1e-12)
+        assert np.all(np.isfinite(w))
+        for got, want in ((w[:n], w_ref[:n]), (w[n:], w_ref[n:])):
+            # Relative to each column's peak, B and V rows apart.
+            error = np.abs(got - want).max(axis=0)
+            assert np.all(error <= 1e-14 * np.abs(want).max(axis=0))
+
     def test_zero_sq_floor_skips_dead_columns(self, rng):
         b, v, ii, jj = self._round(rng, n=8)
         b[:, int(ii[0])] = 1e-200  # far below the floor below
@@ -162,12 +122,20 @@ class TestSweepKernel:
         # With an impossible precision nothing rotates and count is 0;
         # with precision 0 every pair is counted (identity or not).
         b, v, ii, jj = self._round(rng)
+        # An exactly orthogonal pair: counted, but its angle is the
+        # identity and its columns stay as they are.
+        b[:, [ii[0], jj[0]]] = 0.0
+        b[0, ii[0]] = 3.0
+        b[1, jj[0]] = 2.0
         worst, count = _py_sweep(b.copy(order="F"), v.copy(order="F"),
                                  ii, jj, 2.0, 0.0)
         assert count == 0
-        worst2, count2 = _py_sweep(b.copy(order="F"), v.copy(order="F"),
+        after = b.copy(order="F")
+        worst2, count2 = _py_sweep(after, v.copy(order="F"),
                                    ii, jj, 0.0, 0.0)
         assert count2 == ii.size
+        np.testing.assert_array_equal(after[:, [ii[0], jj[0]]],
+                                      b[:, [ii[0], jj[0]]])
 
     def test_wrapper_delegates_without_numba(self, rng, monkeypatch):
         monkeypatch.setattr(native, "NUMBA_AVAILABLE", False)

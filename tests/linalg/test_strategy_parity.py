@@ -22,13 +22,19 @@ import pytest
 
 from repro.errors import NumericalError
 from repro.linalg import (
-    BATCHED_STRATEGIES,
     STRATEGIES,
     hestenes_svd,
     native_available,
     resolve_strategy,
     sweep_pairs,
     svd,
+)
+from repro.linalg.block import block_pair_round_indices
+from repro.linalg.hestenes import (
+    _sweep_pairs_indexed,
+    _sweep_pairs_scalar,
+    round_workspace,
+    stack_panels,
 )
 from repro.linalg.orderings import (
     RingOrdering,
@@ -84,7 +90,6 @@ class TestResolveStrategy:
 
     def test_registry_contents(self):
         assert STRATEGIES == ("auto", "scalar", "vectorized", "native")
-        assert BATCHED_STRATEGIES == ("vectorized", "native")
 
     def test_unknown_strategy_raises_from_svd(self, square_matrix):
         with pytest.raises(NumericalError):
@@ -206,36 +211,43 @@ class TestBlockAndSVDParity:
 
 class TestSweepPairs:
     def test_matches_scalar_round(self, rng):
-        from repro.linalg.convergence import pair_convergence_ratio
-        from repro.linalg.rotations import apply_rotation, \
-            compute_rotation
-
         n = 16
         b_vec = np.asfortranarray(rng.standard_normal((n, n)))
-        b_ref = b_vec.copy()
+        w_ref = stack_panels([b_vec])
         pairs = [(i, i + n // 2) for i in range(n // 2)]
+        idx = np.asarray(pairs, dtype=np.intp).T.ravel()
 
         worst, rotated = sweep_pairs(b_vec, None, pairs,
                                      precision=1e-12, zero_sq=0.0)
-
-        ref_worst = 0.0
-        ref_rotated = 0
-        for i, j in pairs:
-            alpha = float(b_ref[:, i] @ b_ref[:, i])
-            beta = float(b_ref[:, j] @ b_ref[:, j])
-            gamma = float(b_ref[:, i] @ b_ref[:, j])
-            ratio = pair_convergence_ratio(alpha, beta, gamma)
-            ref_worst = max(ref_worst, ratio)
-            if ratio >= 1e-12:
-                rotation = compute_rotation(alpha, beta, gamma)
-                b_ref[:, i], b_ref[:, j] = apply_rotation(
-                    b_ref[:, i], b_ref[:, j], rotation
-                )
-                ref_rotated += 1
+        ref_worst, ref_rotated = _sweep_pairs_scalar(
+            w_ref, n, idx, 1e-12, 0.0, None
+        )
 
         assert rotated == ref_rotated
         assert worst == pytest.approx(ref_worst, rel=1e-12)
-        np.testing.assert_allclose(b_vec, b_ref, atol=1e-12)
+        np.testing.assert_allclose(b_vec, w_ref, atol=1e-12)
+
+    def test_stacked_block_round_matches_scalar(self, rng):
+        # One tournament round of 4 block pairs of width 8 (16 local
+        # columns each), with V rows: every ordering round is one call
+        # over 32 disjoint pairs, as in the block driver.
+        width, groups, m = 8, 4, 24
+        n = 2 * width * groups
+        w_vec = stack_panels([rng.standard_normal((m, n))], [np.eye(n)])
+        w_ref = w_vec.copy(order="F")
+        work = round_workspace(w_vec.shape, w_vec.dtype)
+        rounds = block_pair_round_indices(
+            [range(g * 2 * width, (g + 1) * 2 * width)
+             for g in range(groups)],
+            ShiftingRingOrdering(2 * width),
+        )
+        for idx in rounds:
+            assert idx.size == n
+            got = _sweep_pairs_indexed(w_vec, m, idx, 1e-12, 0.0, work)
+            ref = _sweep_pairs_scalar(w_ref, m, idx, 1e-12, 0.0, None)
+            assert got[1] == ref[1]
+            assert got[0] == pytest.approx(ref[0], rel=1e-12)
+        np.testing.assert_allclose(w_vec, w_ref, rtol=0.0, atol=1e-12)
 
     def test_rejects_overlapping_pairs(self, rng):
         b = np.asfortranarray(rng.standard_normal((8, 8)))
@@ -263,9 +275,9 @@ class TestAcceptance256:
             rtol=0.0, atol=1e-10 * scalar.singular_values[0],
         )
         assert scalar.sweeps == vectorized.sweeps
-        # Measured ~3.2x on the dev container; 2x is the flake-proof
-        # floor for shared CI runners (docs/performance.md records the
-        # real figure, `repro bench --suite solver` re-measures it).
+        # Measured 2.71x on a 2-CPU container (docs/performance.md);
+        # 2x is the flake-proof floor for shared CI runners
+        # (`repro bench --suite solver` re-measures it).
         assert scalar_s / vectorized_s >= 2.0
 
     @pytest.mark.skipif(not native_available(),
