@@ -115,6 +115,8 @@ smoke:
 	$(PYTHON) -m repro.cli dse --size 64 --jobs 2 --cache .repro_cache --top 3
 	$(PYTHON) -m repro.cli dse --size 64 --jobs 2 --cache .repro_cache --top 3
 	$(PYTHON) -m repro.cli svd --size 32 --p-eng 4 --batch 4 --jobs 2 --precision 1e-4
+	$(PYTHON) -m repro.cli svd --method block --size 20 --p-eng 8
+	$(PYTHON) -m repro.cli svd --size 18 --p-eng 4 --batch 4 --jobs 2 --engine software --precision 1e-4
 	$(PYTHON) -m repro.cli sensitivity --size 128 --jobs 2
 	$(PYTHON) -m repro.cli profile --size 64 --jobs 2 --cache .repro_cache
 	$(PYTHON) -m repro.cli svd --size 32 --p-eng 4 --batch 4 --p-task 2 --precision 1e-4 \

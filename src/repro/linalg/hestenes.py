@@ -37,11 +37,16 @@ from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 from repro.linalg.convergence import (
     DEFAULT_PRECISION,
+    off_diagonal_ratio,
     pair_convergence_ratio,
     pair_convergence_ratios,
     zero_column_threshold_sq,
 )
-from repro.linalg.block import block_pair_round_indices
+from repro.linalg.block import (
+    BlockPartition,
+    block_pair_round_indices,
+    block_pair_rounds,
+)
 from repro.linalg.orderings import Ordering, RingOrdering
 from repro.linalg.rotations import (
     apply_rotation,
@@ -409,6 +414,171 @@ def reference_fallback(a: np.ndarray, error: ConvergenceError) -> HestenesResult
     )
 
 
+def _block_jacobi_svd(
+    a: np.ndarray,
+    block_width: int,
+    precision: float,
+    max_sweeps: int,
+    ordering_cls: Type[Ordering],
+    fixed_sweeps: Optional[int],
+    fallback: Optional[str] = None,
+    strategy: str = "vectorized",
+    deadline: Optional[Deadline] = None,
+    check_invariants: bool = False,
+    method: str = "block",
+) -> HestenesResult:
+    """Block Hestenes-Jacobi: the software mirror of Algorithm 1.
+
+    The one Jacobi sweep driver.  ``a`` (``m >= n``) is split into
+    column blocks of ``block_width`` and every outer sweep runs a full
+    ``ordering_cls`` sweep over each block pair's ``2 * block_width``
+    columns.  With ``block_width = n // 2`` the one block pair holds
+    every column, which is the monolithic sweep :func:`hestenes_svd`
+    runs through here.  ``strategy`` (already resolved) picks only the
+    round kernel.
+
+    ``method`` names the caller in the deadline kind and the
+    :class:`~repro.errors.ConvergenceError` message, and picks the
+    sweep residual: ``"hestenes"`` takes the sweep's worst
+    pre-rotation pair ratio, ``"block"`` re-measures
+    :func:`~repro.linalg.convergence.off_diagonal_ratio` of ``B``
+    after the sweep.  The two rules can stop after different sweep
+    counts in precision mode.
+    """
+    m, n = a.shape
+    partition = BlockPartition(n_cols=n, block_width=block_width)
+    ordering = ordering_cls(2 * block_width)
+    hestenes = method == "hestenes"
+
+    zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
+    # One Fortran-order W = [B; V]: each round kernel call moves a
+    # column of B and its V column as one contiguous copy, and the
+    # native kernel walks them stride-1.  Block pairs of one tournament
+    # round touch disjoint column sets, so their (identical) sweeps
+    # commute: interleaving them round by round performs the exact same
+    # rotations as visiting each block pair in sequence, while
+    # multiplying the batch width by the number of concurrent block
+    # pairs.  Stack the per-round global index arrays across each
+    # round's pairs once; the schedule repeats identically every outer
+    # sweep.
+    w = stack_panels([a], [np.eye(n)])
+    b, v = w[:m], w[m:]
+    work = round_workspace(w.shape, w.dtype)
+    sweep_rounds_fn = _round_sweeper(strategy)
+    stacked_rounds = [
+        idx
+        for block_round in block_pair_rounds(partition.n_blocks)
+        for idx in block_pair_round_indices(
+            [partition.pair_columns(pair) for pair in block_round],
+            ordering,
+        )
+    ]
+    rotations = 0
+    sweep_residuals: List[float] = []
+    converged = False
+    budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
+    sweeps_done = 0
+
+    def check_deadline() -> None:
+        # Once per ordering round: one monotonic-clock read behind a
+        # None test, so the hot loop pays nothing when unbounded.
+        if deadline is None or not deadline.expired():
+            return
+        deadline.check(
+            kind=f"{method}-sweep",
+            completed=sweeps_done,
+            total=budget,
+            residual=sweep_residuals[-1] if sweep_residuals else None,
+            rotations=rotations,
+        )
+
+    def run_sweep() -> "tuple[float, int]":
+        sweep_worst = 0.0
+        sweep_rotations = 0
+        for idx in stacked_rounds:
+            check_deadline()
+            round_worst, round_rotations = sweep_rounds_fn(
+                w, m, idx, precision, zero_sq, work
+            )
+            if round_worst > sweep_worst:
+                sweep_worst = round_worst
+            sweep_rotations += round_rotations
+        # The per-pair worst ratio is measured before rotations of later
+        # pairs touch the same columns; the block rule re-measures
+        # globally so the stopping rule matches Eq. 6 exactly.
+        residual = sweep_worst if hestenes else off_diagonal_ratio(b)
+        return residual, sweep_rotations
+
+    for _ in range(budget):
+        residual, sweep_rotations = run_sweep()
+        rotations += sweep_rotations
+        sweeps_done += 1
+        sweep_residuals.append(residual)
+        if fixed_sweeps is None and residual < precision:
+            converged = True
+            break
+
+    if fixed_sweeps is not None:
+        converged = sweep_residuals[-1] < precision if sweep_residuals else False
+    elif not converged:
+        # A zero budget exhausts before the first sweep measures
+        # anything; report an infinite residual rather than crashing
+        # on the empty history.
+        residual = sweep_residuals[-1] if sweep_residuals else float("inf")
+        detail = f"{sweeps_done} iterations, residual {residual:.3e}"
+        if deadline is not None:
+            detail += f", deadline remaining {deadline.remaining():.3f}s"
+        name = "Hestenes-Jacobi" if hestenes else "block Jacobi"
+        error = ConvergenceError(
+            f"{name} did not converge in {max_sweeps} sweeps ({detail})",
+            iterations=sweeps_done,
+            residual=residual,
+        )
+        if fallback == "reference":
+            return reference_fallback(a, error)
+        raise error
+
+    if check_invariants:
+        report = check_factor_invariants(
+            a, b, v, precision, converged=converged
+        )
+        if not report.ok:
+            # One repair attempt: an extra sweep re-orthogonalizes a
+            # marginally-off factor; a corrupt one won't recover and
+            # degrades to the reference fallback.
+            _metrics.counter("guard.reorth_passes").inc()
+            extra_residual, extra_rotations = run_sweep()
+            rotations += extra_rotations
+            sweep_residuals.append(extra_residual)
+            report = check_factor_invariants(
+                a, b, v, precision, converged=converged
+            )
+        if not report.ok:
+            error = ConvergenceError(
+                f"factor invariants violated after re-orthogonalization "
+                f"(reconstruction error {report.reconstruction_error:.3e}, "
+                f"orthogonality residual {report.orthogonality_residual})",
+                iterations=sweeps_done,
+                residual=float(
+                    report.orthogonality_residual
+                    if report.orthogonality_residual is not None
+                    else report.reconstruction_error
+                ),
+            )
+            return reference_fallback(a, error)
+
+    u, sigma, v = normalize_columns(b, v)
+    return HestenesResult(
+        u=u,
+        singular_values=sigma,
+        v=v,
+        sweeps=sweeps_done,
+        converged=converged,
+        rotations=rotations,
+        sweep_residuals=sweep_residuals,
+    )
+
+
 def hestenes_svd(
     a: np.ndarray,
     precision: float = DEFAULT_PRECISION,
@@ -421,6 +591,10 @@ def hestenes_svd(
     check_invariants: bool = False,
 ) -> HestenesResult:
     """Compute the thin SVD of ``a`` by one-sided Jacobi rotations.
+
+    After its input checks this runs :func:`_block_jacobi_svd` with
+    ``block_width = n // 2``: one block pair holding every column,
+    whose sweep is the monolithic Hestenes sweep.
 
     Args:
         a: Input matrix of shape ``(m, n)`` with ``m >= n`` and ``n``
@@ -501,113 +675,16 @@ def hestenes_svd(
             return reference_fallback(a, error)
         raise error
 
-    ordering = (ordering_cls or RingOrdering)(n)
-    zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-    # One Fortran-order W = [B; V]: each round kernel call moves a
-    # column of B and its V column as one contiguous copy, and the
-    # native kernel walks them stride-1.
-    w = stack_panels([a], [np.eye(n)])
-    b, v = w[:m], w[m:]
-    work = round_workspace(w.shape, w.dtype)
-    sweep_rounds_fn = _round_sweeper(strategy)
-    round_indices = block_pair_round_indices([range(n)], ordering)
-    rotations = 0
-    sweep_residuals: List[float] = []
-    converged = False
-    budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
-    sweeps_done = 0
-
-    def check_deadline() -> None:
-        # Once per ordering round: one monotonic-clock read behind a
-        # None test, so the hot loop pays nothing when unbounded.
-        if deadline is None or not deadline.expired():
-            return
-        deadline.check(
-            kind="hestenes-sweep",
-            completed=sweeps_done,
-            total=budget,
-            residual=sweep_residuals[-1] if sweep_residuals else None,
-            rotations=rotations,
-        )
-
-    def run_sweep() -> "tuple[float, int]":
-        sweep_worst = 0.0
-        sweep_rotations = 0
-        for idx in round_indices:
-            check_deadline()
-            round_worst, round_rotations = sweep_rounds_fn(
-                w, m, idx, precision, zero_sq, work
-            )
-            if round_worst > sweep_worst:
-                sweep_worst = round_worst
-            sweep_rotations += round_rotations
-        return sweep_worst, sweep_rotations
-
-    for _ in range(budget):
-        sweep_worst, sweep_rotations = run_sweep()
-        rotations += sweep_rotations
-        sweeps_done += 1
-        sweep_residuals.append(sweep_worst)
-        if fixed_sweeps is None and sweep_worst < precision:
-            converged = True
-            break
-
-    if fixed_sweeps is not None:
-        converged = sweep_residuals[-1] < precision if sweep_residuals else False
-    elif not converged:
-        # A zero budget exhausts before the first sweep measures
-        # anything; report an infinite residual rather than crashing
-        # on the empty history.
-        residual = sweep_residuals[-1] if sweep_residuals else float("inf")
-        detail = f"{sweeps_done} iterations, residual {residual:.3e}"
-        if deadline is not None:
-            detail += f", deadline remaining {deadline.remaining():.3f}s"
-        error = ConvergenceError(
-            f"Hestenes-Jacobi did not converge in {max_sweeps} sweeps "
-            f"({detail})",
-            iterations=sweeps_done,
-            residual=residual,
-        )
-        if fallback == "reference":
-            return reference_fallback(a, error)
-        raise error
-
-    if check_invariants:
-        report = check_factor_invariants(
-            a, b, v, precision, converged=converged
-        )
-        if not report.ok:
-            # One repair attempt: an extra sweep re-orthogonalizes a
-            # marginally-off factor; a corrupt one won't recover and
-            # degrades to the reference fallback.
-            _metrics.counter("guard.reorth_passes").inc()
-            extra_worst, extra_rotations = run_sweep()
-            rotations += extra_rotations
-            sweep_residuals.append(extra_worst)
-            report = check_factor_invariants(
-                a, b, v, precision, converged=converged
-            )
-        if not report.ok:
-            error = ConvergenceError(
-                f"factor invariants violated after re-orthogonalization "
-                f"(reconstruction error {report.reconstruction_error:.3e}, "
-                f"orthogonality residual {report.orthogonality_residual})",
-                iterations=sweeps_done,
-                residual=float(
-                    report.orthogonality_residual
-                    if report.orthogonality_residual is not None
-                    else report.reconstruction_error
-                ),
-            )
-            return reference_fallback(a, error)
-
-    u, sigma, v = normalize_columns(b, v)
-    return HestenesResult(
-        u=u,
-        singular_values=sigma,
-        v=v,
-        sweeps=sweeps_done,
-        converged=converged,
-        rotations=rotations,
-        sweep_residuals=sweep_residuals,
+    return _block_jacobi_svd(
+        a,
+        block_width=n // 2,
+        precision=precision,
+        max_sweeps=max_sweeps,
+        ordering_cls=ordering_cls or RingOrdering,
+        fixed_sweeps=fixed_sweeps,
+        fallback=fallback,
+        strategy=strategy,
+        deadline=deadline,
+        check_invariants=check_invariants,
+        method="hestenes",
     )

@@ -1,13 +1,15 @@
 """Public SVD entry point.
 
 :func:`svd` is the library-level API: it accepts any real matrix,
-handles transposition (``m < n``) and zero-padding (odd column counts),
-dispatches to the monolithic Hestenes-Jacobi driver or the block-Jacobi
-variant, and returns a uniform :class:`SVDResult`.
+handles transposition (``m < n``) and zero-padding to the Jacobi block
+grid, dispatches to a solver method, and returns a uniform
+:class:`SVDResult`.
 
-The block variant performs the same restructuring HeteroSVD implements
-in hardware (Algorithm 1): block pairs are enumerated round-robin and a
-full parallel-ordering sweep runs over each block pair's ``2k`` columns.
+Both Jacobi methods run the one sweep driver of
+:mod:`repro.linalg.hestenes`, which performs the same restructuring
+HeteroSVD implements in hardware (Algorithm 1): block pairs are
+enumerated round-robin and a full parallel-ordering sweep runs over each
+block pair's ``2k`` columns.  ``"hestenes"`` is its one-block-pair case.
 """
 
 from __future__ import annotations
@@ -17,37 +19,21 @@ from typing import List, Optional, Type
 
 import numpy as np
 
-from repro.errors import ConvergenceError, NumericalError
+from repro.errors import NumericalError
 from repro.guard.deadline import Deadline, as_deadline
-from repro.guard.invariants import check_factor_invariants
 from repro.guard.validate import (
     postscale_singular_values,
     prescale_matrix,
     validate_matrix,
 )
-from repro.linalg.block import (
-    BlockPartition,
-    block_pair_round_indices,
-    block_pair_rounds,
-)
-from repro.linalg.convergence import (
-    DEFAULT_PRECISION,
-    off_diagonal_ratio,
-    zero_column_threshold_sq,
-)
+from repro.linalg.convergence import DEFAULT_PRECISION
 from repro.linalg.hestenes import (
     DEFAULT_MAX_SWEEPS,
-    HestenesResult,
-    _round_sweeper,
+    _block_jacobi_svd,
     hestenes_svd,
-    normalize_columns,
-    reference_fallback,
     resolve_strategy,
-    round_workspace,
-    stack_panels,
 )
 from repro.linalg.orderings import Ordering, ShiftingRingOrdering
-from repro.obs import metrics as _metrics
 
 
 @dataclass
@@ -78,143 +64,6 @@ class SVDResult:
     def reconstruct(self) -> np.ndarray:
         """Return ``U diag(S) V^H`` (``V^T`` for real factors)."""
         return (self.u * self.singular_values) @ np.conj(self.v).T
-
-
-def _block_jacobi_svd(
-    a: np.ndarray,
-    block_width: int,
-    precision: float,
-    max_sweeps: int,
-    ordering_cls: Type[Ordering],
-    fixed_sweeps: Optional[int],
-    fallback: Optional[str] = None,
-    strategy: str = "vectorized",
-    deadline: Optional[Deadline] = None,
-    check_invariants: bool = False,
-) -> HestenesResult:
-    """Block Hestenes-Jacobi: the software mirror of Algorithm 1."""
-    m, n = a.shape
-    partition = BlockPartition(n_cols=n, block_width=block_width)
-    ordering = ordering_cls(2 * block_width)
-
-    zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-    # One Fortran-order W = [B; V] (see stack_panels) keeps the round
-    # kernel's column gathers contiguous.  Block pairs of one
-    # tournament round touch disjoint column sets, so their (identical)
-    # sweeps commute: interleaving them round by round performs the
-    # exact same rotations as visiting each block pair in sequence,
-    # while multiplying the batch width by the number of concurrent
-    # block pairs.  Stack the per-round global index arrays across each
-    # round's pairs once; the schedule repeats identically every outer
-    # sweep.
-    w = stack_panels([a], [np.eye(n)])
-    b, v = w[:m], w[m:]
-    sweep_rounds_fn = _round_sweeper(strategy)
-    stacked_rounds = [
-        idx
-        for block_round in block_pair_rounds(partition.n_blocks)
-        for idx in block_pair_round_indices(
-            [partition.pair_columns(pair) for pair in block_round],
-            ordering,
-        )
-    ]
-    work = round_workspace(w.shape, w.dtype)
-    rotations = 0
-    sweep_residuals: List[float] = []
-    converged = False
-    budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
-    sweeps_done = 0
-
-    def check_deadline() -> None:
-        if deadline is None or not deadline.expired():
-            return
-        deadline.check(
-            kind="block-sweep",
-            completed=sweeps_done,
-            total=budget,
-            residual=sweep_residuals[-1] if sweep_residuals else None,
-            rotations=rotations,
-        )
-
-    def run_sweep() -> "tuple[float, int]":
-        sweep_worst = 0.0
-        sweep_rotations = 0
-        for idx in stacked_rounds:
-            check_deadline()
-            round_worst, round_rotations = sweep_rounds_fn(
-                w, m, idx, precision, zero_sq, work
-            )
-            if round_worst > sweep_worst:
-                sweep_worst = round_worst
-            sweep_rotations += round_rotations
-        return sweep_worst, sweep_rotations
-
-    for _ in range(budget):
-        sweep_worst, sweep_rotations = run_sweep()
-        rotations += sweep_rotations
-        sweeps_done += 1
-        # The per-pair worst ratio is measured before rotations of later
-        # pairs touch the same columns; re-measure globally so the
-        # stopping rule matches Eq. 6 exactly.
-        residual = off_diagonal_ratio(b)
-        sweep_residuals.append(residual)
-        if fixed_sweeps is None and residual < precision:
-            converged = True
-            break
-
-    if fixed_sweeps is not None:
-        converged = sweep_residuals[-1] < precision if sweep_residuals else False
-    elif not converged:
-        residual = sweep_residuals[-1] if sweep_residuals else float("inf")
-        detail = f"{sweeps_done} iterations, residual {residual:.3e}"
-        if deadline is not None:
-            detail += f", deadline remaining {deadline.remaining():.3f}s"
-        error = ConvergenceError(
-            f"block Jacobi did not converge in {max_sweeps} sweeps "
-            f"({detail})",
-            iterations=sweeps_done,
-            residual=residual,
-        )
-        if fallback == "reference":
-            return reference_fallback(a, error)
-        raise error
-
-    if check_invariants:
-        report = check_factor_invariants(
-            a, b, v, precision, converged=converged
-        )
-        if not report.ok:
-            _metrics.counter("guard.reorth_passes").inc()
-            extra_worst, extra_rotations = run_sweep()
-            rotations += extra_rotations
-            sweep_residuals.append(off_diagonal_ratio(b))
-            report = check_factor_invariants(
-                a, b, v, precision, converged=converged
-            )
-        if not report.ok:
-            error = ConvergenceError(
-                f"factor invariants violated after re-orthogonalization "
-                f"(reconstruction error {report.reconstruction_error:.3e}, "
-                f"orthogonality residual {report.orthogonality_residual})",
-                iterations=sweeps_done,
-                residual=float(
-                    report.orthogonality_residual
-                    if report.orthogonality_residual is not None
-                    else report.reconstruction_error
-                ),
-            )
-            return reference_fallback(a, error)
-
-    u, sigma, v = normalize_columns(b, v)
-    return HestenesResult(
-        u=u,
-        singular_values=sigma,
-        v=v,
-        sweeps=sweeps_done,
-        converged=converged,
-        rotations=rotations,
-        sweep_residuals=sweep_residuals,
-    )
 
 
 def _complex_svd(
@@ -282,10 +131,13 @@ def svd(
 
     Args:
         a: Any real 2-D array.  Wide matrices are handled by factoring
-            the transpose; odd column counts by zero-padding one column
-            (the padding contributes a zero singular value that is
-            dropped from the result).
-        method: ``"hestenes"`` for the monolithic driver, ``"block"``
+            the transpose.  The Jacobi methods pad to the block grid:
+            zero columns up to ``max(2w, ceil(n / w) w)`` for block
+            width ``w`` (an even width for ``"hestenes"``), and zero
+            rows if that makes the matrix wide; the padding contributes
+            zero singular values that are dropped from the result.
+        method: ``"hestenes"`` for the monolithic sweep (the
+            one-block-pair case of the block driver), ``"block"``
             for the block-Jacobi restructuring of Algorithm 1,
             ``"tsqr"`` for tall-skinny TSQR panel reduction
             (:mod:`repro.linalg.tsqr`), ``"dnc"`` for bidiagonal
@@ -351,6 +203,10 @@ def svd(
             f"unknown prescale mode {prescale!r}; expected True, False "
             f"or 'auto'"
         )
+    if fallback not in (None, "reference"):
+        raise NumericalError(
+            f"unknown fallback {fallback!r}; expected None or 'reference'"
+        )
     health = validate_matrix(a, name="matrix") if validate else None
     if np.iscomplexobj(a):
         # The real embedding shares the input's magnitude range, so the
@@ -381,18 +237,22 @@ def svd(
     work = a.T.copy() if transposed else a.copy()
     rank_bound = min(m, n)
 
-    # The reduction-based methods (tsqr/dnc/streaming) handle any
-    # m >= n shape directly; odd-column zero-padding is a Jacobi
-    # pairing requirement only.
-    padded = method in ("hestenes", "block") and work.shape[1] % 2 != 0
-    padded_row = False
-    if padded:
-        work = np.hstack([work, np.zeros((work.shape[0], 1))])
-        if work.shape[0] < work.shape[1]:
-            # Square odd input: the extra column made the matrix wide;
-            # pad a zero row as well to restore m >= n.
-            work = np.vstack([work, np.zeros((1, work.shape[1]))])
-            padded_row = True
+    # The Jacobi methods pad with zero columns to their block grid of
+    # whole blocks, at least two (hestenes: one pair of n // 2 columns,
+    # i.e. an even width), and with zero rows when that makes the matrix
+    # wide.  The reduction-based methods (tsqr/dnc/streaming) handle any
+    # m >= n shape directly.
+    rows, cols = work.shape
+    if method in ("hestenes", "block"):
+        even = cols + cols % 2
+        if method == "hestenes":
+            width = even // 2
+        else:
+            width = block_width if block_width is not None else min(8, even // 2)
+        # A width below 1 is left for BlockPartition to reject.
+        grid = max(2 * width, -(-even // width) * width) if width > 0 else even
+        if grid > cols:
+            work = np.pad(work, ((0, max(grid - rows, 0)), (0, grid - cols)))
 
     ordering = ordering_cls or ShiftingRingOrdering
     if method == "hestenes":
@@ -408,7 +268,6 @@ def svd(
             check_invariants=check_invariants,
         )
     elif method == "block":
-        width = block_width if block_width is not None else min(8, work.shape[1] // 2)
         result = _block_jacobi_svd(
             work,
             block_width=width,
@@ -461,20 +320,14 @@ def svd(
     else:
         raise NumericalError(f"unknown SVD method {method!r}")
 
-    u = result.u
-    if padded_row:
-        u = u[:-1, :]
-    u = u[:, :rank_bound]
+    # Drop the padding: the zero columns stay zero and are never
+    # rotated, so every nonzero singular value has a zero V component
+    # and a zero U row there, and the restriction stays orthonormal.
+    u = result.u[:rows, :rank_bound]
+    v = result.v[:cols, :rank_bound]
     s = postscale_singular_values(
         result.singular_values[:rank_bound], scale_exponent
     )
-    v = result.v
-    if padded:
-        # Drop the padded coordinate: right singular vectors of the
-        # padded matrix have a zero component there for every nonzero
-        # singular value, so the restriction stays orthonormal.
-        v = v[:-1, :]
-    v = v[:, :rank_bound]
     if transposed:
         u, v = v, u
     return SVDResult(

@@ -105,6 +105,19 @@ class TestBatchExecutor:
             sigma = np.sort(result.sigma)[::-1][: len(reference)]
             np.testing.assert_allclose(sigma, reference, atol=1e-6)
 
+    def test_software_block_on_unaligned_width(self):
+        # 18 columns do not fill the P_eng = 4 block grid; the block
+        # method pads them to 20 instead of raising.
+        config = DesignSpaceExplorer(18, 18, precision=1e-8).make_config(
+            4, 2
+        )
+        batch = make_batch(18, 18, batch=3, seed=5)
+        report = BatchExecutor(config, engine="software", jobs=1).run(batch)
+        for result, matrix in zip(report.results, batch):
+            reference = np.linalg.svd(matrix, compute_uv=False)
+            np.testing.assert_allclose(result.sigma, reference, atol=1e-6)
+            assert not result.degraded
+
 
 class TestTaskBatchViews:
     def test_to_specs_ids_are_batch_indices(self, batch):

@@ -6,7 +6,12 @@ import pytest
 from repro.errors import ConvergenceError, NumericalError
 from repro.linalg.convergence import off_diagonal_ratio
 from repro.linalg.hestenes import hestenes_svd, normalize_columns
-from repro.linalg.orderings import RingOrdering, RoundRobinOrdering
+from repro.linalg.orderings import (
+    RingOrdering,
+    RoundRobinOrdering,
+    ShiftingRingOrdering,
+)
+from repro.linalg.svd import svd
 
 
 class TestHestenesSVD:
@@ -86,6 +91,51 @@ class TestHestenesSVD:
         result = hestenes_svd(a, precision=1e-9)
         b = result.u * result.singular_values
         assert off_diagonal_ratio(b) < 1e-8
+
+
+def _one_pair_inputs():
+    rng = np.random.default_rng(17)
+    shapes = [(2, 2), (4, 4), (6, 6), (8, 8), (10, 10), (12, 12), (16, 16),
+              (20, 20), (6, 4), (10, 6), (14, 8), (20, 12), (24, 16),
+              (40, 20), (34, 32)]
+    return [rng.standard_normal(shape) for shape in shapes]
+
+
+ONE_PAIR_INPUTS = _one_pair_inputs()
+
+
+class TestOneBlockPair:
+    """``hestenes`` is the block driver's one-block-pair case."""
+
+    @pytest.mark.parametrize("case", range(len(ONE_PAIR_INPUTS)))
+    @pytest.mark.parametrize("fixed_sweeps", [1, 3])
+    @pytest.mark.parametrize("ordering_cls",
+                             [RingOrdering, ShiftingRingOrdering])
+    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
+    def test_fixed_sweeps_bit_identical(self, case, fixed_sweeps,
+                                        ordering_cls, strategy):
+        a = ONE_PAIR_INPUTS[case]
+        kwargs = dict(fixed_sweeps=fixed_sweeps, ordering_cls=ordering_cls,
+                      strategy=strategy)
+        mono = svd(a, method="hestenes", **kwargs)
+        block = svd(a, method="block", block_width=a.shape[1] // 2,
+                    **kwargs)
+        assert mono.u.tobytes() == block.u.tobytes()
+        assert mono.singular_values.tobytes() == \
+            block.singular_values.tobytes()
+        assert mono.v.tobytes() == block.v.tobytes()
+        assert mono.sweeps == block.sweeps == fixed_sweeps
+
+    def test_residual_rules_differ_in_precision_mode(self):
+        # hestenes stops on the sweep's worst pre-rotation pair ratio,
+        # block on off_diagonal_ratio(B) after the sweep: the same
+        # rotations, but one more sweep for hestenes here.
+        a = np.random.default_rng(0).standard_normal((8, 8))
+        mono = svd(a, method="hestenes")
+        block = svd(a, method="block", block_width=4)
+        assert (mono.sweeps, block.sweeps) == (6, 5)
+        np.testing.assert_allclose(mono.singular_values,
+                                   block.singular_values, rtol=1e-12)
 
 
 class TestHestenesErrors:

@@ -111,3 +111,33 @@ class TestSVDEdgeCases:
         result = svd(a, precision=1e-10)
         gram = result.v.T @ result.v
         assert np.allclose(gram, np.eye(7), atol=1e-8)
+
+
+class TestBlockGridPadding:
+    """Column counts that do not fill the block grid are zero-padded.
+
+    The grid is ``max(2w, ceil(n / w) w)`` columns; when that exceeds
+    the row count (n = 3 with w = 8 pads to 16), zero rows are added.
+    """
+
+    @pytest.mark.parametrize("n", [3, 10, 18, 20, 22, 30])
+    @pytest.mark.parametrize("block_width", [None, 3, 4, 8])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_unaligned_widths(self, rng, n, block_width, wide):
+        a = rng.standard_normal((n + 2, n))
+        if wide:
+            a = a.T
+        result = svd(a, method="block", block_width=block_width,
+                     precision=1e-12)
+        assert result.u.shape == (a.shape[0], n)
+        assert result.singular_values.shape == (n,)
+        assert result.v.shape == (a.shape[1], n)
+        s_ref = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(result.singular_values, s_ref,
+                                   rtol=0, atol=1e-12 * s_ref[0])
+        np.testing.assert_allclose(result.u.T @ result.u, np.eye(n),
+                                   atol=1e-12)
+        np.testing.assert_allclose(result.v.T @ result.v, np.eye(n),
+                                   atol=1e-12)
+        np.testing.assert_allclose(result.reconstruct(), a,
+                                   atol=1e-11 * s_ref[0])

@@ -95,6 +95,13 @@ class TestSvdFallback:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize(
+        "method", ["hestenes", "block", "tsqr", "dnc", "streaming"]
+    )
+    def test_unknown_fallback_rejected_per_method(self, method):
+        with pytest.raises(NumericalError, match="fallback"):
+            svd(_matrix(), method=method, fallback="wishful-thinking")
+
 
 class TestConvergenceErrorContract:
     """Satellite: every raiser populates iterations and residual."""

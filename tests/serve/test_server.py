@@ -168,6 +168,20 @@ class TestMethodField:
         sigma = np.asarray(response["sigma"])[: len(reference)]
         np.testing.assert_allclose(sigma, reference, atol=1e-6)
 
+    def test_unaligned_width_answered_by_engine(self, client):
+        # 18 columns on the default P_eng = 4 grid: every request must
+        # be answered ok by the engine tier, without tripping the
+        # breaker into brownout.
+        for seed in range(3):
+            response = client.decompose(shape=[18, 18], seed=seed)
+            assert response["degraded"] is False
+            assert response["shed"] is False
+            reference = np.linalg.svd(random_matrix(18, 18, seed=seed),
+                                      compute_uv=False)
+            np.testing.assert_allclose(response["sigma"], reference,
+                                       atol=1e-5)
+        assert client.stats().get("serve.breaker_trips", 0) == 0
+
     def test_unknown_method_answered_schema(self, client):
         from repro.errors import ServeProtocolError
 
