@@ -11,7 +11,15 @@ and ``V``.  Together they regenerate the per-round
 table in docs/performance.md: ``n`` in {16, 32, 64, 128}, with ``V``
 rows (what ``hestenes_svd`` runs) and without.  Every pair rotates in
 every call (precision 0), so each timing covers the whole gather, Gram,
-angle, update and scatter path.  No speed bound is asserted.
+angle, update and scatter path.
+
+``test_bench_stacked`` times a whole precision-driven solve of ``T``
+same-shape matrices (``T`` in {1, 2, 4, 8}; 16x16, 24x24 and 32x16;
+``method="block"``, block width 4, vectorized kernel): ``stacked`` is
+one stacked driver run (:func:`repro.linalg.svd._svd_many`, the path of
+``solve_batch`` and the batch executor), ``one-by-one`` is ``T``
+:func:`repro.linalg.svd` calls.  It regenerates the per-T table in
+docs/performance.md.  No speed bound is asserted.
 
 Run:  make microbench   (or: python -m pytest benchmarks/bench_round_kernel.py
 --benchmark-only)
@@ -31,6 +39,7 @@ from repro.linalg.hestenes import (
     stack_panels,
 )
 from repro.linalg.orderings import RingOrdering
+from repro.linalg.svd import _svd_many, svd
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.linalg.test_round_kernel import (  # noqa: E402
@@ -66,5 +75,29 @@ def _three_call(a, with_v, idx):
 def test_bench_round(benchmark, n, with_v, kernel):
     a = np.random.default_rng(n).standard_normal((n, n))
     idx = block_pair_round_indices([range(n)], RingOrdering(n))[0]
-    worst, count = benchmark(kernel(a, with_v, idx))
+    ratios, count = benchmark(kernel(a, with_v, idx))
     assert count == n // 2
+
+
+STACKED = dict(method="block", block_width=4, strategy="vectorized")
+
+
+def _stacked(matrices):
+    return lambda: _svd_many(matrices, **STACKED)
+
+
+def _one_by_one(matrices):
+    return lambda: [svd(a, **STACKED) for a in matrices]
+
+
+@pytest.mark.benchmark(group="stacked-solve")
+@pytest.mark.parametrize("mode", [_stacked, _one_by_one],
+                         ids=["stacked", "one-by-one"])
+@pytest.mark.parametrize("count", [1, 2, 4, 8], ids=lambda t: f"T{t}")
+@pytest.mark.parametrize("shape", [(16, 16), (24, 24), (32, 16)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_bench_stacked(benchmark, shape, count, mode):
+    rng = np.random.default_rng(count)
+    matrices = [rng.standard_normal(shape) for _ in range(count)]
+    results = benchmark(mode(matrices))
+    assert all(result.converged for result in results)

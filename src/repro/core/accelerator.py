@@ -184,9 +184,10 @@ class HeteroSVDAccelerator:
         worst = 0.0
         precision = self.config.precision
         for idx in self._round_indices:
-            round_worst, _ = _sweep_pairs_indexed(
+            ratios, _ = _sweep_pairs_indexed(
                 w, m, idx, precision, zero_sq, work
             )
+            round_worst = float(ratios.max(initial=0.0))
             if round_worst > worst:
                 worst = round_worst
         return w[:m], (w[m:] if v_data is not None else None), worst

@@ -174,10 +174,11 @@ class CoSimulator:
                 entry = tx_end
                 for layer in range(cfg.orth_layers):
                     exit_time = layer_ports[layer].serve(entry, stages[layer])
-                    layer_worst, _ = _sweep_pairs_indexed(
+                    ratios, _ = _sweep_pairs_indexed(
                         data, cfg.m, layer_indices[layer], precision,
                         zero_sq, work,
                     )
+                    layer_worst = float(ratios.max(initial=0.0))
                     if layer_worst > worst_ratio:
                         worst_ratio = layer_worst
                     kernel_events += 1

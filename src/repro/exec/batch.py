@@ -3,14 +3,15 @@
 :class:`BatchExecutor` is the runtime counterpart of
 :class:`~repro.core.scheduler.BatchScheduler`: the scheduler *plans* a
 batch onto the ``P_task`` pipelines of a design point, and the executor
-actually *runs* the resulting per-pipeline streams — one worker per
-pipeline, mirroring the accelerator's task-level parallelism on the
-host.  Table III / Fig. 9 batch 100 same-sized SVDs this way; the
+actually *runs* the resulting per-pipeline streams — up to one worker
+per pipeline, mirroring the accelerator's task-level parallelism on
+the host.  Table III / Fig. 9 batch 100 same-sized SVDs this way; the
 executor also accepts mixed sizes via the scheduler's LPT placement.
 
-Each worker factors its pipeline's matrices with either the functional
+Each worker factors its pipelines' matrices with either the functional
 accelerator model (``engine="accelerator"``) or the software
-block-Jacobi solver (``engine="software"``), and reports its wall-clock
+block-Jacobi solver (``engine="software"``, which stacks a worker's
+same-shape tasks into shared Jacobi runs), and reports its wall-clock
 makespan.  The report compares the parallel wall-clock against the
 summed per-worker time (the serial equivalent) and against the
 performance model's predicted makespan.
@@ -23,7 +24,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +69,8 @@ class PipelineRun:
     Attributes:
         pipeline: Pipeline index (0 .. P_task - 1).
         task_ids: Tasks executed, in stream order.
-        wall_time: Measured seconds spent by this worker.
+        wall_time: Measured seconds spent by the worker that ran this
+            pipeline (pipelines sharing a worker report the same time).
         modelled_time: The scheduler's predicted busy time.
     """
 
@@ -88,10 +90,11 @@ class BatchReport:
         results: Per-task singular values, in input order.
         wall_makespan: End-to-end measured seconds (pool overhead
             included).
-        serial_time: Sum of per-worker wall times — approximately what
-            one worker would have needed (on an oversubscribed host,
-            workers time-share cores and this overstates true serial
-            time, so ``speedup`` is an upper bound there).
+        serial_time: Sum of per-worker wall times, each worker counted
+            once — approximately what one worker would have needed (on
+            an oversubscribed host, workers time-share cores and this
+            overstates true serial time, so ``speedup`` is an upper
+            bound there).
         modelled_makespan: The performance model's predicted makespan.
         degraded_tasks: Tasks answered by the reference fallback after
             their solver failed to converge (0 = fully converged batch).
@@ -147,6 +150,8 @@ def _factor_task(
     apply between its tasks, not within them).  ``method`` selects the
     software solver (``"block"``, ``"hestenes"``, ``"tsqr"``,
     ``"dnc"`` or ``"streaming"``); the accelerator engine ignores it.
+    Either engine returns ``min(m, n)`` values: the accelerator's
+    padding columns only add zeros, which are dropped.
     """
     if engine == "accelerator":
         from repro.core.accelerator import HeteroSVDAccelerator
@@ -163,7 +168,8 @@ def _factor_task(
             use_codesign=config.use_codesign,
             device=config.device,
         )
-        return HeteroSVDAccelerator(task_config).run(padded).sigma
+        sigma = HeteroSVDAccelerator(task_config).run(padded).sigma
+        return sigma[:min(matrix.shape)]
     from repro.linalg import svd
 
     return svd(
@@ -179,38 +185,66 @@ def _factor_task(
 
 def _run_pipeline(
     payload: Tuple,
-) -> Tuple[int, float, List[Tuple[int, np.ndarray, bool]], bool]:
-    """Worker: factor one pipeline's task stream, in schedule order.
+) -> Tuple[List[int], float, List[Tuple[int, np.ndarray, bool]], bool]:
+    """Worker: factor the task streams of the pipelines it was given.
+
+    The pipelines' streams run as one stream, pipeline by pipeline, in
+    schedule order.  Every per-task check and fault hook fires in that
+    order; the software engine's ``"block"``/``"hestenes"`` tasks are
+    prepared there and then factored together, each same-shape group
+    as one stacked Jacobi run
+    (:func:`repro.linalg.svd._svd_stacked`).  The other tasks (the
+    accelerator engine; tsqr, dnc, streaming and complex tasks) are
+    factored one by one as the stream reaches them.
 
     When a worker-side fault plan ships with the payload it is
     activated for the stream, so ``linalg.*`` sites fire inside the
     pool worker.  A task whose solver raises :class:`ConvergenceError`
-    degrades to the reference LAPACK singular values (``degrade=True``,
-    the default) instead of killing the pipeline.
+    degrades to the reference LAPACK singular values of its matrix
+    (``degrade=True``, the default) instead of killing the stream.
 
     A deadline budget ships as plain remaining-seconds (re-anchored
     here — a :class:`Deadline` instance must not cross the process
     boundary, and exceptions raised in a worker lose state in pickling
-    anyway).  On expiry the worker stops cleanly and returns its
-    completed prefix with ``expired=True``; the parent converts the
-    flags into one :class:`~repro.errors.DeadlineExceeded`.
+    anyway).  On expiry the worker stops cleanly and returns the tasks
+    it completed (for a stacked run, the ones that converged first)
+    with ``expired=True``; the parent converts the flags into one
+    :class:`~repro.errors.DeadlineExceeded`.
     """
-    (pipeline, config, engine, tasks, degrade, worker_plan, strategy,
+    (pipelines, config, engine, degrade, worker_plan, strategy,
      budget_s, check_invariants, method) = payload
+    from repro.linalg.svd import JACOBI_METHODS, _prepare, _svd_stacked
+
     started = time.perf_counter()
     deadline = Deadline(budget_s) if budget_s is not None else None
+    stack = engine == "software" and method in JACOBI_METHODS
+    block_width = config.p_eng if method == "block" else None
     expired = False
-    outputs: List[Tuple[int, np.ndarray, bool]] = []
+    done: Dict[int, Tuple[np.ndarray, bool]] = {}
+    deferred = []
+
+    def settle(task_id, matrix, outcome) -> None:
+        # ``outcome``: the task's singular values, or the
+        # ConvergenceError it ended with.
+        if not isinstance(outcome, ConvergenceError):
+            done[task_id] = (np.asarray(outcome), False)
+        elif degrade:
+            done[task_id] = (
+                np.linalg.svd(np.asarray(matrix), compute_uv=False), True
+            )
+        else:
+            raise outcome
+
     context = (
         worker_plan.activate() if worker_plan is not None
         else contextlib.nullcontext()
     )
+    stream = [task for _, tasks in pipelines for task in tasks]
     with context:
-        for task_id, matrix in tasks:
+        for task_id, matrix in stream:
             if deadline is not None and deadline.expired():
                 expired = True
                 break
-            degraded = False
             try:
                 if _faults.fired("linalg.nonconvergence") is not None:
                     raise ConvergenceError(
@@ -219,6 +253,12 @@ def _run_pipeline(
                         iterations=0,
                         residual=float("inf"),
                     )
+                if stack and np.isrealobj(matrix):
+                    deferred.append((task_id, matrix, _prepare(
+                        matrix, method, block_width, validate=True,
+                        prescale="auto", fallback=None,
+                    )))
+                    continue
                 sigma = _factor_task(
                     matrix, config, engine, strategy,
                     deadline=deadline, check_invariants=check_invariants,
@@ -227,13 +267,30 @@ def _run_pipeline(
             except DeadlineExceeded:
                 expired = True
                 break
-            except ConvergenceError:
-                if not degrade:
-                    raise
-                sigma = np.linalg.svd(np.asarray(matrix), compute_uv=False)
-                degraded = True
-            outputs.append((task_id, np.asarray(sigma), degraded))
-    return pipeline, time.perf_counter() - started, outputs, expired
+            except ConvergenceError as error:
+                sigma = error
+            settle(task_id, matrix, sigma)
+        outcomes = _svd_stacked(
+            [task for _, _, task in deferred],
+            method=method,
+            precision=config.precision,
+            strategy=strategy,
+            deadline=deadline,
+            check_invariants=check_invariants,
+        )
+        for (task_id, matrix, _), outcome in zip(deferred, outcomes):
+            if isinstance(outcome, DeadlineExceeded):
+                expired = True
+            elif isinstance(outcome, ConvergenceError):
+                settle(task_id, matrix, outcome)
+            else:
+                settle(task_id, matrix, outcome.singular_values)
+    outputs = [
+        (task_id, *done[task_id]) for task_id, _ in stream
+        if task_id in done
+    ]
+    return ([pipeline for pipeline, _ in pipelines],
+            time.perf_counter() - started, outputs, expired)
 
 
 class BatchExecutor:
@@ -343,24 +400,14 @@ class BatchExecutor:
 
         matrices = list(batch)
         # Ship the linalg.* fault sites (if any) to the pool workers;
-        # subset() hands each pipeline stream fresh counters.
+        # subset() hands each worker's stream fresh counters.
         plan = _faults.active_plan()
         worker_plan = plan.subset("linalg.") if plan is not None else None
         if worker_plan is not None and not worker_plan.specs:
             worker_plan = None
-        payloads = [
-            (
-                pipeline,
-                self.config,
-                self.engine,
-                [(spec.task_id, matrices[spec.task_id]) for spec in specs_],
-                self.degrade,
-                worker_plan,
-                self.strategy,
-                deadline.remaining() if deadline is not None else None,
-                self.check_invariants,
-                self.method,
-            )
+        streams = [
+            (pipeline, [(spec.task_id, matrices[spec.task_id])
+                        for spec in specs_])
             for pipeline, specs_ in enumerate(assignment)
             if specs_
         ]
@@ -369,10 +416,25 @@ class BatchExecutor:
             workers = self.config.p_task if env_jobs == 1 else env_jobs
         else:
             workers = resolve_jobs(self.jobs)
-        runner = ParallelRunner(
-            jobs=min(workers, max(1, len(payloads))),
-            stall_timeout=self.stall_timeout,
-        )
+        workers = min(workers, max(1, len(streams)))
+        # One payload per OS worker: the pipelines dealt to a worker
+        # run as one stream, so their same-shape tasks share stacked
+        # Jacobi runs.
+        payloads = [
+            (
+                streams[first::workers],
+                self.config,
+                self.engine,
+                self.degrade,
+                worker_plan,
+                self.strategy,
+                deadline.remaining() if deadline is not None else None,
+                self.check_invariants,
+                self.method,
+            )
+            for first in range(workers)
+        ]
+        runner = ParallelRunner(jobs=workers, stall_timeout=self.stall_timeout)
 
         started = time.perf_counter()
         with _tracer.span("batch.execute", category="batch",
@@ -389,20 +451,30 @@ class BatchExecutor:
         results: List[Optional[TaskResult]] = [None] * len(specs)
         degraded_tasks = 0
         any_expired = False
-        for pipeline, wall, outputs, expired in raw:
+        pipeline_of = {
+            spec.task_id: pipeline
+            for pipeline, specs_ in enumerate(assignment) for spec in specs_
+        }
+        serial_time = 0.0
+        for pipelines, wall, outputs, expired in raw:
             any_expired = any_expired or expired
-            runs.append(
-                PipelineRun(
-                    pipeline=pipeline,
-                    task_ids=tuple(task_id for task_id, _, _ in outputs),
-                    wall_time=wall,
-                    modelled_time=schedule.pipeline_times[pipeline],
+            serial_time += wall
+            for pipeline in pipelines:
+                runs.append(
+                    PipelineRun(
+                        pipeline=pipeline,
+                        task_ids=tuple(
+                            task_id for task_id, _, _ in outputs
+                            if pipeline_of[task_id] == pipeline
+                        ),
+                        wall_time=wall,
+                        modelled_time=schedule.pipeline_times[pipeline],
+                    )
                 )
-            )
             for task_id, sigma, degraded in outputs:
                 results[task_id] = TaskResult(
-                    task_id=task_id, pipeline=pipeline, sigma=sigma,
-                    degraded=degraded,
+                    task_id=task_id, pipeline=pipeline_of[task_id],
+                    sigma=sigma, degraded=degraded,
                 )
                 if degraded:
                     degraded_tasks += 1
@@ -469,7 +541,7 @@ class BatchExecutor:
             runs=runs,
             results=[r for r in results if r is not None],
             wall_makespan=wall_makespan,
-            serial_time=sum(r.wall_time for r in runs),
+            serial_time=serial_time,
             modelled_makespan=schedule.makespan,
             degraded_tasks=degraded_tasks,
         )

@@ -68,15 +68,18 @@ def pair_convergence_ratio(
 
 def pair_convergence_ratios(
     alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
-    zero_sq: float = 0.0, *, norm_product: "np.ndarray | None" = None,
+    zero_sq: "float | np.ndarray" = 0.0, *,
+    norm_product: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Vectorized :func:`pair_convergence_ratio` over arrays of pairs.
 
     All three inputs are 1-D arrays of Gram entries for a batch of
     *disjoint* column pairs (one round of a parallel ordering).  Entry
     ``k`` of the result equals
-    ``pair_convergence_ratio(alpha[k], beta[k], gamma[k], zero_sq)``:
-    the same zero-column floor applies, and the denominator is computed
+    ``pair_convergence_ratio(alpha[k], beta[k], gamma[k], zero_sq[k])``:
+    the same zero-column floor applies (one floor for every pair, or
+    an array of per-pair floors when the pairs come from several
+    matrices stacked in one round), and the denominator is computed
     as ``sqrt(alpha) * sqrt(beta)`` (not ``sqrt(alpha * beta)``) so
     near-zero columns cannot underflow the product.  The entries are
     upcast to float64 first.  The round kernel passes that
@@ -89,7 +92,7 @@ def pair_convergence_ratios(
     if norm_product is None:
         norm_product = np.sqrt(alpha) * np.sqrt(beta)
     # One floor test covers both squared norms (NaN compares false).
-    live = np.minimum(alpha, beta) > max(zero_sq, 0.0)
+    live = np.minimum(alpha, beta) > np.maximum(zero_sq, 0.0)
     live &= norm_product > 0.0
     ratios = np.zeros_like(norm_product)
     return np.divide(np.abs(gamma), norm_product, out=ratios, where=live)

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Type
+from typing import List, Optional, Sequence, Type
 
 import numpy as np
 
 from repro.errors import (
     ConvergenceError,
+    DeadlineExceeded,
     DegradedResultWarning,
     NumericalError,
+    ReproError,
 )
 from repro.guard.deadline import Deadline, as_deadline
 from repro.guard.invariants import check_factor_invariants
@@ -97,7 +99,8 @@ def _round_sweeper(strategy: str):
     """The round kernel for a resolved strategy.
 
     All three share the ``(w, m, idx, precision, zero_sq, work)``
-    calling form and ``(worst_ratio, rotations)`` accounting.
+    calling form, with ``zero_sq`` one floor or one per pair, and
+    return ``(ratios, rotations)``: every pair's pre-rotation ratio.
     """
     if strategy == "native":
         from repro.linalg import native
@@ -200,13 +203,13 @@ def sweep_pairs(
         )
     m = b.shape[0]
     w = stack_panels([b], [v] if v is not None else None)
-    result = _sweep_pairs_indexed(
+    ratios, count = _sweep_pairs_indexed(
         w, m, idx, precision, zero_sq, round_workspace(w.shape, w.dtype)
     )
     b[...] = w[:m]
     if v is not None:
         v[...] = w[m:]
-    return result
+    return float(ratios.max(initial=0.0)), count
 
 
 def _sweep_pairs_indexed(
@@ -214,9 +217,9 @@ def _sweep_pairs_indexed(
     m: int,
     idx: np.ndarray,
     precision: float,
-    zero_sq: float,
+    zero_sq: "float | np.ndarray",
     work: "tuple[np.ndarray, np.ndarray]",
-) -> "tuple[float, int]":
+) -> "tuple[np.ndarray, int]":
     """Rotate one ordering round of ``W = [B; V]`` in place.
 
     ``idx`` is the round's left columns then its right columns
@@ -233,16 +236,21 @@ def _sweep_pairs_indexed(
        ratios and the angles' identity test;
     4. rotate into the workspace and scatter back in one assignment.
 
-    Pairs below ``precision`` keep their columns.  When most pairs
-    rotate (mid-convergence) the whole panel is updated with identity
-    angles for the converged pairs; when few do (final sweeps) only
-    their columns are taken and written.  Every step is the
-    element-wise arithmetic of the per-pair formulas, so the result
-    does not depend on how the pairs were batched.
+    ``zero_sq`` is the dead-column floor: one value for every pair, or
+    one per pair when the round holds pairs of several stacked
+    matrices, each with its own floor.  Pairs below ``precision`` keep
+    their columns.  When most pairs rotate (mid-convergence) the whole
+    panel is updated with identity angles for the converged pairs;
+    when few do (final sweeps) only their columns are taken and
+    written.  Every step is the element-wise arithmetic of the
+    per-pair formulas, so the result does not depend on how the pairs
+    were batched.
 
     Returns:
-        ``(worst_ratio, rotations)`` — the round's worst pre-rotation
-        ratio and the number of pairs at or above ``precision``.
+        ``(ratios, rotations)`` — the float64 pre-rotation Eq. 6 ratio
+        of each pair, in ``idx`` order, and the number of pairs at or
+        above ``precision``.  Callers reduce the ratios themselves
+        (the worst over a round, or per stacked matrix).
     """
     k = idx.size // 2
     panel = w[:, idx]
@@ -258,11 +266,10 @@ def _sweep_pairs_indexed(
     ratios = pair_convergence_ratios(
         alpha, beta, gamma, zero_sq, norm_product=norm_product
     )
-    worst = float(ratios.max()) if k else 0.0
     rotate = ratios >= precision
     count = int(np.count_nonzero(rotate))
     if count == 0:
-        return worst, 0
+        return ratios, 0
     if 2 * count >= k:
         # Cheaper than taking the rotated subset: converged pairs get
         # the identity (c=1, s=0 writes their columns back unchanged).
@@ -290,7 +297,7 @@ def _sweep_pairs_indexed(
     np.subtract(out[:, :k], scaled[:, k:], out=out[:, :k])  # c bi - s bj
     np.add(out[:, k:], scaled[:, :k], out=out[:, k:])  # c bj + s bi
     w[:, targets] = out
-    return worst, count
+    return ratios, count
 
 
 def _sweep_pairs_scalar(
@@ -298,9 +305,9 @@ def _sweep_pairs_scalar(
     m: int,
     idx: np.ndarray,
     precision: float,
-    zero_sq: float,
+    zero_sq: "float | np.ndarray",
     work: "tuple[np.ndarray, np.ndarray]",
-) -> "tuple[float, int]":
+) -> "tuple[np.ndarray, int]":
     """Per-pair reference for :func:`_sweep_pairs_indexed`.
 
     Same arguments and accounting; ``work`` is unused.  Walks the
@@ -315,23 +322,23 @@ def _sweep_pairs_scalar(
     pinned against (they agree to dot-product summation order).
     """
     k = idx.size // 2
-    worst = 0.0
+    floors = np.broadcast_to(zero_sq, (k,)).tolist()
+    ratios = np.empty(k)
     count = 0
-    for i, j in zip(idx[:k].tolist(), idx[k:].tolist()):
+    for p, (i, j) in enumerate(zip(idx[:k].tolist(), idx[k:].tolist())):
         bi = w[:m, i]
         bj = w[:m, j]
         alpha = float(bi @ bi)
         beta = float(bj @ bj)
         gamma = float(bi @ bj)
-        ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-        if ratio > worst:
-            worst = ratio
+        ratio = pair_convergence_ratio(alpha, beta, gamma, floors[p])
+        ratios[p] = ratio
         if ratio < precision:
             continue
         rotation = compute_rotation(alpha, beta, gamma)
         w[:, i], w[:, j] = apply_rotation(w[:, i], w[:, j], rotation)
         count += 1
-    return worst, count
+    return ratios, count
 
 
 @dataclass
@@ -415,7 +422,7 @@ def reference_fallback(a: np.ndarray, error: ConvergenceError) -> HestenesResult
 
 
 def _block_jacobi_svd(
-    a: np.ndarray,
+    a: "np.ndarray | Sequence[np.ndarray]",
     block_width: int,
     precision: float,
     max_sweeps: int,
@@ -426,7 +433,7 @@ def _block_jacobi_svd(
     deadline: Optional[Deadline] = None,
     check_invariants: bool = False,
     method: str = "block",
-) -> HestenesResult:
+) -> "HestenesResult | List[HestenesResult | ReproError]":
     """Block Hestenes-Jacobi: the software mirror of Algorithm 1.
 
     The one Jacobi sweep driver.  ``a`` (``m >= n``) is split into
@@ -437,6 +444,22 @@ def _block_jacobi_svd(
     runs through here.  ``strategy`` (already resolved) picks only the
     round kernel.
 
+    ``a`` may also be a list of ``T`` same-shape matrices, the paper's
+    ``P_task`` tasks in flight: they sit side by side in one
+    ``W = [B_1 ... B_T; V_1 ... V_T]`` and one round-kernel call
+    rotates round ``r`` of every matrix still sweeping (their columns
+    are disjoint, the argument that lets block pairs share a round).
+    Each matrix keeps its own zero-column floor, sweep residual, sweep
+    and rotation counts, and stops on its own convergence, so its bits
+    are those of a run on it alone.  The list form returns one outcome
+    per matrix, in order: a :class:`HestenesResult`, or the
+    :class:`~repro.errors.ConvergenceError` (without ``fallback``) or
+    :class:`~repro.errors.DeadlineExceeded` that ended it, returned
+    rather than raised.  On deadline expiry the matrices that
+    converged first are finished normally and the ones still sweeping
+    share the one error, whose partial counts the first of them.  A
+    single matrix returns its result or raises.
+
     ``method`` names the caller in the deadline kind and the
     :class:`~repro.errors.ConvergenceError` message, and picks the
     sweep residual: ``"hestenes"`` takes the sweep's worst
@@ -445,12 +468,17 @@ def _block_jacobi_svd(
     after the sweep.  The two rules can stop after different sweep
     counts in precision mode.
     """
-    m, n = a.shape
+    stacked = isinstance(a, (list, tuple))
+    matrices = list(a) if stacked else [a]
+    m, n = matrices[0].shape
     partition = BlockPartition(n_cols=n, block_width=block_width)
     ordering = ordering_cls(2 * block_width)
     hestenes = method == "hestenes"
 
-    zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
+    floors = np.array([
+        zero_column_threshold_sq(float(np.linalg.norm(x)), x.dtype)
+        for x in matrices
+    ])
     # One Fortran-order W = [B; V]: each round kernel call moves a
     # column of B and its V column as one contiguous copy, and the
     # native kernel walks them stride-1.  Block pairs of one tournament
@@ -458,14 +486,12 @@ def _block_jacobi_svd(
     # commute: interleaving them round by round performs the exact same
     # rotations as visiting each block pair in sequence, while
     # multiplying the batch width by the number of concurrent block
-    # pairs.  Stack the per-round global index arrays across each
-    # round's pairs once; the schedule repeats identically every outer
-    # sweep.
-    w = stack_panels([a], [np.eye(n)])
-    b, v = w[:m], w[m:]
+    # pairs.  Stack the per-round index arrays across each round's
+    # pairs once; the schedule repeats identically every outer sweep.
+    w = stack_panels(matrices, [np.eye(n)] * len(matrices))
     work = round_workspace(w.shape, w.dtype)
     sweep_rounds_fn = _round_sweeper(strategy)
-    stacked_rounds = [
+    local_rounds = [
         idx
         for block_round in block_pair_rounds(partition.n_blocks)
         for idx in block_pair_round_indices(
@@ -473,110 +499,201 @@ def _block_jacobi_svd(
             ordering,
         )
     ]
-    rotations = 0
-    sweep_residuals: List[float] = []
-    converged = False
-    budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
-    sweeps_done = 0
 
-    def check_deadline() -> None:
+    def rounds_for(tasks: "list[int]") -> "list[tuple[np.ndarray, np.ndarray]]":
+        # Matrix t's round indices offset by its column base t*n, laid
+        # out matrix-major within each half of concat(ii, jj), so a
+        # round's ratios reshape to one row per matrix; and each pair's
+        # floor.  Rebuilt only when the set of sweeping matrices shrinks.
+        bases = np.asarray(tasks, dtype=np.intp)[:, None] * n
+        return [
+            ((idx.reshape(2, 1, -1) + bases).ravel(),
+             np.repeat(floors[tasks], idx.size // 2))
+            for idx in local_rounds
+        ]
+
+    def columns(t: int) -> slice:
+        return slice(t * n, (t + 1) * n)
+
+    count = len(matrices)
+    rotations = [0] * count
+    sweep_residuals: "list[list[float]]" = [[] for _ in range(count)]
+    sweeps_done = [0] * count
+    converged = [False] * count
+    budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
+    outcomes: "list[HestenesResult | ReproError | None]" = [None] * count
+
+    def check_deadline(tasks: "list[int]") -> None:
         # Once per ordering round: one monotonic-clock read behind a
         # None test, so the hot loop pays nothing when unbounded.
         if deadline is None or not deadline.expired():
             return
+        t = tasks[0]
         deadline.check(
             kind=f"{method}-sweep",
-            completed=sweeps_done,
+            completed=sweeps_done[t],
             total=budget,
-            residual=sweep_residuals[-1] if sweep_residuals else None,
-            rotations=rotations,
+            residual=sweep_residuals[t][-1] if sweep_residuals[t] else None,
+            rotations=rotations[t],
         )
 
-    def run_sweep() -> "tuple[float, int]":
-        sweep_worst = 0.0
-        sweep_rotations = 0
-        for idx in stacked_rounds:
-            check_deadline()
-            round_worst, round_rotations = sweep_rounds_fn(
-                w, m, idx, precision, zero_sq, work
+    def run_sweep(tasks, rounds) -> "tuple[list[float], list[int]]":
+        # Per matrix: the sweep residual and the rotations applied.
+        ratios = []
+        for idx, floor in rounds:
+            check_deadline(tasks)
+            round_ratios, _ = sweep_rounds_fn(
+                w, m, idx, precision, floor, work
             )
-            if round_worst > sweep_worst:
-                sweep_worst = round_worst
-            sweep_rotations += round_rotations
+            ratios.append(round_ratios.reshape(len(tasks), -1))
+        pair_ratios = np.concatenate(ratios, axis=1)
+        rotated = np.count_nonzero(pair_ratios >= precision, axis=1)
         # The per-pair worst ratio is measured before rotations of later
         # pairs touch the same columns; the block rule re-measures
         # globally so the stopping rule matches Eq. 6 exactly.
-        residual = sweep_worst if hestenes else off_diagonal_ratio(b)
-        return residual, sweep_rotations
+        if hestenes:
+            residuals = pair_ratios.max(axis=1).tolist()
+        else:
+            residuals = [off_diagonal_ratio(w[:m, columns(t)]) for t in tasks]
+        return residuals, rotated.tolist()
 
-    for _ in range(budget):
-        residual, sweep_rotations = run_sweep()
-        rotations += sweep_rotations
-        sweeps_done += 1
-        sweep_residuals.append(residual)
-        if fixed_sweeps is None and residual < precision:
-            converged = True
-            break
+    active = list(range(count))
+    rounds = rounds_for(active)
+    try:
+        for _ in range(budget):
+            residuals, rotated = run_sweep(active, rounds)
+            still = []
+            for t, residual, applied in zip(active, residuals, rotated):
+                rotations[t] += applied
+                sweeps_done[t] += 1
+                sweep_residuals[t].append(residual)
+                if fixed_sweeps is None and residual < precision:
+                    converged[t] = True
+                else:
+                    still.append(t)
+            if len(still) < len(active):
+                active = still
+                if not active:
+                    break
+                rounds = rounds_for(active)
+    except DeadlineExceeded as error:
+        for t in active:
+            outcomes[t] = error
 
-    if fixed_sweeps is not None:
-        converged = sweep_residuals[-1] < precision if sweep_residuals else False
-    elif not converged:
-        # A zero budget exhausts before the first sweep measures
-        # anything; report an infinite residual rather than crashing
-        # on the empty history.
-        residual = sweep_residuals[-1] if sweep_residuals else float("inf")
-        detail = f"{sweeps_done} iterations, residual {residual:.3e}"
-        if deadline is not None:
-            detail += f", deadline remaining {deadline.remaining():.3f}s"
-        name = "Hestenes-Jacobi" if hestenes else "block Jacobi"
+    def finish(t: int) -> "HestenesResult | ReproError":
+        a_t = matrices[t]
+        residuals = sweep_residuals[t]
+        done = converged[t]
+        if fixed_sweeps is not None:
+            done = residuals[-1] < precision if residuals else False
+        elif not done:
+            # A zero budget exhausts before the first sweep measures
+            # anything; report an infinite residual rather than crashing
+            # on the empty history.
+            residual = residuals[-1] if residuals else float("inf")
+            detail = f"{sweeps_done[t]} iterations, residual {residual:.3e}"
+            if deadline is not None:
+                detail += f", deadline remaining {deadline.remaining():.3f}s"
+            name = "Hestenes-Jacobi" if hestenes else "block Jacobi"
+            error = ConvergenceError(
+                f"{name} did not converge in {max_sweeps} sweeps ({detail})",
+                iterations=sweeps_done[t],
+                residual=residual,
+            )
+            if fallback == "reference":
+                return reference_fallback(a_t, error)
+            return error
+
+        b, v = w[:m, columns(t)], w[m:, columns(t)]
+        if check_invariants:
+            report = check_factor_invariants(a_t, b, v, precision,
+                                             converged=done)
+            if not report.ok:
+                # One repair attempt: an extra sweep re-orthogonalizes a
+                # marginally-off factor; a corrupt one won't recover and
+                # degrades to the reference fallback.
+                _metrics.counter("guard.reorth_passes").inc()
+                (extra_residual,), (extra_rotations,) = run_sweep(
+                    [t], rounds_for([t])
+                )
+                rotations[t] += extra_rotations
+                residuals.append(extra_residual)
+                report = check_factor_invariants(a_t, b, v, precision,
+                                                 converged=done)
+            if not report.ok:
+                error = ConvergenceError(
+                    f"factor invariants violated after re-orthogonalization "
+                    f"(reconstruction error {report.reconstruction_error:.3e}, "
+                    f"orthogonality residual {report.orthogonality_residual})",
+                    iterations=sweeps_done[t],
+                    residual=float(
+                        report.orthogonality_residual
+                        if report.orthogonality_residual is not None
+                        else report.reconstruction_error
+                    ),
+                )
+                return reference_fallback(a_t, error)
+
+        u, sigma, v = normalize_columns(b, v)
+        return HestenesResult(
+            u=u,
+            singular_values=sigma,
+            v=v,
+            sweeps=sweeps_done[t],
+            converged=done,
+            rotations=rotations[t],
+            sweep_residuals=residuals,
+        )
+
+    # Finish in task order, so per-task warnings, metrics and the
+    # re-orthogonalization sweep happen as in one-at-a-time runs.
+    for t in range(count):
+        if outcomes[t] is None:
+            try:
+                outcomes[t] = finish(t)
+            except DeadlineExceeded as error:
+                outcomes[t] = error
+    if stacked:
+        return outcomes
+    if isinstance(outcomes[0], ReproError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _hestenes_input(
+    a: np.ndarray, fallback: Optional[str]
+) -> "tuple[np.ndarray, Optional[HestenesResult]]":
+    """:func:`hestenes_svd`'s checks on one matrix, before the driver.
+
+    Returns the matrix as float64 and, when the
+    ``linalg.nonconvergence`` fault fires under
+    ``fallback="reference"``, the fallback result that replaces the
+    run (without a fallback the fault raises
+    :class:`~repro.errors.ConvergenceError`).
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise NumericalError(f"expected a 2-D matrix, got shape {a.shape}")
+    m, n = a.shape
+    if m < n:
+        raise NumericalError(
+            f"Hestenes-Jacobi requires m >= n (got {m}x{n}); "
+            "pass the transpose and swap U/V"
+        )
+    if n < 2 or n % 2 != 0:
+        raise NumericalError(f"column count must be even and >= 2, got {n}")
+    validate_matrix(a, name="input matrix")
+    if _faults.fired("linalg.nonconvergence") is not None:
         error = ConvergenceError(
-            f"{name} did not converge in {max_sweeps} sweeps ({detail})",
-            iterations=sweeps_done,
-            residual=residual,
+            "injected fault: forced non-convergence "
+            "(0 iterations, residual inf)",
+            iterations=0,
+            residual=float("inf"),
         )
         if fallback == "reference":
-            return reference_fallback(a, error)
+            return a, reference_fallback(a, error)
         raise error
-
-    if check_invariants:
-        report = check_factor_invariants(
-            a, b, v, precision, converged=converged
-        )
-        if not report.ok:
-            # One repair attempt: an extra sweep re-orthogonalizes a
-            # marginally-off factor; a corrupt one won't recover and
-            # degrades to the reference fallback.
-            _metrics.counter("guard.reorth_passes").inc()
-            extra_residual, extra_rotations = run_sweep()
-            rotations += extra_rotations
-            sweep_residuals.append(extra_residual)
-            report = check_factor_invariants(
-                a, b, v, precision, converged=converged
-            )
-        if not report.ok:
-            error = ConvergenceError(
-                f"factor invariants violated after re-orthogonalization "
-                f"(reconstruction error {report.reconstruction_error:.3e}, "
-                f"orthogonality residual {report.orthogonality_residual})",
-                iterations=sweeps_done,
-                residual=float(
-                    report.orthogonality_residual
-                    if report.orthogonality_residual is not None
-                    else report.reconstruction_error
-                ),
-            )
-            return reference_fallback(a, error)
-
-    u, sigma, v = normalize_columns(b, v)
-    return HestenesResult(
-        u=u,
-        singular_values=sigma,
-        v=v,
-        sweeps=sweeps_done,
-        converged=converged,
-        rotations=rotations,
-        sweep_residuals=sweep_residuals,
-    )
+    return a, None
 
 
 def hestenes_svd(
@@ -652,32 +769,13 @@ def hestenes_svd(
         )
     strategy = resolve_strategy(strategy)
     deadline = as_deadline(deadline)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise NumericalError(f"expected a 2-D matrix, got shape {a.shape}")
-    m, n = a.shape
-    if m < n:
-        raise NumericalError(
-            f"Hestenes-Jacobi requires m >= n (got {m}x{n}); "
-            "pass the transpose and swap U/V"
-        )
-    if n < 2 or n % 2 != 0:
-        raise NumericalError(f"column count must be even and >= 2, got {n}")
-    validate_matrix(a, name="input matrix")
-    if _faults.fired("linalg.nonconvergence") is not None:
-        error = ConvergenceError(
-            "injected fault: forced non-convergence "
-            "(0 iterations, residual inf)",
-            iterations=0,
-            residual=float("inf"),
-        )
-        if fallback == "reference":
-            return reference_fallback(a, error)
-        raise error
+    a, injected = _hestenes_input(a, fallback)
+    if injected is not None:
+        return injected
 
     return _block_jacobi_svd(
         a,
-        block_width=n // 2,
+        block_width=a.shape[1] // 2,
         precision=precision,
         max_sweeps=max_sweeps,
         ordering_cls=ordering_cls or RingOrdering,

@@ -105,7 +105,7 @@ def available() -> bool:
 
 
 @njit(cache=True)
-def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
+def _sweep_kernel(w, m, idx, precision, floors):  # pragma: no cover
     """Fused whole-round sweep: Gram + convergence + rotate + update.
 
     The compiled mirror of the round kernels in
@@ -114,19 +114,21 @@ def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
     workspace): for each
     disjoint pair ``(idx[p], idx[k + p])`` of one ordering round,
     accumulate the Gram triple over the first ``m`` rows of ``w``,
-    apply the ``zero_sq`` dead-column floor and the Eq. 6 convergence
-    test, and — for pairs at or above ``precision`` — compute the
+    apply the pair's dead-column floor ``floors[p]`` and the Eq. 6
+    convergence test, and — for pairs at or above ``precision`` —
+    compute the
     rotation (with the same range-gated rescale and relative identity
     test as ``compute_rotation``) and apply it to every row of the
     pair's two columns, ``B`` and ``V`` alike, in place.
 
-    Returns ``(worst_ratio, rotations)`` with the scalar kernel's
-    accounting: ``rotations`` counts pairs that met the precision
-    gate, whether or not the angle came out as the identity.
+    Returns ``(ratios, rotations)`` with the scalar kernel's
+    accounting: every pair's pre-rotation ratio, and ``rotations``
+    counting pairs that met the precision gate, whether or not the
+    angle came out as the identity.
     """
     rows = w.shape[0]
     k = idx.shape[0] // 2
-    worst = 0.0
+    ratios = np.zeros(k)
     count = 0
     for p in range(k):
         i = idx[p]
@@ -140,13 +142,13 @@ def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
             alpha += wi * wi
             beta += wj * wj
             gamma += wi * wj
-        if alpha <= zero_sq or beta <= zero_sq or alpha <= 0.0 or beta <= 0.0:
+        floor = floors[p]
+        if alpha <= floor or beta <= floor or alpha <= 0.0 or beta <= 0.0:
             ratio = 0.0
         else:
             denominator = math.sqrt(alpha) * math.sqrt(beta)
             ratio = abs(gamma) / denominator if denominator > 0.0 else 0.0
-        if ratio > worst:
-            worst = ratio
+        ratios[p] = ratio
         if ratio < precision:
             continue
         count += 1
@@ -174,7 +176,7 @@ def _sweep_kernel(w, m, idx, precision, zero_sq):  # pragma: no cover
             wj = w[r, j]
             w[r, i] = c * wi - s * wj
             w[r, j] = s * wi + c * wj
-    return worst, count
+    return ratios, count
 
 
 def sweep_pairs_indexed(
@@ -182,14 +184,15 @@ def sweep_pairs_indexed(
     m: int,
     idx: np.ndarray,
     precision: float,
-    zero_sq: float,
+    zero_sq: "float | np.ndarray",
     work: "tuple[np.ndarray, np.ndarray]",
-) -> "tuple[float, int]":
+) -> "tuple[np.ndarray, int]":
     """Native-tier drop-in for ``hestenes._sweep_pairs_indexed``.
 
     Same calling form and accounting as the vectorized routine; the
     drivers select it when the resolved strategy is ``"native"``.  The
-    compiled kernel updates ``w`` in place and leaves ``work`` unused.
+    compiled kernel updates ``w`` in place and leaves ``work`` unused;
+    a single ``zero_sq`` is spread to one floor per pair for it.
     Without Numba (the resolver should not route here then, but direct
     callers exist), delegates to the NumPy implementation.
     """
@@ -197,7 +200,9 @@ def sweep_pairs_indexed(
         from repro.linalg.hestenes import _sweep_pairs_indexed
 
         return _sweep_pairs_indexed(w, m, idx, precision, zero_sq, work)
-    worst, count = _sweep_kernel(
-        w, int(m), idx, float(precision), float(zero_sq)
+    floors = np.ascontiguousarray(
+        np.broadcast_to(np.asarray(zero_sq, dtype=np.float64),
+                        (idx.size // 2,))
     )
-    return float(worst), int(count)
+    ratios, count = _sweep_kernel(w, int(m), idx, float(precision), floors)
+    return ratios, int(count)

@@ -10,6 +10,11 @@ Both Jacobi methods run the one sweep driver of
 HeteroSVD implements in hardware (Algorithm 1): block pairs are
 enumerated round-robin and a full parallel-ordering sweep runs over each
 block pair's ``2k`` columns.  ``"hestenes"`` is its one-block-pair case.
+
+:func:`svd` is the one-matrix case of :func:`_svd_many`, which prepares
+each matrix and factors every group of same-shape Jacobi tasks as one
+stacked driver run (``solve_batch`` and the batch executor's software
+engine run many tasks this way).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import List, Optional, Type
 
 import numpy as np
 
-from repro.errors import NumericalError
+from repro.errors import NumericalError, ReproError
 from repro.guard.deadline import Deadline, as_deadline
 from repro.guard.validate import (
     postscale_singular_values,
@@ -29,11 +34,16 @@ from repro.guard.validate import (
 from repro.linalg.convergence import DEFAULT_PRECISION
 from repro.linalg.hestenes import (
     DEFAULT_MAX_SWEEPS,
+    HestenesResult,
     _block_jacobi_svd,
-    hestenes_svd,
+    _hestenes_input,
     resolve_strategy,
 )
 from repro.linalg.orderings import Ordering, ShiftingRingOrdering
+
+#: The methods run by the one Jacobi driver; their same-shape tasks can
+#: share a stacked run (:func:`_svd_stacked`).
+JACOBI_METHODS = ("hestenes", "block")
 
 
 @dataclass
@@ -191,13 +201,190 @@ def svd(
     Returns:
         An :class:`SVDResult` with ``min(m, n)`` singular triplets.
     """
+    return _svd_many(
+        [a],
+        method=method,
+        block_width=block_width,
+        precision=precision,
+        max_sweeps=max_sweeps,
+        ordering_cls=ordering_cls,
+        fixed_sweeps=fixed_sweeps,
+        fallback=fallback,
+        strategy=strategy,
+        validate=validate,
+        prescale=prescale,
+        deadline=deadline,
+        check_invariants=check_invariants,
+    )[0]
+
+
+def _svd_many(
+    matrices: "List[np.ndarray]",
+    method: str = "hestenes",
+    block_width: Optional[int] = None,
+    precision: float = DEFAULT_PRECISION,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    ordering_cls: Optional[Type[Ordering]] = None,
+    fixed_sweeps: Optional[int] = None,
+    fallback: Optional[str] = None,
+    strategy: str = "auto",
+    validate: bool = True,
+    prescale: "bool | str" = "auto",
+    deadline: "Optional[Deadline | float]" = None,
+    check_invariants: bool = False,
+) -> List[SVDResult]:
+    """:func:`svd` of each matrix, with :func:`svd`'s arguments.
+
+    Each matrix is checked and prepared in order; the real
+    ``"hestenes"``/``"block"`` ones are then factored by
+    :func:`_svd_stacked`, every group of one prepared shape as one
+    stacked driver run, and the rest (complex inputs, the
+    tsqr/dnc/streaming methods) one by one as the loop reaches them.
+    Every result is bit-identical to :func:`svd` on its matrix alone.
+    The first failure, in task order, is raised.
+    """
+    strategy = resolve_strategy(strategy)
+    deadline = as_deadline(deadline)
+    solver = dict(
+        precision=precision,
+        max_sweeps=max_sweeps,
+        fallback=fallback,
+        strategy=strategy,
+        deadline=deadline,
+        check_invariants=check_invariants,
+    )
+    results: "List[Optional[SVDResult]]" = [None] * len(matrices)
+    deferred = []
+    for i, a in enumerate(matrices):
+        task = _prepare(a, method, block_width, validate, prescale, fallback)
+        if task is None:
+            # The real embedding shares the input's magnitude range, so
+            # the recursive call re-validates and pre-scales it
+            # consistently.
+            results[i] = _complex_svd(
+                np.asarray(a),
+                method=method,
+                block_width=block_width,
+                ordering_cls=ordering_cls,
+                fixed_sweeps=fixed_sweeps,
+                validate=validate,
+                prescale=prescale,
+                **solver,
+            )
+        elif method in JACOBI_METHODS:
+            deferred.append((i, task))
+        else:
+            results[i] = _finish(
+                task, _reduce(task.work, method, block_width, **solver),
+                method,
+            )
+    outcomes = _svd_stacked(
+        [task for _, task in deferred],
+        method=method,
+        ordering_cls=ordering_cls,
+        fixed_sweeps=fixed_sweeps,
+        **solver,
+    )
+    for (i, _), outcome in zip(deferred, outcomes):
+        if isinstance(outcome, ReproError):
+            raise outcome
+        results[i] = outcome
+    return results
+
+
+def _reduce(
+    work: np.ndarray,
+    method: str,
+    block_width: Optional[int],
+    precision: float,
+    max_sweeps: int,
+    fallback: Optional[str],
+    strategy: str,
+    deadline: Optional[Deadline],
+    check_invariants: bool,
+):
+    """A prepared matrix through one of the reduction-based methods."""
+    if method == "tsqr":
+        from repro.linalg.tsqr import tall_skinny_svd
+
+        return tall_skinny_svd(
+            work,
+            block_width=block_width,
+            precision=precision,
+            max_sweeps=max_sweeps,
+            strategy=strategy,
+            fallback=fallback,
+            validate=False,
+            deadline=deadline,
+            check_invariants=check_invariants,
+        )
+    if method == "dnc":
+        from repro.linalg.dnc import dnc_svd
+
+        return dnc_svd(
+            work,
+            precision=precision,
+            max_sweeps=max_sweeps,
+            strategy=strategy,
+            fallback=fallback,
+            validate=False,
+            deadline=deadline,
+        )
+    from repro.linalg.streaming import streaming_svd
+
+    return streaming_svd(
+        work,
+        precision=precision,
+        max_sweeps=max_sweeps,
+        strategy=strategy,
+        validate=False,
+        deadline=deadline,
+    )
+
+
+@dataclass
+class _Task:
+    """One real matrix prepared for a solver by :func:`_prepare`.
+
+    ``work`` is the (pre-scaled) matrix with ``m >= n``: transposed when
+    the input is wide, and for the Jacobi methods padded to the block
+    grid of ``width``-column blocks.  ``rows`` x ``cols`` is its shape
+    before padding.  ``injected`` is the reference fallback result that
+    replaces a ``"hestenes"`` run when the ``linalg.nonconvergence``
+    fault fires under ``fallback="reference"``.
+    """
+
+    work: np.ndarray
+    width: Optional[int]
+    rows: int
+    cols: int
+    transposed: bool
+    scale_exponent: int
+    injected: Optional[HestenesResult] = None
+
+
+def _prepare(
+    a: np.ndarray,
+    method: str,
+    block_width: Optional[int],
+    validate: bool,
+    prescale: "bool | str",
+    fallback: Optional[str],
+) -> Optional[_Task]:
+    """:func:`svd`'s per-matrix checks and preparation.
+
+    Validates, pre-scales, transposes a wide matrix and pads to the
+    Jacobi block grid, running every check and fault hook the solve of
+    this matrix runs before its sweeps (``"hestenes"`` adds
+    :func:`~repro.linalg.hestenes.hestenes_svd`'s own).  Returns None
+    for a complex matrix, which :func:`svd` factors through its real
+    embedding instead.
+    """
     a = np.asarray(a)
     if a.ndim != 2:
         raise NumericalError(f"expected a 2-D matrix, got shape {a.shape}")
     if a.size == 0:
         raise NumericalError("cannot factor an empty matrix")
-    strategy = resolve_strategy(strategy)
-    deadline = as_deadline(deadline)
     if prescale not in (False, True, "auto"):
         raise NumericalError(
             f"unknown prescale mode {prescale!r}; expected True, False "
@@ -209,23 +396,7 @@ def svd(
         )
     health = validate_matrix(a, name="matrix") if validate else None
     if np.iscomplexobj(a):
-        # The real embedding shares the input's magnitude range, so the
-        # recursive call re-validates and pre-scales it consistently.
-        return _complex_svd(
-            a,
-            method=method,
-            block_width=block_width,
-            precision=precision,
-            max_sweeps=max_sweeps,
-            ordering_cls=ordering_cls,
-            fixed_sweeps=fixed_sweeps,
-            fallback=fallback,
-            strategy=strategy,
-            validate=validate,
-            prescale=prescale,
-            deadline=deadline,
-            check_invariants=check_invariants,
-        )
+        return None
     a = a.astype(float)
     scale_exponent = 0
     if health is not None and prescale in (True, "auto") and \
@@ -235,7 +406,6 @@ def svd(
     m, n = a.shape
     transposed = m < n
     work = a.T.copy() if transposed else a.copy()
-    rank_bound = min(m, n)
 
     # The Jacobi methods pad with zero columns to their block grid of
     # whole blocks, at least two (hestenes: one pair of n // 2 columns,
@@ -243,7 +413,9 @@ def svd(
     # wide.  The reduction-based methods (tsqr/dnc/streaming) handle any
     # m >= n shape directly.
     rows, cols = work.shape
-    if method in ("hestenes", "block"):
+    width = None
+    injected = None
+    if method in JACOBI_METHODS:
         even = cols + cols % 2
         if method == "hestenes":
             width = even // 2
@@ -253,82 +425,26 @@ def svd(
         grid = max(2 * width, -(-even // width) * width) if width > 0 else even
         if grid > cols:
             work = np.pad(work, ((0, max(grid - rows, 0)), (0, grid - cols)))
-
-    ordering = ordering_cls or ShiftingRingOrdering
-    if method == "hestenes":
-        result = hestenes_svd(
-            work,
-            precision=precision,
-            max_sweeps=max_sweeps,
-            ordering_cls=ordering,
-            fixed_sweeps=fixed_sweeps,
-            fallback=fallback,
-            strategy=strategy,
-            deadline=deadline,
-            check_invariants=check_invariants,
-        )
-    elif method == "block":
-        result = _block_jacobi_svd(
-            work,
-            block_width=width,
-            precision=precision,
-            max_sweeps=max_sweeps,
-            ordering_cls=ordering,
-            fixed_sweeps=fixed_sweeps,
-            fallback=fallback,
-            strategy=strategy,
-            deadline=deadline,
-            check_invariants=check_invariants,
-        )
-    elif method == "tsqr":
-        from repro.linalg.tsqr import tall_skinny_svd
-
-        result = tall_skinny_svd(
-            work,
-            block_width=block_width,
-            precision=precision,
-            max_sweeps=max_sweeps,
-            strategy=strategy,
-            fallback=fallback,
-            validate=False,
-            deadline=deadline,
-            check_invariants=check_invariants,
-        )
-    elif method == "dnc":
-        from repro.linalg.dnc import dnc_svd
-
-        result = dnc_svd(
-            work,
-            precision=precision,
-            max_sweeps=max_sweeps,
-            strategy=strategy,
-            fallback=fallback,
-            validate=False,
-            deadline=deadline,
-        )
-    elif method == "streaming":
-        from repro.linalg.streaming import streaming_svd
-
-        result = streaming_svd(
-            work,
-            precision=precision,
-            max_sweeps=max_sweeps,
-            strategy=strategy,
-            validate=False,
-            deadline=deadline,
-        )
-    else:
+        if method == "hestenes":
+            work, injected = _hestenes_input(work, fallback)
+    elif method not in ("tsqr", "dnc", "streaming"):
         raise NumericalError(f"unknown SVD method {method!r}")
+    return _Task(work, width, rows, cols, transposed, scale_exponent,
+                 injected)
 
+
+def _finish(task: _Task, result, method: str) -> SVDResult:
+    """The :class:`SVDResult` of a prepared task's solver result."""
+    rank_bound = min(task.rows, task.cols)
     # Drop the padding: the zero columns stay zero and are never
     # rotated, so every nonzero singular value has a zero V component
     # and a zero U row there, and the restriction stays orthonormal.
-    u = result.u[:rows, :rank_bound]
-    v = result.v[:cols, :rank_bound]
+    u = result.u[:task.rows, :rank_bound]
+    v = result.v[:task.cols, :rank_bound]
     s = postscale_singular_values(
-        result.singular_values[:rank_bound], scale_exponent
+        result.singular_values[:rank_bound], task.scale_exponent
     )
-    if transposed:
+    if task.transposed:
         u, v = v, u
     return SVDResult(
         u=u,
@@ -340,3 +456,55 @@ def svd(
         sweep_residuals=result.sweep_residuals,
         degraded=result.degraded,
     )
+
+
+def _svd_stacked(
+    tasks: List[_Task],
+    method: str,
+    precision: float = DEFAULT_PRECISION,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    ordering_cls: Optional[Type[Ordering]] = None,
+    fixed_sweeps: Optional[int] = None,
+    fallback: Optional[str] = None,
+    strategy: str = "vectorized",
+    deadline: Optional[Deadline] = None,
+    check_invariants: bool = False,
+) -> "List[SVDResult | ReproError]":
+    """:func:`svd` of prepared ``"hestenes"``/``"block"`` tasks.
+
+    Tasks of one prepared shape are factored as one stacked driver run
+    (:func:`~repro.linalg.hestenes._block_jacobi_svd` on the list of
+    their matrices), so each round-kernel call rotates that round of
+    every one of them; each task's bits are those of :func:`svd` on it
+    alone.  ``strategy`` must already be resolved.  Returns one outcome
+    per task, in order: its :class:`SVDResult`, or the
+    :class:`~repro.errors.ConvergenceError` /
+    :class:`~repro.errors.DeadlineExceeded` that ended it.
+    """
+    outcomes: "List[SVDResult | ReproError | None]" = [None] * len(tasks)
+    groups: "dict[tuple, List[int]]" = {}
+    for i, task in enumerate(tasks):
+        if task.injected is not None:
+            outcomes[i] = _finish(task, task.injected, method)
+        else:
+            groups.setdefault(task.work.shape, []).append(i)
+    for members in groups.values():
+        results = _block_jacobi_svd(
+            [tasks[i].work for i in members],
+            block_width=tasks[members[0]].width,
+            precision=precision,
+            max_sweeps=max_sweeps,
+            ordering_cls=ordering_cls or ShiftingRingOrdering,
+            fixed_sweeps=fixed_sweeps,
+            fallback=fallback,
+            strategy=strategy,
+            deadline=deadline,
+            check_invariants=check_invariants,
+            method=method,
+        )
+        for i, result in zip(members, results):
+            outcomes[i] = (
+                result if isinstance(result, ReproError)
+                else _finish(tasks[i], result, method)
+            )
+    return outcomes

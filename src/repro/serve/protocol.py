@@ -139,12 +139,14 @@ class CoalesceKey(Tuple[int, int, str, str, int, str]):
     """Hashable batching key:
     ``(m, n, dtype, strategy, block_width, method)``.
 
-    Jobs sharing a key are interchangeable for the executor — same
-    shape feeds the same scheduler plan, same dtype/strategy/block
-    width/method feed the same solver configuration — so the
-    dispatcher may coalesce them into one
-    :class:`~repro.exec.batch.BatchExecutor` run without changing any
-    job's numerical result.
+    ``m x n`` is the factored shape ``(max(rows, cols), min(rows,
+    cols))``: the solver transposes a wide matrix, so a 16x32 and a
+    32x16 request are the same 32x16 problem.  Jobs sharing a key are
+    interchangeable for the executor — same factored shape and
+    dtype/strategy/block width/method feed the same solver
+    configuration, and one stacked Jacobi run — so the dispatcher may
+    coalesce them into one :class:`~repro.exec.batch.BatchExecutor`
+    run without changing any job's numerical result.
     """
 
     __slots__ = ()
@@ -314,7 +316,8 @@ def request_key(doc: Dict[str, Any], shape: Tuple[int, int],
                 default_block_width: int) -> CoalesceKey:
     """The request's coalescing key (shape already materialized).
 
-    The strategy is normalized through
+    The shape is keyed as the factored ``(max, min)`` shape, and the
+    strategy is normalized through
     :func:`repro.linalg.resolve_strategy` before keying: ``"auto"``
     and its resolved tier name the same engine configuration, so a
     mixed batch of ``"auto"`` and explicit-tier requests coalesces
@@ -322,9 +325,10 @@ def request_key(doc: Dict[str, Any], shape: Tuple[int, int],
     """
     from repro.linalg.hestenes import resolve_strategy
 
+    rows, cols = int(shape[0]), int(shape[1])
     return CoalesceKey(
-        m=int(shape[0]),
-        n=int(shape[1]),
+        m=max(rows, cols),
+        n=min(rows, cols),
         dtype=doc.get("dtype", "float64"),
         strategy=resolve_strategy(doc.get("strategy", "auto")),
         block_width=int(doc.get("block_width", default_block_width)),

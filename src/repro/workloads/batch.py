@@ -96,9 +96,13 @@ def solve_batch(
 ) -> List:
     """Factor every task of a batch in-process with the software solver.
 
-    The serial batched-SVD path: each matrix goes through
-    :func:`repro.linalg.svd` with the selected inner-loop ``strategy``
-    (``"auto"``/``"scalar"``/``"vectorized"``/``"native"``).  Use
+    The serial batched-SVD path: each matrix is factored as
+    :func:`repro.linalg.svd` would, with the selected inner-loop
+    ``strategy`` (``"auto"``/``"scalar"``/``"vectorized"``/``"native"``).
+    For the ``"hestenes"`` and ``"block"`` methods the tasks of one
+    shape run as one stacked Jacobi run: each round-kernel call rotates
+    that round of every task still sweeping, and each task's result is
+    bit-identical to a solo ``svd``.  Use
     :class:`~repro.exec.batch.BatchExecutor` instead when the batch
     should fan out across pipeline workers; this helper is the
     single-process building block the benchmark suites time.
@@ -109,20 +113,16 @@ def solve_batch(
         deadline: Optional wall-clock budget for the *whole batch* (a
             :class:`~repro.guard.Deadline` or seconds).  Anchored once
             here, so every task draws from the same budget; expiry
-            raises :class:`~repro.errors.DeadlineExceeded` from within
-            the running task's sweep loop.
+            raises :class:`~repro.errors.DeadlineExceeded`.
         **svd_kwargs: Further keyword arguments for ``svd`` (method,
             block_width, precision, ...).
 
     Returns:
         The per-task :class:`~repro.linalg.svd.SVDResult` list, in
-        batch order.
+        batch order.  The first task failure, in batch order, raises.
     """
-    from repro.guard.deadline import as_deadline
-    from repro.linalg import svd
+    from repro.linalg.svd import _svd_many
 
-    deadline = as_deadline(deadline)
-    return [
-        svd(matrix, strategy=strategy, deadline=deadline, **svd_kwargs)
-        for matrix in batch
-    ]
+    return _svd_many(
+        list(batch), strategy=strategy, deadline=deadline, **svd_kwargs
+    )

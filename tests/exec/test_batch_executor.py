@@ -119,6 +119,21 @@ class TestBatchExecutor:
             assert not result.degraded
 
 
+    @pytest.mark.parametrize("engine", ["accelerator", "software"])
+    @pytest.mark.parametrize("shape", [(16, 32), (18, 18), (16, 17)])
+    def test_sigma_has_min_m_n_values(self, engine, shape):
+        # The accelerator pads columns to its block grid; the padding's
+        # zero singular values are not part of the answer.
+        m, n = shape
+        config = DesignSpaceExplorer(m, n, precision=1e-8).make_config(4, 1)
+        batch = make_batch(m, n, batch=2, seed=3)
+        report = BatchExecutor(config, engine=engine, jobs=1).run(batch)
+        for result, matrix in zip(report.results, batch):
+            reference = np.linalg.svd(matrix, compute_uv=False)
+            assert result.sigma.shape == (min(m, n),)
+            np.testing.assert_allclose(result.sigma, reference, atol=1e-6)
+
+
 class TestTaskBatchViews:
     def test_to_specs_ids_are_batch_indices(self, batch):
         specs = batch.to_specs()

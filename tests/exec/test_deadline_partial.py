@@ -13,20 +13,35 @@ accounted for: ``details["results"]`` carries the completed
 partition the batch.
 """
 
-import time
-
 import numpy as np
 import pytest
 
+import repro.exec.batch as batch_module
 from repro.core.config import HeteroSVDConfig
 from repro.errors import DeadlineExceeded
 from repro.exec.batch import BatchExecutor, TaskResult
 from repro.guard import Deadline
+from repro.linalg import svd
 from repro.resilience import FaultPlan, FaultSpec
 from repro.workloads import make_batch
 
 SIZE = 24
 BATCH = 10
+
+
+class _CountdownDeadline(Deadline):
+    """Expires on expiry test number ``checks + 1``, whatever the clock
+    says, so a run can be cut at a chosen ordering round."""
+
+    def __init__(self, budget_s: float, checks: float = float("inf")):
+        super().__init__(budget_s)
+        self.left = checks
+        self.tests = 0
+
+    def expired(self) -> bool:
+        self.tests += 1
+        self.left -= 1
+        return self.left < 0
 
 
 def _config(p_task: int = 1) -> HeteroSVDConfig:
@@ -49,12 +64,28 @@ def _run_expired(budget_s: float, plan=None):
     return excinfo.value
 
 
-def _single_task_seconds() -> float:
-    executor = BatchExecutor(_config(), engine="software", jobs=1)
-    batch = make_batch(SIZE, SIZE, batch=1, seed=7)
-    started = time.perf_counter()
-    executor.run(batch)
-    return time.perf_counter() - started
+def _mid_batch_budget(monkeypatch) -> float:
+    """Cut the batch's one stacked run where its first tasks converge.
+
+    The worker tests the deadline once per task, then once per ordering
+    round of the stacked run.  Its tasks converge after 5 or 6 sweeps,
+    so the deadline expires at the first round of sweep 6: the 5-sweep
+    tasks are complete and the rest are still sweeping.  Returns a
+    budget the clock never exhausts.
+    """
+    batch = make_batch(SIZE, SIZE, batch=BATCH, seed=7)
+    solo = [svd(a, method="block", block_width=4) for a in batch]
+    first = min(result.sweeps for result in solo)
+    assert first < max(result.sweeps for result in solo)
+    counter = _CountdownDeadline(60.0)
+    sweeps = svd(batch.matrices[0], method="block", block_width=4,
+                  deadline=counter).sweeps
+    rounds = counter.tests // sweeps
+    monkeypatch.setattr(
+        batch_module, "Deadline",
+        lambda budget: _CountdownDeadline(budget, BATCH + first * rounds),
+    )
+    return 60.0
 
 
 class TestDeadlinePartialAccounting:
@@ -69,12 +100,10 @@ class TestDeadlinePartialAccounting:
         assert partial.details["degraded_task_ids"] == []
         assert partial.details["results"] == []
 
-    def test_mid_batch_expiry_partitions_the_batch(self):
-        # ~1.5 task-times of budget on a single sequential pipeline:
-        # at least the first task completes, and 10 tasks can never all
-        # fit, so the partition is exercised from both sides.
-        budget = max(1.5 * _single_task_seconds(), 0.02)
-        error = _run_expired(budget)
+    def test_mid_batch_expiry_partitions_the_batch(self, monkeypatch):
+        # The run is cut after the first tasks converge and before the
+        # others do, so the partition is exercised from both sides.
+        error = _run_expired(_mid_batch_budget(monkeypatch))
         partial = error.partial
         completed = partial.details["completed_task_ids"]
         pending = partial.details["pending_task_ids"]
@@ -83,9 +112,8 @@ class TestDeadlinePartialAccounting:
         assert sorted(completed + pending) == list(range(BATCH))
         assert partial.completed == len(completed)
 
-    def test_completed_results_ride_on_the_partial(self):
-        budget = max(1.5 * _single_task_seconds(), 0.02)
-        error = _run_expired(budget)
+    def test_completed_results_ride_on_the_partial(self, monkeypatch):
+        error = _run_expired(_mid_batch_budget(monkeypatch))
         results = error.partial.details["results"]
         assert [r.task_id for r in results] == (
             error.partial.details["completed_task_ids"]
@@ -101,7 +129,8 @@ class TestDeadlinePartialAccounting:
                 reference, rtol=1e-6, atol=1e-8,
             )
 
-    def test_degraded_fallback_task_is_flagged_on_the_partial(self):
+    def test_degraded_fallback_task_is_flagged_on_the_partial(
+            self, monkeypatch):
         # Force task 0 (first invocation of the linalg site) onto the
         # LAPACK fallback, then expire mid-batch: the completed,
         # degraded task must be reported as both completed AND
@@ -109,8 +138,7 @@ class TestDeadlinePartialAccounting:
         plan = FaultPlan(
             faults=[FaultSpec(site="linalg.nonconvergence", at=(0,))]
         )
-        budget = max(1.5 * _single_task_seconds(), 0.02)
-        error = _run_expired(budget, plan=plan)
+        error = _run_expired(_mid_batch_budget(monkeypatch), plan=plan)
         details = error.partial.details
         assert 0 in details["completed_task_ids"]
         assert 0 in details["degraded_task_ids"]

@@ -28,7 +28,8 @@ def _py_sweep(b, v, ii, jj, precision, zero_sq):
                      native._sweep_kernel)
     m = b.shape[0]
     w = stack_panels([b], [v] if v is not None else None)
-    result = kernel(w, m, np.concatenate((ii, jj)), precision, zero_sq)
+    result = kernel(w, m, np.concatenate((ii, jj)), precision,
+                    np.full(ii.size, zero_sq))
     b[...] = w[:m]
     if v is not None:
         v[...] = w[m:]
@@ -59,19 +60,19 @@ class TestSweepKernel:
         kernel = getattr(native._sweep_kernel, "py_func",
                          native._sweep_kernel)
 
-        worst, count = kernel(w, n, idx, 1e-12, 0.0)
-        ref_worst, ref_count = _vectorized(w_ref, n, idx, 1e-12, 0.0)
+        ratios, count = kernel(w, n, idx, 1e-12, np.zeros(ii.size))
+        ref_ratios, ref_count = _vectorized(w_ref, n, idx, 1e-12, 0.0)
 
         assert count == ref_count
-        assert worst == pytest.approx(ref_worst, rel=1e-12)
+        assert ratios == pytest.approx(ref_ratios, rel=1e-12)
         np.testing.assert_allclose(w[:n], w_ref[:n], atol=1e-13)
         np.testing.assert_allclose(w[n:], w_ref[n:], atol=1e-13)
 
     def test_none_v_updates_only_b(self, rng):
         b, v, ii, jj = self._round(rng)
         w_ref = b.copy(order="F")
-        worst, count = _py_sweep(b, None, ii, jj, 1e-12, 0.0)
-        ref_worst, ref_count = _vectorized(
+        ratios, count = _py_sweep(b, None, ii, jj, 1e-12, 0.0)
+        ref_ratios, ref_count = _vectorized(
             w_ref, b.shape[0], np.concatenate((ii, jj)), 1e-12, 0.0
         )
         assert count == ref_count
@@ -98,11 +99,11 @@ class TestSweepKernel:
         kernel = getattr(native._sweep_kernel, "py_func",
                          native._sweep_kernel)
 
-        worst, count = kernel(w, n, idx, 1e-12, 0.0)
-        ref_worst, ref_count = _vectorized(w_ref, n, idx, 1e-12, 0.0)
+        ratios, count = kernel(w, n, idx, 1e-12, np.zeros(ii.size))
+        ref_ratios, ref_count = _vectorized(w_ref, n, idx, 1e-12, 0.0)
 
         assert count == ref_count == ii.size
-        assert worst == pytest.approx(ref_worst, rel=1e-12)
+        assert ratios == pytest.approx(ref_ratios, rel=1e-12)
         assert np.all(np.isfinite(w))
         for got, want in ((w[:n], w_ref[:n]), (w[n:], w_ref[n:])):
             # Relative to each column's peak, B and V rows apart.
@@ -127,12 +128,12 @@ class TestSweepKernel:
         b[:, [ii[0], jj[0]]] = 0.0
         b[0, ii[0]] = 3.0
         b[1, jj[0]] = 2.0
-        worst, count = _py_sweep(b.copy(order="F"), v.copy(order="F"),
-                                 ii, jj, 2.0, 0.0)
+        ratios, count = _py_sweep(b.copy(order="F"), v.copy(order="F"),
+                                  ii, jj, 2.0, 0.0)
         assert count == 0
         after = b.copy(order="F")
-        worst2, count2 = _py_sweep(after, v.copy(order="F"),
-                                   ii, jj, 0.0, 0.0)
+        ratios2, count2 = _py_sweep(after, v.copy(order="F"),
+                                    ii, jj, 0.0, 0.0)
         assert count2 == ii.size
         np.testing.assert_array_equal(after[:, [ii[0], jj[0]]],
                                       b[:, [ii[0], jj[0]]])
@@ -144,11 +145,12 @@ class TestSweepKernel:
         w = stack_panels([b], [v])
         w_ref = w.copy(order="F")
         idx = np.concatenate((ii, jj))
-        worst, count = native.sweep_pairs_indexed(
+        ratios, count = native.sweep_pairs_indexed(
             w, n, idx, 1e-12, 0.0, round_workspace(w.shape, w.dtype)
         )
-        ref = _vectorized(w_ref, n, idx, 1e-12, 0.0)
-        assert (worst, count) == ref
+        ref_ratios, ref_count = _vectorized(w_ref, n, idx, 1e-12, 0.0)
+        assert count == ref_count
+        assert ratios.tobytes() == ref_ratios.tobytes()
         np.testing.assert_array_equal(w[:n], w_ref[:n])
 
 

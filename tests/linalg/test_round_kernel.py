@@ -100,11 +100,10 @@ def reference_sweep_pairs_indexed(b, v, ii, jj, precision, zero_sq):
     beta = np.einsum("ij,ij->j", bj, bj)
     gamma = np.einsum("ij,ij->j", bi, bj)
     ratios = reference_pair_convergence_ratios(alpha, beta, gamma, zero_sq)
-    worst = float(ratios.max()) if ratios.size else 0.0
     rotate = ratios >= precision
     count = int(np.count_nonzero(rotate))
     if count == 0:
-        return worst, 0
+        return ratios, 0
     if 2 * count >= ii.size:
         c, s, _ = reference_compute_rotations_batch(alpha, beta, gamma)
         if count < ii.size:
@@ -117,7 +116,7 @@ def reference_sweep_pairs_indexed(b, v, ii, jj, precision, zero_sq):
             vj = v[:, jj]
             v[:, ii] = c * vi - s * vj
             v[:, jj] = s * vi + c * vj
-        return worst, count
+        return ratios, count
     c, s, _ = reference_compute_rotations_batch(
         alpha[rotate], beta[rotate], gamma[rotate]
     )
@@ -132,7 +131,7 @@ def reference_sweep_pairs_indexed(b, v, ii, jj, precision, zero_sq):
         vj = v[:, sel_j]
         v[:, sel_i] = c * vi - s * vj
         v[:, sel_j] = s * vi + c * vj
-    return worst, count
+    return ratios, count
 
 
 def reference_round(w, m, idx, precision, zero_sq, work):
@@ -157,12 +156,12 @@ def _outcome(kernel, w, m, idx, precision, zero_sq):
     """Everything a round leaves behind, as comparable bytes."""
     w = w.copy(order="F")
     try:
-        worst, count = kernel(
+        ratios, count = kernel(
             w, m, idx, precision, zero_sq, round_workspace(w.shape, w.dtype)
         )
     except NumericalError as exc:
         return ("raised", str(exc))
-    return (np.float64(worst).tobytes(), count, w.tobytes(order="F"))
+    return (np.float64(ratios).tobytes(), count, w.tobytes(order="F"))
 
 
 def _assert_rounds_match(w, m, rounds, precision, zero_sq):

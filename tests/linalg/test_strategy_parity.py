@@ -219,12 +219,12 @@ class TestSweepPairs:
 
         worst, rotated = sweep_pairs(b_vec, None, pairs,
                                      precision=1e-12, zero_sq=0.0)
-        ref_worst, ref_rotated = _sweep_pairs_scalar(
+        ref_ratios, ref_rotated = _sweep_pairs_scalar(
             w_ref, n, idx, 1e-12, 0.0, None
         )
 
         assert rotated == ref_rotated
-        assert worst == pytest.approx(ref_worst, rel=1e-12)
+        assert worst == pytest.approx(ref_ratios.max(), rel=1e-12)
         np.testing.assert_allclose(b_vec, w_ref, atol=1e-12)
 
     def test_stacked_block_round_matches_scalar(self, rng):

@@ -146,6 +146,52 @@ class TestByteIdentity:
             ).tobytes() == np.asarray(local, dtype=np.float64).tobytes()
 
 
+    def test_both_orientations_share_one_engine_run(self, server):
+        # (16, 32) and (32, 16) requests factor the same 32x16 problem,
+        # so they coalesce into one batch and one stacked Jacobi run.
+        shapes = [(16, 32), (32, 16), (16, 32), (32, 16)]
+        responses = {}
+        release = _park_pool(server)
+        threads = []
+
+        def ask(seed, shape):
+            with ServeClient(*server.address) as c:
+                responses[seed] = c.decompose(shape=list(shape), seed=seed)
+
+        try:
+            with ServeClient(*server.address) as probe:
+                # A first job is popped and parked on the compute thread;
+                # the mixed-orientation jobs then queue behind it.
+                threads.append(threading.Thread(target=ask,
+                                                args=(99, (16, 16))))
+                threads[-1].start()
+                assert _wait_stats(probe, lambda st: st["admitted"] >= 1
+                                   and st["queue_depth"] == 0)
+                for seed, shape in enumerate(shapes):
+                    threads.append(threading.Thread(target=ask,
+                                                    args=(seed, shape)))
+                    threads[-1].start()
+                assert _wait_stats(probe,
+                                   lambda st: st["queue_depth"] == 4)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join()
+        with ServeClient(*server.address) as probe:
+            stats = probe.stats()
+        assert stats["serve.batches"] == 2
+        assert stats["serve.coalesced_tasks"] == 5
+        for seed, shape in enumerate(shapes):
+            local = svd(
+                random_matrix(*shape, seed=seed),
+                method="block", block_width=4, precision=1e-6,
+                strategy="auto",
+            ).singular_values
+            assert responses[seed]["degraded"] is False
+            assert np.asarray(responses[seed]["sigma"]).tobytes() == \
+                np.asarray(local, dtype=np.float64).tobytes()
+
+
 class TestMethodField:
     def test_explicit_block_byte_identical_to_default(self, client):
         # Requests that spell out method="block" must coalesce with —
