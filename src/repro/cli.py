@@ -289,17 +289,43 @@ def _split_csv(raw, cast):
 
 def _build_design_space(args):
     """The widened DesignSpace described by the dse flags."""
-    from repro.dse import DesignSpace
+    from repro.dse.space import DEFAULT_DERATES, ORDERINGS, DesignSpace
 
     return DesignSpace(
         args.size,
         args.size,
         precision=args.precision,
         batch=args.batch,
-        orderings=_split_csv(args.orderings, str),
-        freq_derates=_split_csv(args.derates, float),
+        orderings=(
+            ORDERINGS if args.orderings is None
+            else _split_csv(args.orderings, str)
+        ),
+        freq_derates=(
+            DEFAULT_DERATES if args.derates is None
+            else _split_csv(args.derates, float)
+        ),
         power_cap_w=args.power_cap,
     )
+
+
+def _reject_shard_flags_without_shards(parser, args) -> None:
+    """Usage error (exit 2) for sharded-sweep flags given to a classic
+    ``dse`` run, which would otherwise ignore them silently."""
+    if args.command != "dse" or args.shards is not None:
+        return
+    stray = [
+        flag for flag, value in (
+            ("--orderings", args.orderings),
+            ("--derates", args.derates),
+            ("--shard-id", args.shard_id),
+        )
+        if value is not None
+    ]
+    if stray:
+        parser.error(
+            f"dse: {', '.join(stray)} only apply to the sharded sweep; "
+            f"add --shards N"
+        )
 
 
 def _reset_workdir(workdir, shard=None) -> None:
@@ -992,14 +1018,14 @@ def build_parser() -> argparse.ArgumentParser:
             "ledgers and leases (default: .heterosvd_dse)",
         )
         sub_parser.add_argument(
-            "--orderings", default="codesign,traditional",
-            metavar="A,B",
-            help="ring-ordering axis values swept "
+            "--orderings", default=None, metavar="A,B",
+            help="ring-ordering axis values swept; needs --shards "
             "(default: codesign,traditional)",
         )
         sub_parser.add_argument(
-            "--derates", default="1.0,0.9", metavar="X,Y",
-            help="frequency-derate axis values swept (default: 1.0,0.9)",
+            "--derates", default=None, metavar="X,Y",
+            help="frequency-derate axis values swept, each in (0, 1]; "
+            "needs --shards (default: 1.0,0.9)",
         )
 
     p_dse.add_argument(
@@ -1011,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument(
         "--shard-id", type=int, default=None, metavar="I",
         help="run only shard I of the sweep in this process (worker "
-        "mode; omit to supervise every shard and merge)",
+        "mode; needs --shards; omit to supervise every shard and merge)",
     )
     p_dse.add_argument(
         "--lease-ttl", type=float, default=10.0, metavar="S",
@@ -1282,6 +1308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_shard_flags_without_shards(parser, args)
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
     wants_obs = trace_path is not None or metrics_path is not None

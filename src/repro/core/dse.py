@@ -26,7 +26,6 @@ flow the paper motivates against.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -40,12 +39,9 @@ from repro.core.resources import (
 )
 from repro.errors import (
     ConfigurationError,
-    DesignSpaceError,
     PlacementError,
     ResourceBudgetError,
 )
-from repro.obs import metrics as _metrics
-from repro.obs import tracer as _tracer
 from repro.units import mhz
 
 #: Frequency model bounds observed in the paper's experiments (MHz).
@@ -57,6 +53,15 @@ FREQUENCY_SIZE_SLOPE_MHZ = 45.0
 FREQUENCY_TASK_SLOPE_MHZ = 12.0
 
 VALID_OBJECTIVES = ("latency", "throughput", "energy_efficiency")
+
+
+def check_objective(objective: str) -> None:
+    """Raise :class:`ConfigurationError` for an unknown objective."""
+    if objective not in VALID_OBJECTIVES:
+        raise ConfigurationError(
+            f"unknown objective {objective!r}; expected one of "
+            f"{VALID_OBJECTIVES}"
+        )
 
 
 def achievable_frequency_hz(m: int, p_task: int) -> float:
@@ -122,7 +127,6 @@ class DesignSpaceExplorer:
         precision: Convergence threshold for converged-mode runs.
         fixed_iterations: Fix the sweep count (benchmark mode) instead
             of estimating it from the precision.
-        power_model: Power coefficients; defaults to the Table VI fit.
     """
 
     def __init__(
@@ -131,7 +135,6 @@ class DesignSpaceExplorer:
         n: int,
         precision: float = 1e-6,
         fixed_iterations: Optional[int] = None,
-        power_model: Optional[PowerModel] = None,
     ):
         if m < 1 or n < 2:
             raise ConfigurationError(f"invalid problem size {m}x{n}")
@@ -139,7 +142,7 @@ class DesignSpaceExplorer:
         self.n = n
         self.precision = precision
         self.fixed_iterations = fixed_iterations
-        self.power_model = power_model if power_model is not None else PowerModel()
+        self.power_model = PowerModel()
 
     # -- configuration helpers ------------------------------------------------
     def _padded_n(self, p_eng: int) -> int:
@@ -203,10 +206,9 @@ class DesignSpaceExplorer:
     ) -> List[Tuple[int, int]]:
         """Every surviving ``(P_eng, P_task)`` pair, in evaluation order.
 
-        This is the exact enumeration order of the serial
-        :meth:`explore` loop; the parallel driver in
-        :mod:`repro.exec.parallel` fans these out and restores this
-        order, which is what makes parallel exploration deterministic.
+        This is the canonical order of :meth:`explore` (and of every
+        :class:`~repro.dse.space.DesignSpace` unit list), whatever the
+        job count: it is what makes parallel exploration deterministic.
         """
         return [
             (p_eng, p_task)
@@ -262,7 +264,6 @@ class DesignSpaceExplorer:
         self,
         objective: str = "latency",
         batch: int = 1,
-        frequency_hz: Optional[float] = None,
         power_cap_w: Optional[float] = None,
         jobs: Optional[int] = None,
         cache=None,
@@ -272,92 +273,40 @@ class DesignSpaceExplorer:
     ) -> List[DesignPoint]:
         """Evaluate the whole feasible space, best point first.
 
+        The classic sweep is the one-ordering (``codesign``),
+        one-derate (1.0) :class:`~repro.dse.space.DesignSpace`; its
+        :meth:`~repro.dse.space.DesignSpace.explore` does the work, so
+        ``jobs``, ``cache``, ``checkpoint``, ``retry`` and ``deadline``
+        mean exactly what they mean there, and any job count returns
+        the identical ranked list.
+
         Args:
             power_cap_w: When given, drop points whose estimated power
                 exceeds the cap (the paper's HeteroSVD configurations
                 stay under 39 W).
-            jobs: Fan stage 2 out over this many worker processes
-                (None: the ``HETEROSVD_JOBS`` environment variable,
-                then 1).  Any job count returns the identical ranked
-                list — see :mod:`repro.exec.parallel`.
-            cache: Optional :class:`~repro.exec.cache.EvalCache`;
-                previously evaluated points are served from it and new
-                evaluations stored back.
-            checkpoint: Optional
-                :class:`~repro.resilience.SweepCheckpoint` (or path);
-                completed evaluations persist across a killed sweep and
-                are skipped on resume.
-            retry: Optional :class:`~repro.resilience.RetryPolicy`
-                re-attempting the parallel fan-out on transient
-                failures.
-            deadline: Optional wall-clock budget (a
-                :class:`~repro.guard.Deadline` or seconds) for the whole
-                exploration; on expiry
-                :class:`~repro.errors.DeadlineExceeded` carries a
-                :class:`~repro.guard.PartialResult` and, combined with
-                ``checkpoint``, the sweep resumes losing at most one
-                chunk of evaluations.
 
         Raises:
             DesignSpaceError: when nothing is feasible.
         """
-        if objective not in VALID_OBJECTIVES:
-            raise ConfigurationError(
-                f"unknown objective {objective!r}; expected one of "
-                f"{VALID_OBJECTIVES}"
-            )
-        env_jobs = os.environ.get("HETEROSVD_JOBS")
-        with _tracer.span("dse.explore", category="dse",
-                          m=self.m, n=self.n, objective=objective):
-            if jobs is not None or cache is not None or env_jobs \
-                    or checkpoint is not None or retry is not None \
-                    or deadline is not None:
-                # Lazy import: repro.exec depends on this module.
-                from repro.exec.parallel import parallel_explore
+        check_objective(objective)
+        # Lazy import: repro.dse builds on this module.
+        from repro.dse.space import DesignSpace
 
-                return parallel_explore(
-                    self,
-                    objective=objective,
-                    batch=batch,
-                    frequency_hz=frequency_hz,
-                    power_cap_w=power_cap_w,
-                    jobs=jobs,
-                    cache=cache,
-                    checkpoint=checkpoint,
-                    retry=retry,
-                    deadline=deadline,
-                )
-            with _tracer.span("dse.stage1", category="dse", jobs=1,
-                              cached=False), \
-                    _metrics.timer("dse.stage1_seconds"):
-                candidates = self.candidates(frequency_hz)
-            points: List[DesignPoint] = []
-            with _tracer.span("dse.stage2", category="dse",
-                              candidates=len(candidates), jobs=1), \
-                    _metrics.timer("dse.stage2_seconds"):
-                _metrics.counter("dse.candidates").inc(len(candidates))
-                _metrics.counter("dse.evaluations").inc(len(candidates))
-                for p_eng, p_task in candidates:
-                    point = self.evaluate(p_eng, p_task, batch, frequency_hz)
-                    if power_cap_w is not None \
-                            and point.power.total > power_cap_w:
-                        continue
-                    points.append(point)
-                if not points:
-                    raise DesignSpaceError(
-                        f"no feasible design point for {self.m}x{self.n}"
-                        + (f" under {power_cap_w} W" if power_cap_w else "")
-                    )
-                points.sort(
-                    key=lambda p: p.objective_value(objective), reverse=True
-                )
-                return points
+        space = DesignSpace(
+            self.m, self.n, self.precision, self.fixed_iterations, batch,
+            orderings=("codesign",), freq_derates=(1.0,),
+            power_cap_w=power_cap_w,
+        )
+        points = space.explore(
+            jobs=jobs, cache=cache, checkpoint=checkpoint, retry=retry,
+            deadline=deadline,
+        )
+        return space.ranked(points, objective)
 
     def best(
         self,
         objective: str = "latency",
         batch: int = 1,
-        frequency_hz: Optional[float] = None,
         power_cap_w: Optional[float] = None,
         jobs: Optional[int] = None,
         cache=None,
@@ -367,7 +316,6 @@ class DesignSpaceExplorer:
     ) -> DesignPoint:
         """The optimal design point for an objective."""
         return self.explore(
-            objective, batch, frequency_hz, power_cap_w, jobs=jobs,
-            cache=cache, checkpoint=checkpoint, retry=retry,
-            deadline=deadline,
+            objective, batch, power_cap_w, jobs=jobs, cache=cache,
+            checkpoint=checkpoint, retry=retry, deadline=deadline,
         )[0]

@@ -7,8 +7,10 @@ one process pool to a sharded sweep over a *widened* space:
   the classic feasible ``(P_eng, P_task)`` enumeration crossed with
   new first-class axes (ring ordering from
   :mod:`repro.core.ordering_codesign`, frequency derating), with a
-  canonical unit order and content keys shared with the cache and
-  checkpoint layers;
+  canonical unit order, content keys shared with the cache and
+  checkpoint layers, and :meth:`DesignSpace.explore` — the one
+  stage-2 loop, which the classic explorer runs on the one-ordering,
+  one-derate space;
 * :mod:`repro.dse.sharded` — :class:`ShardPlan` partitioning, the
   per-shard worker loop (own :class:`~repro.resilience.SweepCheckpoint`
   ledger + heartbeat lease), lease-based work stealing from dead or

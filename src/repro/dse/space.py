@@ -22,25 +22,30 @@ kill-and-resume safe.
 Everything here is deterministic: :meth:`DesignSpace.units` has one
 canonical enumeration order, every unit has one content key (the same
 :func:`repro.exec.cache.key_for_config` key the cache and checkpoint
-layers use), and :meth:`DesignSpace.explore_serial` evaluates units in
-canonical order — which is the order the shard merger restores, making
-the merged Pareto frontier byte-identical to the serial one.
+layers use), and :meth:`DesignSpace.explore` returns points in
+canonical order for any job count — which is the order the shard
+merger restores, making the merged Pareto frontier byte-identical to
+the serial one.
+
+:meth:`DesignSpace.explore` is the one stage-2 loop of the library:
+the classic sweep (:meth:`repro.core.dse.DesignSpaceExplorer.explore`)
+runs it on the one-ordering, one-derate space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import HeteroSVDConfig
-from repro.core.dse import (
-    VALID_OBJECTIVES,
-    DesignPoint,
-    DesignSpaceExplorer,
-)
+from repro.core.dse import DesignPoint, DesignSpaceExplorer, check_objective
 from repro.errors import ConfigurationError, DesignSpaceError
+from repro.exec.cache import cache_key, key_for_config
+from repro.exec.parallel import CHUNKS_PER_WORKER, ParallelRunner
+from repro.guard.deadline import as_deadline
 from repro.obs import metrics as _metrics
 from repro.obs import tracer as _tracer
+from repro.resilience.retry import call_with_retry
 
 #: Valid ring-ordering axis values.
 ORDERINGS = ("codesign", "traditional")
@@ -50,6 +55,22 @@ DEFAULT_DERATES = (1.0, 0.9)
 
 #: Space descriptions bump this when their layout changes.
 SPACE_FORMAT = 1
+
+
+def _check_axis_values(
+    orderings: Iterable[str], freq_derates: Iterable[float]
+) -> None:
+    for ordering in orderings:
+        if ordering not in ORDERINGS:
+            raise ConfigurationError(
+                f"unknown ordering {ordering!r}; expected one of "
+                f"{ORDERINGS}"
+            )
+    for derate in freq_derates:
+        if not 0.0 < derate <= 1.0:
+            raise ConfigurationError(
+                f"freq_derate must be in (0, 1], got {derate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -69,15 +90,7 @@ class SpaceUnit:
     freq_derate: float
 
     def __post_init__(self):
-        if self.ordering not in ORDERINGS:
-            raise ConfigurationError(
-                f"unknown ordering {self.ordering!r}; expected one of "
-                f"{ORDERINGS}"
-            )
-        if not 0.0 < self.freq_derate <= 1.0:
-            raise ConfigurationError(
-                f"freq_derate must be in (0, 1], got {self.freq_derate}"
-            )
+        _check_axis_values((self.ordering,), (self.freq_derate,))
 
     def build_config(self, explorer: DesignSpaceExplorer) -> HeteroSVDConfig:
         """The full configuration this unit denotes.
@@ -151,13 +164,9 @@ class DesignSpace:
         self.orderings = tuple(orderings)
         self.freq_derates = tuple(float(d) for d in freq_derates)
         self.power_cap_w = power_cap_w
-        # Validate the axis values eagerly (SpaceUnit re-checks too).
-        for ordering in self.orderings:
-            if ordering not in ORDERINGS:
-                raise ConfigurationError(
-                    f"unknown ordering {ordering!r}; expected one of "
-                    f"{ORDERINGS}"
-                )
+        # Validate the axis values eagerly (SpaceUnit re-checks too), so
+        # a bad value fails before a sharded sweep writes or spawns.
+        _check_axis_values(self.orderings, self.freq_derates)
         self._explorer: Optional[DesignSpaceExplorer] = None
         self._units: Optional[List[SpaceUnit]] = None
         self._keys: Optional[List[str]] = None
@@ -184,13 +193,16 @@ class DesignSpace:
         partitioning, the merger — speaks this order.
         """
         if self._units is None:
-            self._units = [
-                SpaceUnit(p_eng, p_task, ordering, derate)
-                for p_eng, p_task in self.explorer().candidates()
-                for ordering in self.orderings
-                for derate in self.freq_derates
-            ]
+            self._units = self._cross(self.explorer().candidates())
         return list(self._units)
+
+    def _cross(self, pairs: Iterable[Sequence[int]]) -> List[SpaceUnit]:
+        return [
+            SpaceUnit(p_eng, p_task, ordering, derate)
+            for p_eng, p_task in pairs
+            for ordering in self.orderings
+            for derate in self.freq_derates
+        ]
 
     def unit_keys(self) -> List[str]:
         """Content key of every unit, aligned with :meth:`units`.
@@ -201,8 +213,6 @@ class DesignSpace:
         the same configuration, so ledgers stay interoperable.
         """
         if self._keys is None:
-            from repro.exec.cache import key_for_config
-
             explorer = self.explorer()
             self._keys = [
                 key_for_config(
@@ -220,23 +230,61 @@ class DesignSpace:
             unit.build_config(self.explorer()), self.batch
         )
 
-    def explore_serial(self) -> List[DesignPoint]:
-        """Evaluate the whole widened space serially, canonical order.
+    def explore(
+        self,
+        jobs: Optional[int] = None,
+        cache=None,
+        checkpoint=None,
+        retry=None,
+        deadline=None,
+    ) -> List[DesignPoint]:
+        """Evaluate every unit; points in canonical order, cap applied.
 
-        This is the parity reference the sharded path is pinned
-        against: the merger restores exactly this point order before
-        taking the Pareto frontier.  The power cap (when set) filters
-        the returned list, mirroring classic ``explore``.
+        Stage 1 (feasibility) runs inline, memoised in ``cache`` when
+        one is given.  Units already in the cache or the checkpoint are
+        served from there; the rest fan out over ``jobs`` worker
+        processes, and the result is identical for any job count.
+
+        Args:
+            jobs: Worker processes for stage 2 (None: the
+                ``HETEROSVD_JOBS`` environment variable, then 1).
+            cache: Optional :class:`~repro.exec.cache.EvalCache`;
+                evaluated points are served from it and stored back.
+            checkpoint: Optional
+                :class:`~repro.resilience.SweepCheckpoint` (or path);
+                completed evaluations persist after every chunk and are
+                skipped on resume.
+            retry: Optional :class:`~repro.resilience.RetryPolicy`
+                re-attempting each chunk's fan-out on transient
+                failures.
+            deadline: Optional wall-clock budget (a
+                :class:`~repro.guard.Deadline` or seconds), checked
+                between chunks.  On expiry
+                :class:`~repro.errors.DeadlineExceeded` carries a
+                :class:`~repro.guard.PartialResult`; with a checkpoint
+                the sweep resumes losing at most one chunk.
 
         Raises:
             DesignSpaceError: when nothing is feasible (or survives
                 the power cap).
         """
-        units = self.units()
-        with _tracer.span("dse.space_serial", category="dse",
-                          m=self.m, n=self.n, units=len(units)):
-            _metrics.counter("dse.units").inc(len(units))
-            points = [self.evaluate_unit(unit) for unit in units]
+        deadline = as_deadline(deadline)
+        if checkpoint is not None:
+            from repro.resilience import as_checkpoint
+
+            checkpoint = as_checkpoint(checkpoint, kind="dse-sweep")
+        with _tracer.span("dse.explore", category="dse",
+                          m=self.m, n=self.n), \
+                ParallelRunner(jobs=jobs) as runner:
+            with _tracer.span("dse.stage1", category="dse", jobs=1,
+                              cached=cache is not None), \
+                    _metrics.timer("dse.stage1_seconds"):
+                units = self._stage1(cache)
+            with _tracer.span("dse.stage2", category="dse",
+                              candidates=len(units), jobs=runner.jobs), \
+                    _metrics.timer("dse.stage2_seconds"):
+                points = self._stage2(units, runner, cache, checkpoint,
+                                      retry, deadline)
         kept = self.apply_power_cap(points)
         if not kept:
             raise DesignSpaceError(
@@ -244,6 +292,84 @@ class DesignSpace:
                 + (f" under {self.power_cap_w} W" if self.power_cap_w else "")
             )
         return kept
+
+    def explore_serial(self) -> List[DesignPoint]:
+        """:meth:`explore` in this process, whatever ``HETEROSVD_JOBS``
+        says: the parity reference the sharded path is pinned against
+        (the merger restores exactly this point order before taking the
+        Pareto frontier)."""
+        return self.explore(jobs=1)
+
+    def _stage1(self, cache) -> List[SpaceUnit]:
+        """The units, with stage 1 memoised under the classic key: the
+        placement/budget checks cost about as much as stage 2, so a
+        warm re-run must not repeat them."""
+        if cache is not None and self._units is None:
+            key = cache_key("dse-stage1", {
+                "m": self.m,
+                "n": self.n,
+                "precision": self.precision,
+                "fixed_iterations": self.fixed_iterations,
+                "frequency_hz": None,
+            })
+            pairs = cache.get(key)
+            if pairs is None:
+                pairs = self.explorer().candidates()
+                cache.put(key, [list(pair) for pair in pairs])
+            self._units = self._cross(pairs)
+        return self.units()
+
+    def _stage2(
+        self, units, runner, cache, checkpoint, retry, deadline
+    ) -> List[DesignPoint]:
+        points: List[Optional[DesignPoint]] = [None] * len(units)
+        keys = (
+            self.unit_keys()
+            if cache is not None or checkpoint is not None else None
+        )
+        for index, key in enumerate(keys or ()):
+            if cache is not None:
+                points[index] = cache.get(key)
+            if points[index] is None and checkpoint is not None:
+                points[index] = checkpoint.get(key)
+        missing = [index for index, point in enumerate(points) if point is None]
+        _metrics.counter("dse.candidates").inc(len(units))
+        _metrics.counter("dse.evaluations").inc(len(missing))
+
+        spec = (self.m, self.n, self.precision, self.fixed_iterations,
+                self.batch)
+        # One fan-out, or -- with a checkpoint, retry or deadline --
+        # chunks with a flush and a deadline check between them: a
+        # killed or expired sweep loses at most one chunk, and each
+        # chunk's fan-out is retried on its own.
+        step = len(missing) or 1
+        if checkpoint is not None or retry is not None \
+                or deadline is not None:
+            step = runner.jobs * CHUNKS_PER_WORKER
+            if checkpoint is not None:
+                step = max(step, checkpoint.flush_interval)
+        for start in range(0, len(missing), step):
+            if deadline is not None:
+                deadline.check(
+                    kind="dse-sweep",
+                    completed=len(units) - len(missing) + start,
+                    total=len(units),
+                    checkpointed=checkpoint is not None,
+                )
+            chunk = missing[start:start + step]
+            evaluated = call_with_retry(
+                retry, runner.map, _evaluate_payload,
+                [(spec, units[index]) for index in chunk],
+            )
+            for index, point in zip(chunk, evaluated):
+                points[index] = point
+                if cache is not None:
+                    cache.put(keys[index], point)
+                if checkpoint is not None:
+                    checkpoint.record(keys[index], point)
+            if checkpoint is not None:
+                checkpoint.flush()
+        return points
 
     def apply_power_cap(self, points: List[DesignPoint]) -> List[DesignPoint]:
         """The points surviving the cap, input order preserved."""
@@ -255,11 +381,7 @@ class DesignSpace:
         self, points: List[DesignPoint], objective: str = "latency"
     ) -> List[DesignPoint]:
         """Objective-ranked view (best first; stable on ties)."""
-        if objective not in VALID_OBJECTIVES:
-            raise ConfigurationError(
-                f"unknown objective {objective!r}; expected one of "
-                f"{VALID_OBJECTIVES}"
-            )
+        check_objective(objective)
         return sorted(
             points, key=lambda p: p.objective_value(objective), reverse=True
         )
@@ -321,3 +443,16 @@ class DesignSpace:
             f"({len(self.orderings)} orderings x "
             f"{len(self.freq_derates)} derates)"
         )
+
+
+def _evaluate_payload(payload: Tuple) -> DesignPoint:
+    """Pool worker: score one unit of the space ``spec`` describes.
+
+    Rebuilds the explorer from primitives, so only a small tuple and
+    the unit cross the pool boundary.
+    """
+    (m, n, precision, fixed_iterations, batch), unit = payload
+    explorer = DesignSpaceExplorer(
+        m, n, precision=precision, fixed_iterations=fixed_iterations
+    )
+    return explorer.evaluate_config(unit.build_config(explorer), batch)

@@ -8,9 +8,10 @@ large design space practical; this package makes those sweeps fast in
   evaluations, with an in-memory LRU and an optional on-disk JSON
   store under ``.repro_cache/``.
 * :mod:`repro.exec.parallel` — :class:`ParallelRunner`, a chunked
-  process/thread-pool fan-out with deterministic result ordering, and
-  the parallel drivers for :meth:`DesignSpaceExplorer.explore` and the
-  calibration sensitivity sweep.
+  process/thread-pool fan-out with deterministic result ordering.  It
+  knows nothing of what it runs: the DSE loop lives in
+  :meth:`repro.dse.DesignSpace.explore`, the sensitivity sweep in
+  :mod:`repro.analysis.sensitivity`.
 * :mod:`repro.exec.batch` — :class:`BatchExecutor`, which runs a
   :class:`TaskBatch` SVD stream through ``P_task``-many workers that
   mirror :class:`BatchScheduler`'s pipeline assignment.
@@ -23,7 +24,6 @@ from repro.exec.cache import CacheStats, EvalCache
 from repro.exec.parallel import (
     JOBS_ENV_VAR,
     ParallelRunner,
-    parallel_explore,
     resolve_jobs,
 )
 from repro.exec.batch import BatchExecutor, BatchReport, PipelineRun
@@ -36,6 +36,5 @@ __all__ = [
     "JOBS_ENV_VAR",
     "ParallelRunner",
     "PipelineRun",
-    "parallel_explore",
     "resolve_jobs",
 ]

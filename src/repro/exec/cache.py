@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
-from repro.core.dse import DesignPoint
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
 from repro.obs import tracer as _tracer
@@ -128,7 +127,7 @@ def encode_value(value: Any) -> Dict[str, Any]:
     same value kinds (design points, numbers, JSON data) and must stay
     format-compatible with the cache.
     """
-    from repro.io import design_point_to_dict
+    from repro.io import DesignPoint, design_point_to_dict
 
     if isinstance(value, DesignPoint):
         return {"type": "design_point", "data": design_point_to_dict(value)}

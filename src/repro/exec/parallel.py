@@ -37,12 +37,10 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.exec import shm as _shm
-from repro.guard.deadline import as_deadline
 from repro.guard.watchdog import Watchdog
 from repro.obs import metrics as _metrics
 from repro.obs import tracer as _tracer
 from repro.resilience import faults as _faults
-from repro.resilience.retry import call_with_retry
 
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV_VAR = "HETEROSVD_JOBS"
@@ -387,283 +385,3 @@ class _StarCall:
 
     def __call__(self, args: Tuple) -> Any:
         return self.fn(*args)
-
-
-# -- DSE fan-out --------------------------------------------------------------
-
-def _evaluate_candidate(payload: Tuple) -> "Any":
-    """Process-pool worker: evaluate one ``(P_eng, P_task)`` candidate.
-
-    Rebuilds the explorer from primitive arguments so only small
-    tuples cross the pool boundary.
-    """
-    from repro.core.dse import DesignSpaceExplorer
-    from repro.core.power import PowerModel
-
-    (m, n, precision, fixed_iterations, power_coeffs,
-     p_eng, p_task, batch, frequency_hz) = payload
-    power_model = PowerModel(*power_coeffs) if power_coeffs else None
-    explorer = DesignSpaceExplorer(
-        m, n, precision=precision, fixed_iterations=fixed_iterations,
-        power_model=power_model,
-    )
-    return explorer.evaluate(p_eng, p_task, batch, frequency_hz)
-
-
-def _power_coeffs(power_model) -> Tuple[float, ...]:
-    return (
-        power_model.static_w,
-        power_model.pl_dynamic_ref_w,
-        power_model.aie_w,
-        power_model.uram_w,
-        power_model.bram_w,
-    )
-
-
-def _stage1_worker(payload: Tuple) -> Tuple[int, int]:
-    """Process-pool worker: largest feasible ``P_task`` for one
-    ``P_eng`` (stage 1 of Fig. 8 is independent per engine width)."""
-    from repro.core.dse import DesignSpaceExplorer
-
-    m, n, precision, fixed_iterations, p_eng, frequency_hz = payload
-    explorer = DesignSpaceExplorer(
-        m, n, precision=precision, fixed_iterations=fixed_iterations
-    )
-    return p_eng, explorer.max_p_task(p_eng, frequency_hz)
-
-
-def _parallel_candidates(
-    explorer, frequency_hz: Optional[float], runner: "ParallelRunner"
-) -> List[Tuple[int, int]]:
-    """Stage-1 enumeration fanned out per ``P_eng``; identical result
-    (and order) to ``explorer.candidates``."""
-    from repro.core.config import P_ENG_RANGE
-
-    payloads = [
-        (explorer.m, explorer.n, explorer.precision,
-         explorer.fixed_iterations, p_eng, frequency_hz)
-        for p_eng in P_ENG_RANGE
-    ]
-    pairs = runner.map(_stage1_worker, payloads)
-    return [
-        (p_eng, p_task)
-        for p_eng, max_tasks in pairs
-        for p_task in range(1, max_tasks + 1)
-    ]
-
-
-def _cached_candidates(
-    explorer, frequency_hz: Optional[float], cache,
-    runner: "ParallelRunner",
-) -> List[Tuple[int, int]]:
-    """Stage-1 feasibility, memoized and parallel: the
-    placement/budget checks cost as much as the whole stage-2
-    evaluation, so a warm re-run must not repeat them and a cold
-    parallel run must not serialize on them."""
-    with _tracer.span("dse.stage1", category="dse", jobs=runner.jobs,
-                      cached=cache is not None), \
-            _metrics.timer("dse.stage1_seconds"):
-        if cache is None:
-            if runner.jobs > 1:
-                return _parallel_candidates(explorer, frequency_hz, runner)
-            return explorer.candidates(frequency_hz)
-        from repro.exec.cache import cache_key
-
-        key = cache_key(
-            "dse-stage1",
-            {
-                "m": explorer.m,
-                "n": explorer.n,
-                "precision": explorer.precision,
-                "fixed_iterations": explorer.fixed_iterations,
-                "frequency_hz": frequency_hz,
-            },
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return [tuple(pair) for pair in cached]
-        if runner.jobs > 1:
-            candidates = _parallel_candidates(explorer, frequency_hz, runner)
-        else:
-            candidates = explorer.candidates(frequency_hz)
-        cache.put(key, [list(pair) for pair in candidates])
-        return candidates
-
-
-def parallel_explore(
-    explorer,
-    objective: str = "latency",
-    batch: int = 1,
-    frequency_hz: Optional[float] = None,
-    power_cap_w: Optional[float] = None,
-    jobs: Optional[int] = None,
-    cache=None,
-    runner: Optional[ParallelRunner] = None,
-    checkpoint=None,
-    retry=None,
-    deadline=None,
-) -> List[Any]:
-    """Parallel, cache-aware equivalent of ``DesignSpaceExplorer.explore``.
-
-    Candidates come from stage 1 exactly as in the serial path; cached
-    points are served without touching the pool, the misses fan out in
-    chunks, and the merged list is stable-sorted by the objective — so
-    the result is identical to the serial exploration for any job
-    count.
-
-    Args:
-        explorer: A :class:`~repro.core.dse.DesignSpaceExplorer`.
-        cache: Optional :class:`~repro.exec.cache.EvalCache` shared
-            across sweeps.
-        runner: Inject a pre-configured runner (tests); overrides
-            ``jobs``.
-        checkpoint: Optional
-            :class:`~repro.resilience.checkpoint.SweepCheckpoint` (or a
-            path coercible by :func:`~repro.resilience.as_checkpoint`);
-            completed evaluations are recorded and restored on resume.
-        retry: Optional :class:`~repro.resilience.RetryPolicy` applied
-            to every pool fan-out, so transient worker failures do not
-            kill the sweep.
-        deadline: Optional wall-clock budget (a
-            :class:`~repro.guard.Deadline` or seconds) checked between
-            evaluation chunks.  On expiry the checkpoint (if any) is
-            flushed first, then :class:`~repro.errors.DeadlineExceeded`
-            is raised with a :class:`~repro.guard.PartialResult` — so
-            an expired sweep resumes from the checkpoint losing at most
-            the in-flight chunk.
-
-    Raises:
-        DesignSpaceError: when nothing is feasible.
-    """
-    from repro.core.dse import VALID_OBJECTIVES
-
-    if objective not in VALID_OBJECTIVES:
-        raise ConfigurationError(
-            f"unknown objective {objective!r}; expected one of "
-            f"{VALID_OBJECTIVES}"
-        )
-    deadline = as_deadline(deadline)
-    if checkpoint is not None:
-        from repro.resilience import as_checkpoint
-
-        checkpoint = as_checkpoint(checkpoint, kind="dse-sweep")
-    owns_runner = runner is None
-    if owns_runner:
-        runner = ParallelRunner(jobs=jobs)
-    try:
-        return _explore_with_runner(
-            explorer, objective, batch, frequency_hz, power_cap_w,
-            cache, runner, checkpoint=checkpoint, retry=retry,
-            deadline=deadline,
-        )
-    finally:
-        if owns_runner:
-            runner.close()
-
-
-def _explore_with_runner(
-    explorer,
-    objective: str,
-    batch: int,
-    frequency_hz: Optional[float],
-    power_cap_w: Optional[float],
-    cache,
-    runner: ParallelRunner,
-    checkpoint=None,
-    retry=None,
-    deadline=None,
-) -> List[Any]:
-    from repro.errors import DesignSpaceError
-
-    candidates = call_with_retry(
-        retry, _cached_candidates, explorer, frequency_hz, cache, runner
-    )
-    with _tracer.span("dse.stage2", category="dse",
-                      candidates=len(candidates), jobs=runner.jobs), \
-            _metrics.timer("dse.stage2_seconds"):
-        points: List[Any] = [None] * len(candidates)
-        keys: List[Optional[str]] = [None] * len(candidates)
-        missing: List[int] = []
-        for index, (p_eng, p_task) in enumerate(candidates):
-            if cache is not None or checkpoint is not None:
-                from repro.exec.cache import key_for_config
-
-                key = key_for_config(
-                    "dse-evaluate",
-                    explorer.make_config(p_eng, p_task, frequency_hz),
-                    batch=batch,
-                )
-                keys[index] = key
-                if cache is not None:
-                    cached = cache.get(key)
-                    if cached is not None:
-                        points[index] = cached
-                        continue
-                if checkpoint is not None:
-                    restored = checkpoint.get(key)
-                    if restored is not None:
-                        points[index] = restored
-                        continue
-            missing.append(index)
-
-        _metrics.counter("dse.candidates").inc(len(candidates))
-        _metrics.counter("dse.evaluations").inc(len(missing))
-        if missing:
-            coeffs = _power_coeffs(explorer.power_model)
-            payloads = [
-                (explorer.m, explorer.n, explorer.precision,
-                 explorer.fixed_iterations, coeffs,
-                 candidates[i][0], candidates[i][1], batch, frequency_hz)
-                for i in missing
-            ]
-            if checkpoint is None and retry is None and deadline is None:
-                evaluated = runner.map(_evaluate_candidate, payloads)
-                for index, point in zip(missing, evaluated):
-                    points[index] = point
-                    if cache is not None and keys[index] is not None:
-                        cache.put(keys[index], point)
-            else:
-                # Chunked fan-out with a flush after every chunk: a
-                # killed sweep loses at most one chunk of work, and
-                # each chunk's map is individually retried.  A deadline
-                # also forces this path, so expiry is detected at chunk
-                # granularity with everything before it checkpointed.
-                step = runner.jobs * CHUNKS_PER_WORKER
-                if checkpoint is not None:
-                    step = max(step, checkpoint.flush_interval)
-                for start in range(0, len(missing), step):
-                    if deadline is not None and deadline.expired():
-                        if checkpoint is not None:
-                            checkpoint.flush()
-                        deadline.check(
-                            kind="dse-sweep",
-                            completed=len(candidates) - len(missing) + start,
-                            total=len(candidates),
-                            checkpointed=checkpoint is not None,
-                        )
-                    chunk_indices = missing[start:start + step]
-                    chunk_payloads = payloads[start:start + step]
-                    evaluated = call_with_retry(
-                        retry, runner.map, _evaluate_candidate,
-                        chunk_payloads,
-                    )
-                    for index, point in zip(chunk_indices, evaluated):
-                        points[index] = point
-                        if cache is not None and keys[index] is not None:
-                            cache.put(keys[index], point)
-                        if checkpoint is not None and keys[index] is not None:
-                            checkpoint.record(keys[index], point)
-                    if checkpoint is not None:
-                        checkpoint.flush()
-
-        kept = [
-            p for p in points
-            if power_cap_w is None or p.power.total <= power_cap_w
-        ]
-        if not kept:
-            raise DesignSpaceError(
-                f"no feasible design point for {explorer.m}x{explorer.n}"
-                + (f" under {power_cap_w} W" if power_cap_w else "")
-            )
-        kept.sort(key=lambda p: p.objective_value(objective), reverse=True)
-        return kept

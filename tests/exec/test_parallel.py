@@ -10,7 +10,6 @@ from repro.exec.cache import EvalCache
 from repro.exec.parallel import (
     JOBS_ENV_VAR,
     ParallelRunner,
-    parallel_explore,
     resolve_jobs,
 )
 from repro.io import design_point_to_dict
@@ -154,14 +153,3 @@ class TestParallelExplore:
         cap = 30.0
         assert explorer.explore(power_cap_w=cap, jobs=2) == \
             explorer.explore(power_cap_w=cap)
-
-    def test_rejects_unknown_objective(self, explorer):
-        with pytest.raises(ConfigurationError):
-            parallel_explore(explorer, objective="area")
-
-    def test_injected_runner_is_not_closed(self, explorer, serial):
-        with ParallelRunner(jobs=2) as runner:
-            first = parallel_explore(explorer, runner=runner)
-            second = parallel_explore(explorer, runner=runner)
-        assert first == serial
-        assert second == serial

@@ -406,3 +406,35 @@ class TestGracefulDrain:
                 if sock is not None:
                     sock.close()
             handle.stop()
+
+
+class TestChaosSoakTool:
+    """``tools/chaos_soak.py`` runs its bench phase from the repo root,
+    so a relative ``--out`` must reach it already made absolute."""
+
+    @pytest.fixture
+    def soak(self):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "chaos_soak", REPO_ROOT / "tools" / "chaos_soak.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_relative_out_is_resolved_against_the_callers_cwd(
+        self, soak, tmp_path, monkeypatch
+    ):
+        seen = {}
+        monkeypatch.setattr(soak, "soak_phase", lambda size: None)
+        monkeypatch.setattr(
+            soak, "bench_phase",
+            lambda out_dir, size: seen.setdefault("out", out_dir),
+        )
+        monkeypatch.chdir(tmp_path)
+        assert soak.main(["--out", "reports"]) == 0
+        out = Path(seen["out"])
+        assert out.is_absolute()
+        assert out == tmp_path.resolve() / "reports"
+        assert out.is_dir()

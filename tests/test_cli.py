@@ -39,8 +39,8 @@ class TestParser:
         assert args.shard_seed == 0
         assert args.steal is True
         assert args.workdir == ".heterosvd_dse"
-        assert args.orderings == "codesign,traditional"
-        assert args.derates == "1.0,0.9"
+        assert args.orderings is None  # the space's defaults apply
+        assert args.derates is None
         args = build_parser().parse_args(
             ["dse", "--shards", "4", "--shard-id", "2", "--no-steal",
              "--lease-ttl", "2.5"]
@@ -260,6 +260,32 @@ class TestCommands:
         capsys.readouterr()
         # The recovery ledger persisted; a plain merge now succeeds.
         assert main(["dse-merge", "--workdir", workdir]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--orderings", "spiral"],
+        ["--derates", "1.5"],
+        ["--orderings", "codesign", "--derates", "1.0"],
+        ["--shard-id", "0"],
+    ])
+    def test_dse_shard_flags_need_shards(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dse", "--size", "32", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--shards" in err
+        assert flags[0] in err
+
+    def test_dse_bad_derate_fails_before_the_sweep_starts(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        workdir = tmp_path / "sweep"
+        with pytest.raises(ConfigurationError, match="freq_derate"):
+            main([
+                "dse", "--size", "32", "--shards", "2", "--derates", "1.5",
+                "--workdir", str(workdir),
+            ])
+        assert not (workdir / "plan.json").exists()
+        assert not list(tmp_path.rglob("shard-*"))
 
     def test_model_command(self, capsys):
         assert main(["model", "--size", "128", "--p-eng", "4"]) == 0

@@ -213,6 +213,9 @@ def main(argv=None):
                         help="skip the BENCH_chaos.json phase")
     args = parser.parse_args(argv)
 
+    # The bench subprocess runs from the repo root: anchor a relative
+    # --out to the caller's working directory before handing it over.
+    args.out = os.path.abspath(args.out)
     os.makedirs(args.out, exist_ok=True)
     soak_phase(args.size)
     report_path = None
