@@ -283,8 +283,35 @@ def _cmd_svd_batch(args) -> int:
     return 0
 
 
-def _split_csv(raw, cast):
-    return tuple(cast(part) for part in str(raw).split(",") if part)
+def _csv_of(cast):
+    """argparse ``type=`` for a comma-separated axis of ``cast`` values,
+    so a malformed value is a usage error before any sweep state
+    exists."""
+
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(cast(part) for part in raw.split(",") if part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__} values, "
+                f"got {raw!r}"
+            ) from None
+
+    return parse
+
+
+#: Sweep directory of the sharded DSE (``dse --shards``, ``dse-merge``).
+DEFAULT_WORKDIR = ".heterosvd_dse"
+
+#: Defaults of the sharded-only ``dse`` flags, applied on the
+#: ``--shards`` path; their parser defaults are None so a classic run
+#: can tell that one was given.
+SHARDED_DEFAULTS = {
+    "workdir": DEFAULT_WORKDIR,
+    "lease_ttl": 10.0,
+    "shard_seed": 0,
+    "steal": True,
+}
 
 
 def _build_design_space(args):
@@ -296,13 +323,9 @@ def _build_design_space(args):
         args.size,
         precision=args.precision,
         batch=args.batch,
-        orderings=(
-            ORDERINGS if args.orderings is None
-            else _split_csv(args.orderings, str)
-        ),
+        orderings=ORDERINGS if args.orderings is None else args.orderings,
         freq_derates=(
-            DEFAULT_DERATES if args.derates is None
-            else _split_csv(args.derates, float)
+            DEFAULT_DERATES if args.derates is None else args.derates
         ),
         power_cap_w=args.power_cap,
     )
@@ -315,9 +338,13 @@ def _reject_shard_flags_without_shards(parser, args) -> None:
         return
     stray = [
         flag for flag, value in (
+            ("--workdir", args.workdir),
             ("--orderings", args.orderings),
             ("--derates", args.derates),
             ("--shard-id", args.shard_id),
+            ("--lease-ttl", args.lease_ttl),
+            ("--shard-seed", args.shard_seed),
+            ("--steal" if args.steal else "--no-steal", args.steal),
         )
         if value is not None
     ]
@@ -403,6 +430,9 @@ def _cmd_dse_sharded(args) -> int:
     from repro.dse import run_shard, run_sharded
     from repro.resilience import active_plan
 
+    for name, default in SHARDED_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     space = _build_design_space(args)
     if args.shard_id is not None:
         # Worker mode: run exactly one shard in this process (the
@@ -1013,17 +1043,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sharded_space_flags(sub_parser):
         sub_parser.add_argument(
-            "--workdir", default=".heterosvd_dse", metavar="DIR",
+            "--workdir", default=None, metavar="DIR",
             help="shared sweep directory holding the plan, per-shard "
-            "ledgers and leases (default: .heterosvd_dse)",
+            f"ledgers and leases; needs --shards (default: {DEFAULT_WORKDIR})",
         )
         sub_parser.add_argument(
-            "--orderings", default=None, metavar="A,B",
+            "--orderings", type=_csv_of(str), default=None, metavar="A,B",
             help="ring-ordering axis values swept; needs --shards "
             "(default: codesign,traditional)",
         )
         sub_parser.add_argument(
-            "--derates", default=None, metavar="X,Y",
+            "--derates", type=_csv_of(float), default=None, metavar="X,Y",
             help="frequency-derate axis values swept, each in (0, 1]; "
             "needs --shards (default: 1.0,0.9)",
         )
@@ -1040,19 +1070,20 @@ def build_parser() -> argparse.ArgumentParser:
         "mode; needs --shards; omit to supervise every shard and merge)",
     )
     p_dse.add_argument(
-        "--lease-ttl", type=float, default=10.0, metavar="S",
+        "--lease-ttl", type=float, default=None, metavar="S",
         help="seconds without a heartbeat before a shard's lease "
-        "expires and its remaining work may be stolen (default: 10)",
+        "expires and its remaining work may be stolen; needs --shards "
+        "(default: 10)",
     )
     p_dse.add_argument(
-        "--shard-seed", type=int, default=0, metavar="N",
-        help="partition seed deciding which shard owns which unit "
-        "(default: 0)",
+        "--shard-seed", type=int, default=None, metavar="N",
+        help="partition seed deciding which shard owns which unit; "
+        "needs --shards (default: 0)",
     )
     p_dse.add_argument(
-        "--steal", action=argparse.BooleanOptionalAction, default=True,
+        "--steal", action=argparse.BooleanOptionalAction, default=None,
         help="steal expired siblings' remaining work after finishing "
-        "own units (default: on)",
+        "own units; needs --shards (default: on)",
     )
     add_sharded_space_flags(p_dse)
     add_jobs_flag(p_dse)
@@ -1069,8 +1100,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fold sharded-sweep ledgers into the global Pareto frontier",
     )
     p_merge.add_argument(
-        "--workdir", default=".heterosvd_dse", metavar="DIR",
-        help="the sweep directory to merge (default: .heterosvd_dse)",
+        "--workdir", default=DEFAULT_WORKDIR, metavar="DIR",
+        help=f"the sweep directory to merge (default: {DEFAULT_WORKDIR})",
     )
     p_merge.add_argument(
         "--objective", default="latency",
@@ -1301,7 +1332,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     ``--fault-plan FILE`` activates a deterministic fault-injection
     plan around the subcommand the same way (summary on stderr).
 
-    Guard exit codes: invalid input
+    Exit codes: a configuration the subcommand cannot run
+    (:class:`~repro.errors.ConfigurationError`, e.g. an out-of-range
+    derate) is a usage error and exits 2 with one ``error:`` line on
+    stderr, like argparse's own usage errors; invalid input
     (:class:`~repro.errors.InputValidationError`) exits 4; an expired
     ``--deadline`` (:class:`~repro.errors.DeadlineExceeded`) exits 5
     with the partial-progress summary on stderr.
@@ -1343,10 +1377,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return status
 
-    from repro.errors import DeadlineExceeded, InputValidationError
+    from repro.errors import (
+        ConfigurationError,
+        DeadlineExceeded,
+        InputValidationError,
+    )
 
     try:
         return invoke()
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except InputValidationError as error:
         print(f"error: invalid input: {error}", file=sys.stderr)
         return 4

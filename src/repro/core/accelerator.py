@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.config import HeteroSVDConfig
 from repro.core.dataflow import DataflowMode
-from repro.core.ordering_codesign import MovementSchedule
+from repro.core.ordering_codesign import movement_schedule
 from repro.core.placement import Placement, place
 from repro.core.routing import ForwardingRule, assign_plios
 from repro.errors import NumericalError, SimulationError
@@ -133,9 +133,7 @@ class HeteroSVDAccelerator:
         self._sender = Sender(self._forwarding.route_orth)
         ordering_cls = ShiftingRingOrdering if config.use_codesign else RingOrdering
         self._ordering: Ordering = ordering_cls(config.pair_cols)
-        self._schedule = MovementSchedule(
-            k=config.p_eng, shifting=config.use_codesign
-        )
+        self._schedule = movement_schedule(config.p_eng, config.use_codesign)
         self._mode = (
             DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
         )

@@ -24,7 +24,7 @@ the straight port and which takes the ring port.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.dataflow import (
@@ -61,9 +61,14 @@ class Transition:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MovementSchedule:
     """The full inter-layer traffic of one block-pair sweep.
+
+    Immutable: the schedule is pure structure (no calibration constant
+    enters it), so one instance per ``(k, shifting, first_row)`` is
+    shared by every model, simulator and accelerator through
+    :func:`movement_schedule`.
 
     Args:
         k: Slots per layer (``P_eng``); the block pair has ``2k``
@@ -78,7 +83,7 @@ class MovementSchedule:
     k: int
     shifting: bool = True
     first_row: int = 1
-    transitions: List[Transition] = field(init=False)
+    transitions: "tuple[Transition, ...]" = field(init=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -87,7 +92,7 @@ class MovementSchedule:
             raise ConfigurationError(
                 f"first_row must be >= 0, got {self.first_row}"
             )
-        self.transitions = self._build()
+        object.__setattr__(self, "transitions", self._build())
 
     @property
     def n_layers(self) -> int:
@@ -99,7 +104,7 @@ class MovementSchedule:
         """Layer transitions (``2k - 2``)."""
         return self.n_layers - 1
 
-    def _build(self) -> List[Transition]:
+    def _build(self) -> "tuple[Transition, ...]":
         transitions: List[Transition] = []
         for t in range(self.n_transitions):
             dest_row = self.first_row + t + 1
@@ -136,7 +141,7 @@ class MovementSchedule:
                     movements=tuple(movements),
                 )
             )
-        return transitions
+        return tuple(transitions)
 
     # -- analytics ----------------------------------------------------------
     def dma_count(self, mode: DataflowMode) -> int:
@@ -156,6 +161,27 @@ class MovementSchedule:
         absorb.
         """
         return self.dma_count(mode)
+
+
+#: Shared schedules by ``(k, shifting, first_row)``.
+_SHARED_SCHEDULES: "Dict[Tuple[int, bool, int], MovementSchedule]" = {}
+
+
+def movement_schedule(
+    k: int, shifting: bool = True, first_row: int = 1
+) -> MovementSchedule:
+    """The shared :class:`MovementSchedule` for ``(k, shifting, first_row)``.
+
+    Built on first request and returned as the same object ever after:
+    a design-space sweep asks for a handful of distinct schedules
+    thousands of times.
+    """
+    key = (k, shifting, first_row)
+    schedule = _SHARED_SCHEDULES.get(key)
+    if schedule is None:
+        schedule = MovementSchedule(k=k, shifting=shifting, first_row=first_row)
+        _SHARED_SCHEDULES[key] = schedule
+    return schedule
 
 
 def traditional_dma_transfers(k: int) -> int:

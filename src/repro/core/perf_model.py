@@ -43,7 +43,7 @@ from typing import Optional
 
 from repro.core.config import HeteroSVDConfig
 from repro.core.dataflow import DataflowMode
-from repro.core.ordering_codesign import MovementSchedule
+from repro.core.ordering_codesign import MovementSchedule, movement_schedule
 from repro.pl.hls import loop_overhead_seconds
 from repro.units import FLOAT32_BITS
 from repro.versal.communication import TransferKind, transfer_cycles
@@ -177,6 +177,12 @@ class PerformanceBreakdown:
 class PerformanceModel:
     """Latency/throughput estimator for one HeteroSVD design point.
 
+    Every model term is evaluated once per instance, in :attr:`_terms`;
+    the term methods read it.  Nothing is memoised across instances:
+    the terms read calibration constants that
+    :mod:`repro.analysis.sensitivity` rescales in place before building
+    fresh models.
+
     Args:
         config: The design point to model.
         placement: Optional placed design; enables the distance-aware
@@ -186,18 +192,76 @@ class PerformanceModel:
     def __init__(self, config: HeteroSVDConfig, placement=None):
         self.config = config
         self.placement = placement
-        self._schedule = MovementSchedule(
-            k=config.p_eng, shifting=config.use_codesign
-        )
+        self._schedule = movement_schedule(config.p_eng, config.use_codesign)
         self._mode = (
             DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
         )
 
     @functools.cached_property
-    def _stage_durations(self) -> "list[float]":
-        """:func:`orth_stage_durations` of this design point (computed once)."""
-        return orth_stage_durations(
-            self.config, self._schedule, self._mode, self.placement
+    def _terms(self) -> PerformanceBreakdown:
+        """Eqs. 8-13 of this design point, each term computed once.
+
+        Straight-line, in dependency order; every expression keeps the
+        operands and evaluation order the term methods document.
+        """
+        cfg = self.config
+        num = cfg.num_block_pairs
+        stages = orth_stage_durations(
+            cfg, self._schedule, self._mode, self.placement
+        )
+        # Eq. 8, both directions.
+        payload_cycles = (
+            cfg.p_eng * self.column_bits / cfg.device.plio_width_bits
+        )
+        gap_cycles = cfg.p_eng * COLUMN_GAP_PL_CYCLES
+        t_tx = (payload_cycles + gap_cycles) / cfg.pl_frequency_hz
+        t_rx = t_tx
+        t_orth = orth_kernel_cycles(cfg.m, cfg.device) / cfg.device.aie_frequency_hz
+        t_stage = max(stages)
+        aie_total = sum(stages)
+        # Eq. 9.
+        t_aiewait = max(t_stage - t_tx, 0.0)
+        # Eq. 10.
+        t_algo = 0.0 if num < 2 else t_tx + t_aiewait
+        # Steady-state initiation interval.
+        reuse_gap = max(1, cfg.n_blocks // 2)
+        loop_delay = aie_total + t_rx + t_tx
+        t_period = max(t_tx + t_aiewait, loop_delay / reuse_gap)
+        # Eq. 11.
+        if num < 2:
+            t_datawait = 0.0
+        else:
+            pipeline = aie_total + t_rx + t_algo
+            t_datawait = max(pipeline - (num - 1) * t_period, 0.0)
+        # Eq. 12, generalized.
+        first_interval = max(self.ddr_fetch(), 2 * t_tx, t_period)
+        t_ddr = num * (first_interval - t_period)
+        # Eq. 13.
+        t_blocks = (num - 1) * t_period + t_algo + t_datawait
+        t_iter = t_blocks + t_tx + aie_total + t_rx
+        # Normalization; U block + sigma return on the norm Rx PLIO.
+        per_block_cycles = payload_cycles + gap_cycles
+        stream = cfg.n_blocks * per_block_cycles / cfg.pl_frequency_hz
+        kernel_tail = (
+            norm_kernel_cycles(cfg.m, 1, cfg.device) / cfg.device.aie_frequency_hz
+        )
+        drain = per_block_cycles / cfg.pl_frequency_hz
+        return PerformanceBreakdown(
+            t_tx=t_tx,
+            t_rx=t_rx,
+            t_orth=t_orth,
+            t_stage=t_stage,
+            t_aiewait=t_aiewait,
+            t_algo=t_algo,
+            t_period=t_period,
+            t_datawait=t_datawait,
+            t_ddr=t_ddr,
+            t_hls_per_iteration=loop_overhead_seconds(
+                1, num, cfg.pl_frequency_hz
+            ),
+            aie_total=aie_total,
+            t_iter=t_iter,
+            t_norm=stream + kernel_tail + drain,
         )
 
     # -- primitive terms -----------------------------------------------------
@@ -208,21 +272,15 @@ class PerformanceModel:
 
     def t_tx(self) -> float:
         """Eq. 8: Tx time of one block pair (both PLIOs in parallel)."""
-        cfg = self.config
-        payload_cycles = (
-            cfg.p_eng * self.column_bits / cfg.device.plio_width_bits
-        )
-        gap_cycles = cfg.p_eng * COLUMN_GAP_PL_CYCLES
-        return (payload_cycles + gap_cycles) / cfg.pl_frequency_hz
+        return self._terms.t_tx
 
     def t_rx(self) -> float:
         """Eq. 8 applied to the receive direction (symmetric design)."""
-        return self.t_tx()
+        return self._terms.t_rx
 
     def t_orth(self) -> float:
         """One column-pair orthogonalization on an orth-AIE."""
-        cfg = self.config
-        return orth_kernel_cycles(cfg.m, cfg.device) / cfg.device.aie_frequency_hz
+        return self._terms.t_orth
 
     def t_move(self) -> float:
         """Mean per-slot inter-layer movement time (2 columns).
@@ -253,11 +311,11 @@ class PerformanceModel:
         The slowest layer paces the whole pipeline: a new block pair can
         enter only every ``t_stage`` once the array is full.
         """
-        return max(self._stage_durations)
+        return self._terms.t_stage
 
     def t_aiewait(self) -> float:
         """Eq. 9: stall when the array is slower than transmission."""
-        return max(self.t_stage() - self.t_tx(), 0.0)
+        return self._terms.t_aiewait
 
     def t_algo(self) -> float:
         """Eq. 10: round-robin dependency latency.
@@ -265,9 +323,7 @@ class PerformanceModel:
         Zero for a single block pair: with nothing to re-pair, the
         round-robin dependency does not exist.
         """
-        if self.config.num_block_pairs < 2:
-            return 0.0
-        return self.t_tx() + self.t_aiewait()
+        return self._terms.t_algo
 
     def t_period(self) -> float:
         """Steady-state initiation interval between block pairs.
@@ -280,14 +336,11 @@ class PerformanceModel:
         full loop delay divided by the reuse distance (the steady-state
         form of Eq. 10's dependency).
         """
-        cfg = self.config
-        reuse_gap = max(1, cfg.n_blocks // 2)
-        loop_delay = self.aie_total() + self.t_rx() + self.t_tx()
-        return max(self.t_tx() + self.t_aiewait(), loop_delay / reuse_gap)
+        return self._terms.t_period
 
     def aie_total(self) -> float:
         """Traversal time of one block pair through all orth-layers."""
-        return sum(self._stage_durations)
+        return self._terms.aie_total
 
     def t_datawait(self) -> float:
         """Eq. 11: drain stall for small block-pair counts.
@@ -296,13 +349,7 @@ class PerformanceModel:
         the iteration composition, so there is nothing left to wait
         for).
         """
-        cfg = self.config
-        if cfg.num_block_pairs < 2:
-            return 0.0
-        pipeline = self.aie_total() + self.t_rx() + self.t_algo()
-        return max(
-            pipeline - (cfg.num_block_pairs - 1) * self.t_period(), 0.0
-        )
+        return self._terms.t_datawait
 
     def ddr_fetch(self) -> float:
         """First-iteration DDR cost attributed to one block pair.
@@ -328,31 +375,15 @@ class PerformanceModel:
         a single pipeline with ample DDR bandwidth this reduces to the
         paper's ``t_DDR = num * t_Tx``.
         """
-        first_interval = max(self.ddr_fetch(), 2 * self.t_tx(), self.t_period())
-        extra = first_interval - self.t_period()
-        return self.config.num_block_pairs * extra
+        return self._terms.t_ddr
 
     def t_hls_per_iteration(self) -> float:
         """HLS loop-switch overhead attributable to one iteration."""
-        cfg = self.config
-        return loop_overhead_seconds(
-            1, cfg.num_block_pairs, cfg.pl_frequency_hz
-        )
+        return self._terms.t_hls_per_iteration
 
     def t_norm(self) -> float:
         """Normalization stage: blocks stream through the norm PLIOs."""
-        cfg = self.config
-        per_block_cycles = (
-            cfg.p_eng * self.column_bits / cfg.device.plio_width_bits
-            + cfg.p_eng * COLUMN_GAP_PL_CYCLES
-        )
-        stream = cfg.n_blocks * per_block_cycles / cfg.pl_frequency_hz
-        kernel_tail = (
-            norm_kernel_cycles(cfg.m, 1, cfg.device) / cfg.device.aie_frequency_hz
-        )
-        # Results (U block + sigma) return on the norm Rx PLIO.
-        drain = per_block_cycles / cfg.pl_frequency_hz
-        return stream + kernel_tail + drain
+        return self._terms.t_norm
 
     # -- compositions ----------------------------------------------------------
     def iteration_time(self) -> float:
@@ -364,13 +395,7 @@ class PerformanceModel:
         tiny block counts, where the interval is the whole loop delay
         and a trailing traversal term would double-count.
         """
-        cfg = self.config
-        t_blocks = (
-            (cfg.num_block_pairs - 1) * self.t_period()
-            + self.t_algo()
-            + self.t_datawait()
-        )
-        return t_blocks + self.t_tx() + self.aie_total() + self.t_rx()
+        return self._terms.t_iter
 
     def iterations(self) -> int:
         """Sweep count: fixed for benchmarking, estimated otherwise."""
@@ -379,13 +404,23 @@ class PerformanceModel:
             return cfg.fixed_iterations
         return estimated_iterations(cfg.n, cfg.precision)
 
-    def task_time(self, iterations: Optional[int] = None) -> float:
-        """Eq. 14: end-to-end time of one SVD task."""
-        iters = iterations if iterations is not None else self.iterations()
+    @functools.cached_property
+    def _default_task_time(self) -> float:
+        """:meth:`task_time` at :meth:`iterations` (computed once)."""
+        return self._compose_task_time(self.iterations())
+
+    def _compose_task_time(self, iters: int) -> float:
+        terms = self._terms
         t_hls = loop_overhead_seconds(
             iters, self.config.num_block_pairs, self.config.pl_frequency_hz
         )
-        return self.t_ddr() + iters * self.iteration_time() + self.t_norm() + t_hls
+        return terms.t_ddr + iters * terms.t_iter + terms.t_norm + t_hls
+
+    def task_time(self, iterations: Optional[int] = None) -> float:
+        """Eq. 14: end-to-end time of one SVD task."""
+        if iterations is None:
+            return self._default_task_time
+        return self._compose_task_time(iterations)
 
     def system_time(self, n_tasks: int, iterations: Optional[int] = None) -> float:
         """Eq. 14: batch completion time over ``P_task`` pipelines."""
@@ -400,18 +435,4 @@ class PerformanceModel:
 
     def breakdown(self) -> PerformanceBreakdown:
         """All model terms at once (for reporting and tests)."""
-        return PerformanceBreakdown(
-            t_tx=self.t_tx(),
-            t_rx=self.t_rx(),
-            t_orth=self.t_orth(),
-            t_stage=self.t_stage(),
-            t_aiewait=self.t_aiewait(),
-            t_algo=self.t_algo(),
-            t_period=self.t_period(),
-            t_datawait=self.t_datawait(),
-            t_ddr=self.t_ddr(),
-            t_hls_per_iteration=self.t_hls_per_iteration(),
-            aie_total=self.aie_total(),
-            t_iter=self.iteration_time(),
-            t_norm=self.t_norm(),
-        )
+        return self._terms

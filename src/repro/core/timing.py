@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from repro.core.config import HeteroSVDConfig
 from repro.core.dataflow import DataflowMode
-from repro.core.ordering_codesign import MovementSchedule
+from repro.core.ordering_codesign import movement_schedule
 from repro.core.perf_model import (
     COLUMN_GAP_PL_CYCLES,
     estimated_iterations,
@@ -118,9 +118,7 @@ class TimingSimulator:
                     f"slowdown factor must be >= 1, got {factor} "
                     f"for layer {layer}"
                 )
-        self._schedule = MovementSchedule(
-            k=config.p_eng, shifting=config.use_codesign
-        )
+        self._schedule = movement_schedule(config.p_eng, config.use_codesign)
         self._mode = (
             DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
         )

@@ -68,3 +68,42 @@ class TestSensitivityAnalysis:
         assert results["kernel_overhead"].baseline_value == pytest.approx(
             kernels.KERNEL_OVERHEAD_CYCLES
         )
+
+
+class TestEveryKnobMovesTheModel:
+    """The ``heterosvd sensitivity --size 128`` design point.
+
+    A model that memoised anything derived from a calibration constant
+    across instances would keep serving the unperturbed value once a
+    model of this configuration had been built, and a knob's effect
+    would read zero.  Each effect is pinned, as ``float.hex``, to the
+    value the uncached model produces.
+    """
+
+    EFFECTS = {
+        "plio_column_gap": "0x1.099f8a8db6fc8p-4",
+        "rotation_scalar": "0x1.3325010fdb6f6p-11",
+        "kernel_overhead": "0x1.f844651636c59p-12",
+        "dma_setup": "0x1.7d68cb0fde494p-13",
+        "norm_scalar": "0x1.2be960384b913p-19",
+    }
+
+    @pytest.fixture
+    def cli_config(self):
+        return HeteroSVDConfig(
+            m=128, n=128, p_eng=8, p_task=1, fixed_iterations=6
+        )
+
+    def test_effects_nonzero_and_unchanged(self, cli_config):
+        # Build (and fully evaluate) a model of the configuration first.
+        warm = PerformanceModel(cli_config)
+        warm.breakdown()
+        warm.task_time()
+        effects = {
+            r.parameter: r.relative_effect
+            for r in sensitivity_analysis(cli_config, scale=1.2, jobs=1)
+        }
+        assert set(effects) == set(KNOBS) == set(self.EFFECTS)
+        for name, golden in self.EFFECTS.items():
+            assert effects[name] > 0.0, name
+            assert effects[name].hex() == golden, name

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SHARDED_DEFAULTS, build_parser, main
 
 
 class TestParser:
@@ -35,19 +35,28 @@ class TestParser:
         args = build_parser().parse_args(["dse"])
         assert args.shards is None
         assert args.shard_id is None
-        assert args.lease_ttl == 10.0
-        assert args.shard_seed == 0
-        assert args.steal is True
-        assert args.workdir == ".heterosvd_dse"
-        assert args.orderings is None  # the space's defaults apply
+        # Sharded-only flags default to None; the --shards path applies
+        # SHARDED_DEFAULTS (and the space's own axis defaults).
+        assert args.lease_ttl is None
+        assert args.shard_seed is None
+        assert args.steal is None
+        assert args.workdir is None
+        assert args.orderings is None
         assert args.derates is None
+        assert SHARDED_DEFAULTS == {
+            "workdir": ".heterosvd_dse", "lease_ttl": 10.0,
+            "shard_seed": 0, "steal": True,
+        }
         args = build_parser().parse_args(
             ["dse", "--shards", "4", "--shard-id", "2", "--no-steal",
-             "--lease-ttl", "2.5"]
+             "--lease-ttl", "2.5", "--orderings", "codesign",
+             "--derates", "1.0,0.9"]
         )
         assert (args.shards, args.shard_id) == (4, 2)
         assert args.steal is False
         assert args.lease_ttl == 2.5
+        assert args.orderings == ("codesign",)
+        assert args.derates == (1.0, 0.9)
 
     def test_dse_merge_flags(self):
         args = build_parser().parse_args(["dse-merge"])
@@ -266,6 +275,12 @@ class TestCommands:
         ["--derates", "1.5"],
         ["--orderings", "codesign", "--derates", "1.0"],
         ["--shard-id", "0"],
+        ["--workdir", "sweep"],
+        ["--lease-ttl", "3"],
+        ["--shard-seed", "5"],
+        ["--steal"],
+        ["--no-steal"],
+        ["--lease-ttl", "3", "--shard-seed", "5", "--no-steal"],
     ])
     def test_dse_shard_flags_need_shards(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -275,17 +290,45 @@ class TestCommands:
         assert "--shards" in err
         assert flags[0] in err
 
-    def test_dse_bad_derate_fails_before_the_sweep_starts(self, tmp_path):
-        from repro.errors import ConfigurationError
-
+    def test_dse_bad_derate_fails_before_the_sweep_starts(
+        self, tmp_path, capsys
+    ):
         workdir = tmp_path / "sweep"
-        with pytest.raises(ConfigurationError, match="freq_derate"):
-            main([
-                "dse", "--size", "32", "--shards", "2", "--derates", "1.5",
-                "--workdir", str(workdir),
-            ])
+        assert main([
+            "dse", "--size", "32", "--shards", "2", "--derates", "1.5",
+            "--workdir", str(workdir),
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert "freq_derate" in err[0]
         assert not (workdir / "plan.json").exists()
         assert not list(tmp_path.rglob("shard-*"))
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--derates", "abc"),
+        ("--derates", "1.0,x"),
+    ])
+    def test_dse_non_numeric_axis_is_a_usage_error(
+        self, tmp_path, capsys, flag, value
+    ):
+        workdir = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "dse", "--size", "32", "--shards", "2", flag, value,
+                "--workdir", str(workdir),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+        assert not workdir.exists()
+
+    def test_configuration_error_is_a_usage_error(self, capsys):
+        # P_eng outside Table I's range is rejected by the config.
+        assert main(["model", "--size", "64", "--p-eng", "100"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: P_eng=100 outside Table I range [1, 11]"]
 
     def test_model_command(self, capsys):
         assert main(["model", "--size", "128", "--p-eng", "4"]) == 0
