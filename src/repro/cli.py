@@ -36,7 +36,14 @@ from repro.workloads.matrices import random_matrix
 
 
 def _padded(n: int, p_eng: int) -> int:
-    return n if n % p_eng == 0 else (n // p_eng + 1) * p_eng
+    """``n`` rounded up to a multiple of ``p_eng``.
+
+    A non-positive ``p_eng`` leaves ``n`` as is, so that the config's
+    own range check reports it as a usage error.
+    """
+    if p_eng < 1 or n % p_eng == 0:
+        return n
+    return (n // p_eng + 1) * p_eng
 
 
 def _make_cache(args):

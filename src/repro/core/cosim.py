@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.accelerator import HeteroSVDAccelerator
 from repro.core.config import HeteroSVDConfig
-from repro.core.perf_model import COLUMN_GAP_PL_CYCLES, orth_stage_durations
+from repro.core.perf_model import PerformanceModel
 from repro.core.placement import Placement, place
 from repro.errors import NumericalError
 from repro.linalg.block import (
@@ -48,11 +48,9 @@ from repro.linalg.hestenes import (
     round_workspace,
     stack_panels,
 )
-from repro.pl.hls import HLS_LOOP_SWITCH_CYCLES
+from repro.pl.system_module import Phase, SystemModule
 from repro.sim.engine import Resource, SimulationEngine
 from repro.sim.trace import Trace
-from repro.units import FLOAT32_BITS
-from repro.versal.kernels import norm_kernel_cycles
 
 
 @dataclass
@@ -83,10 +81,17 @@ class CoSimResult:
 class CoSimulator:
     """Per-layer functional/timing co-simulation of one HeteroSVD task.
 
+    Stage, Tx/Rx and norm durations are read from :attr:`model`; the
+    sweeps stop by the accelerator's own rule
+    (:class:`~repro.pl.system_module.SystemModule`).
+
     Args:
         config: The design point.
         placement: Optional placed design for distance-aware timing; a
             fresh placement is derived otherwise.
+
+    Attributes:
+        model: The design point's :class:`PerformanceModel`.
     """
 
     def __init__(
@@ -96,17 +101,8 @@ class CoSimulator:
         self.placement = placement if placement is not None else place(config)
         accel = HeteroSVDAccelerator(config, placement=self.placement)
         self._ordering = accel._ordering
-        self._mode = accel._mode
-        self._schedule = accel._schedule
         self._dtype = accel._dtype
-
-    def _t_tx_pair(self) -> float:
-        cfg = self.config
-        cycles = (
-            cfg.p_eng * cfg.m * FLOAT32_BITS / cfg.device.plio_width_bits
-            + cfg.p_eng * COLUMN_GAP_PL_CYCLES
-        )
-        return cycles / cfg.pl_frequency_hz
+        self.model = PerformanceModel(config, self.placement)
 
     def run(self, matrix: np.ndarray) -> CoSimResult:
         """Co-simulate one SVD task with real data.
@@ -114,6 +110,8 @@ class CoSimulator:
         Raises:
             NumericalError: for shape/validity violations (same contract
                 as the functional accelerator).
+            SimulationError: if the sweeps do not converge within the
+                system module's iteration bound (as the accelerator).
         """
         cfg = self.config
         matrix = np.asarray(matrix, dtype=self._dtype)
@@ -133,12 +131,11 @@ class CoSimulator:
             [range(cfg.pair_cols)], self._ordering
         )
         work = round_workspace((cfg.m, cfg.pair_cols), self._dtype)
-        stages = orth_stage_durations(
-            cfg, self._schedule, self._mode, self.placement
-        )
-        t_tx = self._t_tx_pair()
-        t_rx = t_tx
-        hls_gap = HLS_LOOP_SWITCH_CYCLES / cfg.pl_frequency_hz
+        model = self.model
+        stages = model.stages
+        t_tx = model.t_tx()
+        t_rx = model.t_rx()
+        hls_gap = model.t_hls_switch()
         precision = cfg.precision
 
         working = matrix.copy()
@@ -152,13 +149,13 @@ class CoSimulator:
         layer_ports = [Resource(f"layer{i}") for i in range(cfg.orth_layers)]
         block_avail = [0.0] * partition.n_blocks
 
-        budget = cfg.fixed_iterations if cfg.fixed_iterations is not None else 60
-        iterations = 0
-        converged = False
+        system = SystemModule(
+            precision=precision, fixed_iterations=cfg.fixed_iterations
+        )
         kernel_events = 0
         last_rx = 0.0
 
-        while True:
+        while system.phase is Phase.ORTHOGONALIZATION:
             worst_ratio = 0.0
             for pair in pairs:
                 cols = partition.pair_columns(pair)
@@ -198,28 +195,19 @@ class CoSimulator:
                 block_avail[pair[1]] = rx_end
                 last_rx = max(last_rx, rx_end)
 
-            iterations += 1
-            converged = worst_ratio < precision
-            if cfg.fixed_iterations is not None:
-                if iterations >= cfg.fixed_iterations:
-                    break
-            elif converged or iterations >= budget:
-                break
+            system.report_iteration(worst_ratio)
 
         # Normalization stage (Eq. 7): blocks stream through the norm
-        # PLIOs; the kernel tail and result drain follow the last block.
-        norm_block = self._t_tx_pair()
-        norm_kernel = (
-            norm_kernel_cycles(cfg.m, 1, cfg.device)
-            / cfg.device.aie_frequency_hz
-        )
+        # PLIOs, one Tx time each; the kernel tail and result drain
+        # follow the last block.
         makespan = (
             last_rx
-            + partition.n_blocks * norm_block
-            + norm_kernel
-            + norm_block
+            + partition.n_blocks * t_tx
+            + model.t_norm_kernel()
+            + t_tx
         )
         trace.log("norm", last_rx, makespan)
+        system.report_normalization_done()
 
         sigma = np.linalg.norm(working, axis=0)
         u = np.zeros_like(working)
@@ -233,8 +221,8 @@ class CoSimulator:
         return CoSimResult(
             u=u[:, order],
             sigma=sigma[order],
-            iterations=iterations,
-            converged=bool(converged),
+            iterations=system.iterations_completed,
+            converged=system.converged,
             makespan=makespan,
             kernel_events=kernel_events,
             layer_utilization=busiest,

@@ -44,7 +44,7 @@ from typing import Optional
 from repro.core.config import HeteroSVDConfig
 from repro.core.dataflow import DataflowMode
 from repro.core.ordering_codesign import MovementSchedule, movement_schedule
-from repro.pl.hls import loop_overhead_seconds
+from repro.pl.hls import HLS_LOOP_SWITCH_CYCLES, loop_overhead_seconds
 from repro.units import FLOAT32_BITS
 from repro.versal.communication import TransferKind, transfer_cycles
 from repro.versal.kernels import norm_kernel_cycles, orth_kernel_cycles
@@ -74,9 +74,10 @@ def orth_stage_durations(
     neighbour accesses for aligned transitions, DMA where the
     classification demands it, and the full-pair DMA copy at chunk
     crossings (lane changes on the physical array).  The final layer
-    drains through the Rx PLIOs, so it is kernel-only.  Shared between
-    the analytical model (which needs the sum and the max) and the
-    timing simulation (which paces every layer individually).
+    drains through the Rx PLIOs, so it is kernel-only.  Read through
+    :attr:`PerformanceModel.stages` by the analytical model (which needs
+    the sum and the max) and the simulators (which pace every layer
+    individually).
 
     Args:
         placement: Optional :class:`~repro.core.placement.Placement`;
@@ -178,7 +179,9 @@ class PerformanceModel:
     """Latency/throughput estimator for one HeteroSVD design point.
 
     Every model term is evaluated once per instance, in :attr:`_terms`;
-    the term methods read it.  Nothing is memoised across instances:
+    the term methods read it.  The timing simulator and co-simulator
+    take every static duration they pace from an instance of this
+    class.  Nothing is memoised across instances:
     the terms read calibration constants that
     :mod:`repro.analysis.sensitivity` rescales in place before building
     fresh models.
@@ -206,9 +209,7 @@ class PerformanceModel:
         """
         cfg = self.config
         num = cfg.num_block_pairs
-        stages = orth_stage_durations(
-            cfg, self._schedule, self._mode, self.placement
-        )
+        stages = self.stages
         # Eq. 8, both directions.
         payload_cycles = (
             cfg.p_eng * self.column_bits / cfg.device.plio_width_bits
@@ -242,9 +243,7 @@ class PerformanceModel:
         # Normalization; U block + sigma return on the norm Rx PLIO.
         per_block_cycles = payload_cycles + gap_cycles
         stream = cfg.n_blocks * per_block_cycles / cfg.pl_frequency_hz
-        kernel_tail = (
-            norm_kernel_cycles(cfg.m, 1, cfg.device) / cfg.device.aie_frequency_hz
-        )
+        kernel_tail = self.t_norm_kernel()
         drain = per_block_cycles / cfg.pl_frequency_hz
         return PerformanceBreakdown(
             t_tx=t_tx,
@@ -265,6 +264,18 @@ class PerformanceModel:
         )
 
     # -- primitive terms -----------------------------------------------------
+    @functools.cached_property
+    def stages(self) -> "tuple[float, ...]":
+        """Per-layer stage times of the orth pipeline, in seconds.
+
+        :func:`orth_stage_durations` of this design point, computed
+        once; a tuple, so a caller that reshapes it (the timing
+        simulator's straggler slowdowns) works on its own copy.
+        """
+        return tuple(orth_stage_durations(
+            self.config, self._schedule, self._mode, self.placement
+        ))
+
     @property
     def column_bits(self) -> int:
         """Bits of one streamed column."""
@@ -351,18 +362,23 @@ class PerformanceModel:
         """
         return self._terms.t_datawait
 
-    def ddr_fetch(self) -> float:
+    def ddr_fetch(self, share_bits_per_s: Optional[float] = None) -> float:
         """First-iteration DDR cost attributed to one block pair.
 
         The matrix is loaded once per task (blocks are reused across
-        pairs), at the pipeline's fair share of the DDR bandwidth with
-        ``P_task`` pipelines loading concurrently; amortized over the
-        ``num`` block pairs of the first sweep.
+        pairs), at the pipeline's share of the DDR bandwidth; amortized
+        over the ``num`` block pairs of the first sweep.
+
+        Args:
+            share_bits_per_s: The pipeline's DDR bandwidth share.
+                Defaults to the fair share with all ``P_task`` pipelines
+                loading concurrently.
         """
         cfg = self.config
         matrix_bits = cfg.m * cfg.n * FLOAT32_BITS
-        share = DDRChannel(cfg.device).bits_per_s / cfg.p_task
-        return matrix_bits / max(1, cfg.num_block_pairs) / share
+        if share_bits_per_s is None:
+            share_bits_per_s = DDRChannel(cfg.device).bits_per_s / cfg.p_task
+        return matrix_bits / max(1, cfg.num_block_pairs) / share_bits_per_s
 
     def t_ddr(self) -> float:
         """Eq. 12 generalized: extra first-iteration latency from DDR.
@@ -377,9 +393,18 @@ class PerformanceModel:
         """
         return self._terms.t_ddr
 
+    def t_hls_switch(self) -> float:
+        """One HLS loop-boundary crossing (the sender's per-pair gap)."""
+        return HLS_LOOP_SWITCH_CYCLES / self.config.pl_frequency_hz
+
     def t_hls_per_iteration(self) -> float:
         """HLS loop-switch overhead attributable to one iteration."""
         return self._terms.t_hls_per_iteration
+
+    def t_norm_kernel(self) -> float:
+        """Norm-AIE kernel tail: one column's normalization (Eq. 7)."""
+        cfg = self.config
+        return norm_kernel_cycles(cfg.m, 1, cfg.device) / cfg.device.aie_frequency_hz
 
     def t_norm(self) -> float:
         """Normalization stage: blocks stream through the norm PLIOs."""

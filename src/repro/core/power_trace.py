@@ -70,6 +70,7 @@ class PowerTrace:
 
     @property
     def makespan(self) -> float:
+        """End of the last phase, in seconds (0 for an empty trace)."""
         return self.phases[-1].end if self.phases else 0.0
 
     @property
@@ -81,6 +82,7 @@ class PowerTrace:
 
     @property
     def peak_power_w(self) -> float:
+        """Highest phase power, in watts (0 for an empty trace)."""
         return max((p.power_w for p in self.phases), default=0.0)
 
     def energy_per_task_j(self) -> float:

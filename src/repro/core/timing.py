@@ -19,28 +19,25 @@ chain at ``max(a_j + traverse, e_{j-1} + bottleneck)`` where
 ``traverse`` is the sum and ``bottleneck`` the max of the per-layer
 stage durations.  This is exact for a FIFO pipeline whose stage times
 do not depend on the pair, and keeps the simulation O(num) per sweep.
+
+Every static duration comes from the design point's
+:class:`~repro.core.perf_model.PerformanceModel`, so a rescaled
+calibration constant moves model and simulation alike, and their
+disagreement measures the model's approximations only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from repro.core.config import HeteroSVDConfig
-from repro.core.dataflow import DataflowMode
-from repro.core.ordering_codesign import movement_schedule
-from repro.core.perf_model import (
-    COLUMN_GAP_PL_CYCLES,
-    estimated_iterations,
-    orth_stage_durations,
-)
+from repro.core.perf_model import PerformanceModel
 from repro.errors import SimulationError
 from repro.linalg.block import block_pairs
-from repro.pl.hls import HLS_LOOP_SWITCH_CYCLES
 from repro.sim.engine import Resource
 from repro.sim.trace import Trace
 from repro.units import FLOAT32_BITS
-from repro.versal.kernels import norm_kernel_cycles
 from repro.versal.noc import DDRChannel
 
 
@@ -88,9 +85,22 @@ class TimingResult:
 class TimingSimulator:
     """Event-accurate pipeline simulation of a HeteroSVD design point.
 
+    Every static duration (Eq. 8's Tx/Rx streaming, the per-layer
+    stages, the norm-kernel tail, the per-pair HLS gap, the DDR fetch
+    at a given bandwidth share) and the sweep count are read from
+    :attr:`model`; the simulator owns only what is dynamic: block
+    availability, port queueing, DDR sharing and interleaving.
+
     Args:
         config: The design point.
         ddr: Shared DDR channel model (one per board).
+        placement: Optional placed design; enables the distance-aware
+            refinement of chunk-crossing stages.
+        layer_slowdown: Per-layer slowdown factors (>= 1), keyed by
+            orth-layer index.
+
+    Attributes:
+        model: The design point's :class:`PerformanceModel`.
     """
 
     def __init__(
@@ -118,53 +128,15 @@ class TimingSimulator:
                     f"slowdown factor must be >= 1, got {factor} "
                     f"for layer {layer}"
                 )
-        self._schedule = movement_schedule(config.p_eng, config.use_codesign)
-        self._mode = (
-            DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
-        )
-
-    # -- static durations -----------------------------------------------------
-    def _column_bits(self) -> int:
-        return self.config.m * FLOAT32_BITS
-
-    def t_tx_pair(self) -> float:
-        """Streaming time of one block pair over the two Tx PLIOs."""
-        cfg = self.config
-        cycles = (
-            cfg.p_eng * self._column_bits() / cfg.device.plio_width_bits
-            + cfg.p_eng * COLUMN_GAP_PL_CYCLES
-        )
-        return cycles / cfg.pl_frequency_hz
+        self.model = PerformanceModel(config, placement)
 
     def stage_durations(self) -> List[float]:
-        """Per-layer stage times (shared with the analytical model),
-        with any configured straggler slowdowns applied."""
-        durations = orth_stage_durations(
-            self.config, self._schedule, self._mode, self.placement
-        )
+        """Per-layer stage times (the model's), with any configured
+        straggler slowdowns applied."""
+        durations = list(self.model.stages)
         for layer, factor in self.layer_slowdown.items():
             durations[layer] *= factor
         return durations
-
-    def t_rx_pair(self) -> float:
-        """Streaming time of one result pair over the two Rx PLIOs."""
-        return self.t_tx_pair()
-
-    def _norm_block_time(self) -> float:
-        """Streaming time of one block through the norm Tx PLIO."""
-        cfg = self.config
-        cycles = (
-            cfg.p_eng * self._column_bits() / cfg.device.plio_width_bits
-            + cfg.p_eng * COLUMN_GAP_PL_CYCLES
-        )
-        return cycles / cfg.pl_frequency_hz
-
-    def iterations(self) -> int:
-        """Sweep count (fixed or estimated, matching the model)."""
-        cfg = self.config
-        if cfg.fixed_iterations is not None:
-            return cfg.fixed_iterations
-        return estimated_iterations(cfg.n, cfg.precision)
 
     # -- simulation -------------------------------------------------------------
     def simulate(self, n_tasks: int = 1) -> TimingResult:
@@ -172,17 +144,20 @@ class TimingSimulator:
         if n_tasks < 1:
             raise SimulationError(f"n_tasks must be >= 1, got {n_tasks}")
         cfg = self.config
-        iters = self.iterations()
+        model = self.model
+        iters = model.iterations()
         trace = Trace(enabled=False)
 
         stages = self.stage_durations()
         traverse = sum(stages)
         bottleneck = max(stages)
-        t_tx = self.t_tx_pair()
-        t_rx = self.t_rx_pair()
-        hls_gap = HLS_LOOP_SWITCH_CYCLES / cfg.pl_frequency_hz
+        t_tx = model.t_tx()
+        t_rx = model.t_rx()
+        hls_gap = model.t_hls_switch()
+        # One block on the norm Tx PLIO streams like one on a Tx PLIO.
+        norm_block = t_tx
+        norm_kernel = model.t_norm_kernel()
         pairs = block_pairs(cfg.n_blocks)
-        pair_bits = cfg.pair_cols * self._column_bits()
         # DDR contention: with P_task pipelines streaming concurrently,
         # each sees its bandwidth share.  (A fair-share rate model, not
         # a FIFO resource: tasks are simulated sequentially, so a shared
@@ -192,8 +167,7 @@ class TimingSimulator:
         # load amortized over ``num`` pairs.
         active_pipelines = min(cfg.p_task, n_tasks)
         ddr_share = self.ddr.bits_per_s / active_pipelines
-        matrix_bits = cfg.m * cfg.n * FLOAT32_BITS
-        ddr_fetch = matrix_bits / max(1, cfg.num_block_pairs) / ddr_share
+        ddr_fetch = model.ddr_fetch(ddr_share)
         writeback = (cfg.m * cfg.n + cfg.n) * FLOAT32_BITS / ddr_share
 
         pipeline_free = [0.0] * cfg.p_task
@@ -245,11 +219,6 @@ class TimingSimulator:
             # Normalization: blocks stream sequentially through the norm
             # PLIOs; each block's columns are normalized in parallel by
             # the k norm-AIEs.
-            norm_block = self._norm_block_time()
-            norm_kernel = (
-                norm_kernel_cycles(cfg.m, 1, cfg.device)
-                / cfg.device.aie_frequency_hz
-            )
             t = max(avail)
             for _ in range(cfg.n_blocks):
                 t += norm_block
@@ -266,9 +235,7 @@ class TimingSimulator:
                 first_task_iterations = [
                     iteration_ends[i] - iteration_starts[i] for i in range(iters)
                 ]
-            orth_busy_total += (
-                iters * cfg.num_block_pairs * sum(stages)
-            )
+            orth_busy_total += iters * cfg.num_block_pairs * traverse
             tx_busy_total += tx_port.busy_time
 
         makespan = max(pipeline_free)
@@ -309,13 +276,10 @@ class TimingSimulator:
         Runs two sweeps and reports the second, which is free of the
         DDR ramp-up, matching the paper's steady-state measurement.
         """
-        from dataclasses import replace
-
-        original = self.config
-        try:
-            if original.fixed_iterations != 2:
-                self.config = replace(original, fixed_iterations=2)
-            result = self.simulate(1)
-            return result.steady_iteration_time
-        finally:
-            self.config = original
+        two_sweeps = TimingSimulator(
+            replace(self.config, fixed_iterations=2),
+            self.ddr,
+            self.placement,
+            self.layer_slowdown,
+        )
+        return two_sweeps.simulate(1).steady_iteration_time

@@ -28,7 +28,7 @@ from repro.versal.communication import (
 )
 from repro.versal.plio import PLIOPort, PLIODirection
 from repro.versal.noc import DDRChannel
-from repro.versal.kernels import KernelTimings, orth_kernel_cycles, norm_kernel_cycles
+from repro.versal.kernels import orth_kernel_cycles, norm_kernel_cycles
 
 __all__ = [
     "VCK190",
@@ -46,7 +46,6 @@ __all__ = [
     "PLIOPort",
     "PLIODirection",
     "DDRChannel",
-    "KernelTimings",
     "orth_kernel_cycles",
     "norm_kernel_cycles",
 ]

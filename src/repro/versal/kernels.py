@@ -20,6 +20,10 @@ Operation budget of one orthogonalization (column length ``m``):
 One normalization (per column): a squared-norm reduction, one scalar
 square root, and a reciprocal-scaled copy (Eq. 7).
 
+:class:`~repro.core.perf_model.PerformanceModel` turns these cycle
+counts into seconds (``t_orth``, ``t_norm_kernel``) at the device's AIE
+clock.
+
 The fixed overheads were calibrated once so the end-to-end timing
 simulation reproduces the magnitude of the paper's Table IV
 measurements; they are ordinary constructor arguments, so experiments
@@ -29,7 +33,6 @@ can re-calibrate without touching library code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.versal.device import DeviceSpec, VCK190
@@ -102,29 +105,3 @@ def norm_kernel_cycles(m: int, n_cols: int = 1, device: DeviceSpec = VCK190) -> 
     )
     return NORM_OVERHEAD_CYCLES + n_cols * per_column
 
-
-@dataclass(frozen=True)
-class KernelTimings:
-    """Kernel execution times for one problem size, in seconds.
-
-    Bundles what the DSE's performance model needs: the orth kernel
-    latency (per column pair) and norm kernel latency (per column), both
-    at the device's AIE clock.
-    """
-
-    m: int
-    device: DeviceSpec = VCK190
-
-    @property
-    def t_orth(self) -> float:
-        """Seconds for one column-pair orthogonalization."""
-        return orth_kernel_cycles(self.m, self.device) / self.device.aie_frequency_hz
-
-    @property
-    def t_norm_column(self) -> float:
-        """Seconds to normalize a single column."""
-        return norm_kernel_cycles(self.m, 1, self.device) / self.device.aie_frequency_hz
-
-    def t_norm(self, n_cols: int) -> float:
-        """Seconds to normalize ``n_cols`` columns on one norm-AIE."""
-        return norm_kernel_cycles(self.m, n_cols, self.device) / self.device.aie_frequency_hz

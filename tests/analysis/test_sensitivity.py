@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.analysis.sensitivity import KNOBS, sensitivity_analysis
+from repro.analysis.sensitivity import KNOBS, _scaled, sensitivity_analysis
+from repro.core import perf_model as perf_model_module
 from repro.core.config import HeteroSVDConfig
 from repro.core.perf_model import PerformanceModel
+from repro.core.timing import TimingSimulator
 from repro.errors import ConfigurationError
+from repro.units import mhz
 from repro.versal import kernels
 
 
@@ -107,3 +110,32 @@ class TestEveryKnobMovesTheModel:
         for name, golden in self.EFFECTS.items():
             assert effects[name] > 0.0, name
             assert effects[name].hex() == golden, name
+
+
+class TestCalibrationReachesTheSimulator:
+    """A rescaled calibration constant moves the timing simulator as it
+    moves the model: both read their static durations from one place."""
+
+    @pytest.fixture
+    def table_iv_config(self):
+        return HeteroSVDConfig(
+            m=128, n=128, p_eng=4, p_task=1,
+            pl_frequency_hz=mhz(208.3), fixed_iterations=1,
+        )
+
+    def test_column_gap_moves_measured_iteration_time(self, table_iv_config):
+        base = TimingSimulator(table_iv_config).measure_iteration_time()
+        with _scaled(perf_model_module, "COLUMN_GAP_PL_CYCLES", 2.0):
+            scaled = TimingSimulator(table_iv_config).measure_iteration_time()
+            modelled = PerformanceModel(table_iv_config).iteration_time()
+        assert scaled > 1.2 * base
+        # The simulation still stands in for the board (Table IV's band).
+        assert abs(modelled - scaled) / scaled < 0.10
+
+    @pytest.mark.parametrize("knob", sorted(KNOBS))
+    def test_every_knob_moves_simulated_latency(self, table_iv_config, knob):
+        module, attribute = KNOBS[knob]
+        base = TimingSimulator(table_iv_config).simulate(1).latency
+        with _scaled(module, attribute, 1.2):
+            scaled = TimingSimulator(table_iv_config).simulate(1).latency
+        assert scaled > base, knob

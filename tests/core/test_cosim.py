@@ -7,7 +7,7 @@ from repro.core.accelerator import HeteroSVDAccelerator
 from repro.core.config import HeteroSVDConfig
 from repro.core.cosim import CoSimulator
 from repro.core.timing import TimingSimulator
-from repro.errors import NumericalError
+from repro.errors import NumericalError, SimulationError
 
 
 def config(m=32, n=16, p_eng=4, **kwargs):
@@ -88,3 +88,19 @@ class TestCoSimTiming:
         tr = CoSimulator(config(fixed_iterations=2, use_codesign=False)).run(a)
         assert co.makespan <= tr.makespan
         assert np.allclose(co.sigma, tr.sigma, rtol=1e-9)
+
+
+class TestCoSimStopRule:
+    def test_cap_raises_like_the_accelerator(self, rng):
+        # fp32 cannot reach 1e-12: both engines stop at the system
+        # module's iteration bound with the same error.
+        cfg = HeteroSVDConfig(
+            m=16, n=16, p_eng=4, precision=1e-12, arithmetic="float32"
+        )
+        a = rng.standard_normal((16, 16))
+        with pytest.raises(SimulationError) as accel_error:
+            HeteroSVDAccelerator(cfg).run(a)
+        with pytest.raises(SimulationError) as cosim_error:
+            CoSimulator(cfg).run(a)
+        assert "did not converge within 60 iterations" in str(cosim_error.value)
+        assert str(cosim_error.value) == str(accel_error.value)

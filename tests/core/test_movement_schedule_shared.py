@@ -59,5 +59,5 @@ class TestShared:
         config = HeteroSVDConfig(m=16, n=16, p_eng=4, p_task=1)
         schedule = movement_schedule(4, True, 1)
         assert PerformanceModel(config)._schedule is schedule
-        assert TimingSimulator(config)._schedule is schedule
+        assert TimingSimulator(config).model._schedule is schedule
         assert HeteroSVDAccelerator(config)._schedule is schedule

@@ -330,6 +330,19 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: P_eng=100 outside Table I range [1, 11]"]
 
+    @pytest.mark.parametrize("command", [
+        ["svd", "--size", "64"],
+        ["model", "--size", "64"],
+        ["sensitivity", "--size", "64"],
+        ["placement"],
+    ])
+    @pytest.mark.parametrize("p_eng", ["0", "-3"])
+    def test_non_positive_p_eng_is_a_usage_error(self, capsys, command,
+                                                 p_eng):
+        assert main([*command, "--p-eng", p_eng]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: P_eng={p_eng} outside Table I range [1, 11]"]
+
     def test_model_command(self, capsys):
         assert main(["model", "--size", "128", "--p-eng", "4"]) == 0
         out = capsys.readouterr().out

@@ -2,13 +2,11 @@
 
 import pytest
 
+from repro.core.config import HeteroSVDConfig
+from repro.core.perf_model import PerformanceModel
 from repro.errors import ConfigurationError
 from repro.versal.device import VCK190
-from repro.versal.kernels import (
-    KernelTimings,
-    norm_kernel_cycles,
-    orth_kernel_cycles,
-)
+from repro.versal.kernels import norm_kernel_cycles, orth_kernel_cycles
 
 
 class TestOrthKernel:
@@ -54,17 +52,22 @@ class TestNormKernel:
 
 
 class TestKernelTimings:
+    """The performance model turns the cycle counts into seconds."""
+
+    @staticmethod
+    def model(m):
+        return PerformanceModel(HeteroSVDConfig(m=m, n=m, p_eng=4, p_task=1))
+
     def test_seconds_at_aie_clock(self):
-        timings = KernelTimings(m=128)
         expected = orth_kernel_cycles(128) / VCK190.aie_frequency_hz
-        assert timings.t_orth == pytest.approx(expected)
+        assert self.model(128).t_orth() == pytest.approx(expected)
 
     def test_orth_kernel_is_sub_microsecond_for_128(self):
         # Sanity anchor for the Table IV calibration: one 128-element
         # pair rotation is ~0.16 us at 1.25 GHz.
-        t = KernelTimings(m=128).t_orth
+        t = self.model(128).t_orth()
         assert 0.05e-6 < t < 0.5e-6
 
-    def test_norm_batch_time(self):
-        timings = KernelTimings(m=256)
-        assert timings.t_norm(8) > timings.t_norm_column
+    def test_norm_tail_at_aie_clock(self):
+        expected = norm_kernel_cycles(256, 1) / VCK190.aie_frequency_hz
+        assert self.model(256).t_norm_kernel() == pytest.approx(expected)

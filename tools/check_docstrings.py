@@ -1,14 +1,15 @@
 """Public-API docstring checker.
 
-Every symbol a user reaches through ``repro.linalg`` or
-``repro.workloads`` (their ``__all__`` exports) must carry a
-docstring — classes and functions alike — and so must the public
+Every symbol a user reaches through ``repro.core``, ``repro.linalg``,
+``repro.versal`` or ``repro.workloads`` (their ``__all__`` exports)
+must carry a docstring — classes and functions alike — and so must the public
 methods and properties of exported classes.  An undocumented export
 is an API the docs can't explain and ``help()`` can't introspect.
 
 Run:  python tools/check_docstrings.py   (exit 1 on any violation)
 """
 
+import functools
 import inspect
 import os
 import sys
@@ -17,7 +18,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 #: Packages whose ``__all__`` exports are held to the docstring bar.
-PACKAGES = ("repro.linalg", "repro.workloads")
+PACKAGES = ("repro.core", "repro.linalg", "repro.versal", "repro.workloads")
 
 
 def _missing_in_class(cls, qualname):
@@ -29,6 +30,8 @@ def _missing_in_class(cls, qualname):
             continue
         if isinstance(member, property):
             target = member.fget
+        elif isinstance(member, functools.cached_property):
+            target = member.func
         elif isinstance(member, (staticmethod, classmethod)):
             target = member.__func__
         elif inspect.isfunction(member):
