@@ -44,16 +44,6 @@ def test_bench_functional_accelerator_64(benchmark, matrix64):
 
 
 @pytest.mark.benchmark(group="solver")
-def test_bench_cpu_vectorized_64(benchmark, matrix64):
-    from repro.baselines.cpu_blocked import cpu_blocked_jacobi_svd
-
-    result = benchmark(
-        lambda: cpu_blocked_jacobi_svd(matrix64, precision=1e-8)
-    )
-    assert result.converged
-
-
-@pytest.mark.benchmark(group="solver")
 def test_bench_lapack_64(benchmark, matrix64):
     benchmark(lambda: np.linalg.svd(matrix64, full_matrices=False))
 

@@ -19,7 +19,6 @@ and in EXPERIMENTS.md.
 from repro.baselines.fpga_bcv import FPGABaselineModel, FPGA_RESOURCES
 from repro.baselines.gpu_wcycle import GPUBaselineModel, RTX3090
 from repro.baselines.cpu_numpy import lapack_svd_seconds
-from repro.baselines.cpu_blocked import CPUSolveResult, cpu_blocked_jacobi_svd
 
 __all__ = [
     "FPGABaselineModel",
@@ -27,6 +26,4 @@ __all__ = [
     "GPUBaselineModel",
     "RTX3090",
     "lapack_svd_seconds",
-    "CPUSolveResult",
-    "cpu_blocked_jacobi_svd",
 ]

@@ -579,7 +579,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    """Run the cross-implementation self-test."""
+    """Run the differential self-test (:mod:`repro.validation`)."""
     from repro.validation import main as validation_main
 
     return validation_main()
@@ -1141,7 +1141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.set_defaults(func=cmd_placement)
 
     p_validate = sub.add_parser(
-        "validate", help="cross-implementation self-test"
+        "validate",
+        help="differential self-test: every solver's contract vs LAPACK",
     )
     p_validate.set_defaults(func=cmd_validate)
 

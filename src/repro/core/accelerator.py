@@ -37,7 +37,12 @@ from repro.core.dataflow import DataflowMode
 from repro.core.ordering_codesign import movement_schedule
 from repro.core.placement import Placement, place
 from repro.core.routing import ForwardingRule, assign_plios
-from repro.errors import NumericalError, SimulationError
+from repro.errors import InputValidationError, NumericalError, SimulationError
+from repro.guard.validate import (
+    postscale_singular_values,
+    prescale_matrix,
+    validate_matrix,
+)
 from repro.linalg.block import block_pair_round_indices
 from repro.linalg.convergence import zero_column_threshold_sq
 from repro.linalg.hestenes import (
@@ -100,6 +105,54 @@ class AcceleratorResult:
                 "reconstruction requires accumulate_v=True at run time"
             )
         return (self.u * self.sigma) @ self.v.T
+
+
+def checked_input(
+    matrix: np.ndarray, config: HeteroSVDConfig
+) -> "tuple[np.ndarray, int]":
+    """A task's input, checked and brought into the datapath's range.
+
+    The matrix must be real, of the configured shape, and finite once
+    cast to ``config.arithmetic`` (a float64 entry beyond float32's
+    range fails a float32 datapath).  An input with entries beyond
+    ~1e±150 is then pre-scaled by an exact power of two
+    (:func:`~repro.guard.prescale_matrix`, as software
+    :func:`~repro.linalg.svd` does); an in-range input is untouched,
+    and a float32 input always is.
+
+    Returns:
+        The matrix in ``config.arithmetic`` and the scale exponent to
+        undo on the singular values
+        (:func:`~repro.guard.postscale_singular_values`).
+
+    Raises:
+        NumericalError: on a shape mismatch or non-finite entries; its
+            :class:`~repro.errors.InputValidationError` subclass on
+            complex input.
+    """
+    matrix = np.asarray(matrix)
+    if np.iscomplexobj(matrix):
+        raise InputValidationError(
+            "input matrix is complex; the accelerator streams real data "
+            "(repro.svd factors a complex matrix through its real "
+            "embedding)",
+            reason="dtype",
+        )
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        matrix = np.asarray(matrix, dtype=config.arithmetic)
+    if matrix.shape != (config.m, config.n):
+        raise NumericalError(
+            f"matrix shape {matrix.shape} does not match configured "
+            f"{(config.m, config.n)}"
+        )
+    try:
+        health = validate_matrix(matrix, name="input matrix")
+    except InputValidationError as error:
+        # A non-finite entry is the model's own backstop, a plain
+        # NumericalError; reporting it as invalid input (CLI exit 4)
+        # is the job of the caller's guard, which --no-validate skips.
+        raise NumericalError(str(error)) from error
+    return prescale_matrix(matrix, health)
 
 
 class HeteroSVDAccelerator:
@@ -213,17 +266,14 @@ class HeteroSVDAccelerator:
         Returns:
             The :class:`AcceleratorResult` with singular values in
             descending order.
-        """
-        matrix = np.asarray(matrix, dtype=self._dtype)
-        cfg = self.config
-        if matrix.shape != (cfg.m, cfg.n):
-            raise NumericalError(
-                f"matrix shape {matrix.shape} does not match configured "
-                f"{(cfg.m, cfg.n)}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise NumericalError("input matrix contains non-finite entries")
 
+        Raises:
+            NumericalError: for an input :func:`checked_input` rejects.
+            SimulationError: if the sweeps do not converge within the
+                system module's iteration bound.
+        """
+        cfg = self.config
+        matrix, scale_exponent = checked_input(matrix, cfg)
         arrangement = DataArrangement(matrix, cfg.block_width)
         system = SystemModule(
             precision=cfg.precision,
@@ -301,7 +351,7 @@ class HeteroSVDAccelerator:
 
         order = np.argsort(sigma)[::-1]
         u = u[:, order]
-        sigma = sigma[order]
+        sigma = postscale_singular_values(sigma[order], scale_exponent)
         v = v_working[:, order] if v_working is not None else None
         arrangement.store_results(u, sigma)
         stats.fifo_high_water = max(

@@ -32,11 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.accelerator import HeteroSVDAccelerator
+from repro.core.accelerator import HeteroSVDAccelerator, checked_input
 from repro.core.config import HeteroSVDConfig
 from repro.core.perf_model import PerformanceModel
 from repro.core.placement import Placement, place
-from repro.errors import NumericalError
+from repro.guard.validate import postscale_singular_values
 from repro.linalg.block import (
     BlockPartition,
     block_pair_round_indices,
@@ -108,20 +108,14 @@ class CoSimulator:
         """Co-simulate one SVD task with real data.
 
         Raises:
-            NumericalError: for shape/validity violations (same contract
-                as the functional accelerator).
+            NumericalError: for shape/validity violations (the
+                accelerator's :func:`checked_input`, which also pre-scales
+                extreme-magnitude inputs).
             SimulationError: if the sweeps do not converge within the
                 system module's iteration bound (as the accelerator).
         """
         cfg = self.config
-        matrix = np.asarray(matrix, dtype=self._dtype)
-        if matrix.shape != (cfg.m, cfg.n):
-            raise NumericalError(
-                f"matrix shape {matrix.shape} does not match configured "
-                f"{(cfg.m, cfg.n)}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise NumericalError("input matrix contains non-finite entries")
+        matrix, scale_exponent = checked_input(matrix, cfg)
 
         partition = BlockPartition(cfg.n, cfg.block_width)
         pairs = block_pairs(partition.n_blocks)
@@ -220,7 +214,7 @@ class CoSimulator:
         )
         return CoSimResult(
             u=u[:, order],
-            sigma=sigma[order],
+            sigma=postscale_singular_values(sigma[order], scale_exponent),
             iterations=system.iterations_completed,
             converged=system.converged,
             makespan=makespan,

@@ -56,7 +56,6 @@ from repro.linalg.block import (
     block_pairs,
 )
 from repro.linalg.svd import SVDResult, svd
-from repro.linalg.kogbetliantz import KogbetliantzResult, kogbetliantz_svd
 from repro.linalg.truncated import TruncatedSVDResult, truncated_svd
 from repro.linalg.streaming import StreamingResult, StreamingSVD, streaming_svd
 from repro.linalg.tsqr import TSQRResult, tall_skinny_svd
@@ -85,8 +84,6 @@ __all__ = [
     "block_pairs",
     "SVDResult",
     "svd",
-    "KogbetliantzResult",
-    "kogbetliantz_svd",
     "TruncatedSVDResult",
     "truncated_svd",
     "StreamingSVD",

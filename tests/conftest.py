@@ -1,7 +1,14 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and settings for the test suite."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run and machine:
+# examples come from a hash of the test, and no example database
+# replays earlier failures.
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -205,3 +205,31 @@ class TestAcceleratorErrors:
         result = make_accel(16, 8, 2).run(rng.standard_normal((16, 8)))
         with pytest.raises(SimulationError):
             result.reconstruct()
+
+    def test_complex_rejected(self, rng):
+        # The datapath is real: a complex input must not be cast away.
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        with pytest.raises(NumericalError, match="complex"):
+            make_accel(16, 16, 4).run(a)
+
+
+class TestInputScale:
+    """Inputs far from unit scale are pre-scaled by a power of two."""
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_power_of_two_scale_is_exact(self, rng, exponent):
+        # Unscaled, 2**600 overflows the Gram entries and 2**-600
+        # underflows them (one sweep, all-zero sigma).
+        a = rng.standard_normal((16, 16))
+        accel = make_accel(16, 16, 4)
+        plain = accel.run(a)
+        scaled = accel.run(np.ldexp(a, exponent))
+        assert scaled.iterations == plain.iterations > 1
+        assert np.array_equal(scaled.sigma, np.ldexp(plain.sigma, exponent))
+        assert np.array_equal(scaled.u, plain.u)
+
+    def test_float32_rejects_entries_beyond_its_range(self, rng):
+        # 1e50 is in float64's pre-scale range but overflows the cast.
+        a = 1e50 * rng.standard_normal((16, 16))
+        with pytest.raises(NumericalError, match="non-finite"):
+            make_accel(16, 16, 4, arithmetic="float32").run(a)

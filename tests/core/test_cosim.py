@@ -36,6 +36,20 @@ class TestCoSimFunctional:
         assert np.allclose(result.sigma, s_ref, rtol=1e-7)
         assert result.converged
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scale_matches_accelerator(self, rng, scale):
+        cfg = config()
+        a = scale * rng.standard_normal((32, 16))
+        cosim = CoSimulator(cfg).run(a)
+        accel = HeteroSVDAccelerator(cfg).run(a)
+        assert np.array_equal(cosim.sigma, accel.sigma)
+        assert cosim.iterations == accel.iterations
+
+    def test_complex_rejected(self, rng):
+        a = rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16))
+        with pytest.raises(NumericalError, match="complex"):
+            CoSimulator(config()).run(a)
+
     def test_kernel_event_count(self, rng):
         cfg = config(fixed_iterations=2)
         a = rng.standard_normal((32, 16))

@@ -188,6 +188,30 @@ class TestCommands:
         s_ref = np.linalg.svd(matrix, compute_uv=False)
         assert np.allclose(np.sort(factors["sigma"])[::-1], s_ref, rtol=1e-5)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_svd_extreme_scale_input(self, tmp_path, capsys, rng, scale):
+        matrix = scale * rng.standard_normal((16, 16))
+        in_path = tmp_path / "a.npy"
+        out_path = tmp_path / "factors.npz"
+        np.save(in_path, matrix)
+        code = main([
+            "svd", "--input", str(in_path), "--output", str(out_path),
+            "--p-eng", "4",
+        ])
+        assert code == 0
+        sigma = np.load(out_path)["sigma"]
+        s_ref = np.linalg.svd(matrix, compute_uv=False)
+        assert np.max(np.abs(sigma - s_ref)) <= 1e-9 * s_ref[0]
+
+    def test_svd_complex_input_is_invalid(self, tmp_path, capsys, rng):
+        matrix = rng.standard_normal((16, 16)) + 1j * rng.standard_normal(
+            (16, 16)
+        )
+        in_path = tmp_path / "a.npy"
+        np.save(in_path, matrix)
+        assert main(["svd", "--input", str(in_path), "--p-eng", "4"]) == 4
+        assert "complex" in capsys.readouterr().err
+
     def test_svd_pads_odd_widths(self, tmp_path, capsys, rng):
         matrix = rng.standard_normal((12, 10))
         in_path = tmp_path / "a.npy"

@@ -1,7 +1,8 @@
 """Public-API docstring checker.
 
-Every symbol a user reaches through ``repro.core``, ``repro.linalg``,
-``repro.versal`` or ``repro.workloads`` (their ``__all__`` exports)
+Every symbol a user reaches through ``repro.baselines``, ``repro.core``,
+``repro.linalg``, ``repro.validation``, ``repro.versal`` or
+``repro.workloads`` (their ``__all__`` exports)
 must carry a docstring — classes and functions alike — and so must the public
 methods and properties of exported classes.  An undocumented export
 is an API the docs can't explain and ``help()`` can't introspect.
@@ -18,7 +19,14 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 #: Packages whose ``__all__`` exports are held to the docstring bar.
-PACKAGES = ("repro.core", "repro.linalg", "repro.versal", "repro.workloads")
+PACKAGES = (
+    "repro.baselines",
+    "repro.core",
+    "repro.linalg",
+    "repro.validation",
+    "repro.versal",
+    "repro.workloads",
+)
 
 
 def _missing_in_class(cls, qualname):

@@ -3,9 +3,11 @@
 For each seed, factors an ``n x n`` Gaussian
 (:func:`repro.workloads.random_matrix`) with ``repro.svd(method=...)``
 at the default precision and takes the normwise error
-``max|sigma - sigma_lapack| / sigma_lapack[0]``.  Prints the median and
-the worst case over the seeds for each method; docs/workloads.md quotes
-the output as the ``hestenes``/``block`` accuracy contract.
+``max|sigma - sigma_lapack| / sigma_lapack[0]`` through
+:func:`repro.linalg.reference.singular_value_error`, the error measure
+of the differential harness (:mod:`repro.validation`).  Prints the
+median and the worst case over the seeds for each method;
+docs/workloads.md quotes the output next to the harness's contracts.
 
 Run:  python tools/sigma_contract.py --size 128 --seeds 150
 """
@@ -20,18 +22,17 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.linalg import svd  # noqa: E402
+from repro.linalg.reference import singular_value_error  # noqa: E402
 from repro.workloads import random_matrix  # noqa: E402
 
 
 def sigma_errors(method: str, size: int, seeds: int) -> np.ndarray:
     """Normwise singular-value error of ``method`` for seeds 0..seeds-1."""
-    errors = []
-    for seed in range(seeds):
-        a = random_matrix(size, size, seed=seed)
-        reference = np.linalg.svd(a, compute_uv=False)
-        sigma = svd(a, method=method).singular_values
-        errors.append(np.max(np.abs(sigma - reference)) / reference[0])
-    return np.asarray(errors)
+    matrices = (random_matrix(size, size, seed=seed) for seed in range(seeds))
+    return np.asarray([
+        singular_value_error(a, svd(a, method=method).singular_values)
+        for a in matrices
+    ])
 
 
 def main(argv=None) -> int:
