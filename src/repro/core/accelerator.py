@@ -1,24 +1,32 @@
 """Functional simulation of the HeteroSVD accelerator (Algorithm 1).
 
-Executes the complete system of Fig. 2 with real data: the data
-arrangement module splits the matrix into blocks and streams block
-pairs; the sender packetizes columns with dynamic-forwarding headers
-routed by the placement; the orth-AIEs run the shifting-ring sweep of
-Jacobi rotations over each block pair; the receiver reassembles columns
-and reduces the convergence rate; the system module iterates until the
-precision target (or a fixed sweep budget) is met; finally the
-norm-AIEs produce ``Sigma`` and ``U`` (Eq. 7).
+Executes the complete system of Fig. 2 with real data: the matrix is
+split into column blocks, block pairs stream to the orth-AIEs, which
+run the shifting-ring sweep of Jacobi rotations; the system module
+iterates until the precision target (or a fixed sweep budget) is met;
+finally the norm-AIEs produce ``Sigma`` and ``U`` (Eq. 7).
 
-Staging, packetization, reassembly and traffic accounting run per
-block pair, as in hardware.  The rotations themselves run one
-tournament round of block pairs at a time: those pairs touch disjoint
-columns, and one ordering round maps onto one layer of orth-AIEs that
-all rotate at once, so every ordering round of the whole tournament
-round is one call of the block driver's batched round kernel
-(:func:`repro.linalg.hestenes._sweep_pairs_indexed`).  The rotations
-are the same as sweeping the block pairs one by one, and the result
-equals ``svd(method="block", block_width=P_eng,
-strategy="vectorized")`` bit for bit after the same number of sweeps.
+The orth-AIE layers rotate a whole tournament round of block pairs at
+once: those pairs touch disjoint columns, and one ordering round maps
+onto one layer of orth-AIEs that all rotate together.  A run therefore
+keeps one Fortran-order ``W = [B; V]``
+(:func:`~repro.linalg.hestenes.stack_panels`; V rows only when
+accumulating) and rotates it in place, one call of the block driver's
+batched round kernel
+(:func:`repro.linalg.hestenes._sweep_pairs_indexed`) per ordering
+round of each tournament round.  These are the rotations of sweeping
+the block pairs one by one, and the result equals
+``svd(method="block", block_width=P_eng, strategy="vectorized")`` bit
+for bit after the same number of sweeps.
+
+The PL only moves columns, and its dynamic-forwarding routes depend on
+(slot, side) alone (Section III-C, Fig. 5), so the PL side is
+accounting: the routing table is resolved once per instance, every
+block pair of every sweep sends and receives one packet per routed
+column, and DMA and neighbour transfers come from the shared movement
+schedule.  :mod:`repro.pl`'s ``Sender``, ``Receiver`` and
+``DataArrangement`` are the per-column reference models of that
+traffic.
 
 The result must match ``numpy.linalg.svd`` — that equivalence is the
 functional-correctness contract of the whole hardware model and is
@@ -27,7 +35,8 @@ enforced by the integration tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -36,14 +45,15 @@ from repro.core.config import HeteroSVDConfig
 from repro.core.dataflow import DataflowMode
 from repro.core.ordering_codesign import movement_schedule
 from repro.core.placement import Placement, place
-from repro.core.routing import ForwardingRule, assign_plios
+from repro.core.routing import Coord, ForwardingRule, assign_plios
 from repro.errors import InputValidationError, NumericalError, SimulationError
 from repro.guard.validate import (
+    SCALE_MAX,
     postscale_singular_values,
     prescale_matrix,
     validate_matrix,
 )
-from repro.linalg.block import block_pair_round_indices
+from repro.linalg.block import BlockPartition, sweep_round_indices
 from repro.linalg.convergence import zero_column_threshold_sq
 from repro.linalg.hestenes import (
     _sweep_pairs_indexed,
@@ -51,10 +61,14 @@ from repro.linalg.hestenes import (
     stack_panels,
 )
 from repro.linalg.orderings import Ordering, RingOrdering, ShiftingRingOrdering
-from repro.pl.data_arrangement import DataArrangement
-from repro.pl.receiver import Receiver, reduce_convergence
-from repro.pl.sender import Packet, Sender
 from repro.pl.system_module import Phase, SystemModule
+
+#: Largest peak entry magnitude each datapath takes unscaled (its
+#: inverse is the smallest): float64's ``2**500`` squares to
+#: ``2**±1000`` and float32's ``2**52`` to ``2**±104``, 22-24 bits
+#: inside the type's normal range, so squared column norms neither
+#: overflow nor underflow.  Inputs outside the window are pre-scaled.
+_PEAK_LIMIT = {"float64": SCALE_MAX, "float32": 2.0 ** 52}
 
 
 @dataclass
@@ -72,7 +86,8 @@ class TransferStats:
     neighbor_transfers: int = 0
     packets_sent: int = 0
     packets_received: int = 0
-    #: Peak occupancy observed across the sender/receiver FIFOs.
+    #: Peak occupancy of the sender/receiver FIFOs: 1 in a run, as
+    #: each block-pair job is pushed and popped at once.
     fifo_high_water: int = 0
 
 
@@ -112,13 +127,14 @@ def checked_input(
 ) -> "tuple[np.ndarray, int]":
     """A task's input, checked and brought into the datapath's range.
 
-    The matrix must be real, of the configured shape, and finite once
-    cast to ``config.arithmetic`` (a float64 entry beyond float32's
-    range fails a float32 datapath).  An input with entries beyond
-    ~1e±150 is then pre-scaled by an exact power of two
-    (:func:`~repro.guard.prescale_matrix`, as software
-    :func:`~repro.linalg.svd` does); an in-range input is untouched,
-    and a float32 input always is.
+    The matrix must be real, finite and of the configured shape.  An
+    input whose peak magnitude lies outside the datapath's window
+    (``2**±500`` for float64, ``2**±52`` for float32) is pre-scaled by
+    an exact power of two (:func:`~repro.guard.prescale_matrix`, as
+    software :func:`~repro.linalg.svd` does) and then cast to
+    ``config.arithmetic``; an input inside it is only cast.  An entry
+    beyond float32's range fails a float32 datapath: it is not
+    rescaled, and the cast overflows.
 
     Returns:
         The matrix in ``config.arithmetic`` and the scale exponent to
@@ -126,9 +142,9 @@ def checked_input(
         (:func:`~repro.guard.postscale_singular_values`).
 
     Raises:
-        NumericalError: on a shape mismatch or non-finite entries; its
-            :class:`~repro.errors.InputValidationError` subclass on
-            complex input.
+        NumericalError: on a shape mismatch or non-finite entries (also
+            once cast); its :class:`~repro.errors.InputValidationError`
+            subclass on complex input.
     """
     matrix = np.asarray(matrix)
     if np.iscomplexobj(matrix):
@@ -138,8 +154,7 @@ def checked_input(
             "embedding)",
             reason="dtype",
         )
-    with np.errstate(over="ignore"):  # an overflow is rejected below
-        matrix = np.asarray(matrix, dtype=config.arithmetic)
+    matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (config.m, config.n):
         raise NumericalError(
             f"matrix shape {matrix.shape} does not match configured "
@@ -152,7 +167,25 @@ def checked_input(
         # NumericalError; reporting it as invalid input (CLI exit 4)
         # is the job of the caller's guard, which --no-validate skips.
         raise NumericalError(str(error)) from error
-    return prescale_matrix(matrix, health)
+    dtype = np.dtype(config.arithmetic)
+    limit = _PEAK_LIMIT[dtype.name]
+    peak = health.max_abs
+    representable = peak <= float(np.finfo(dtype).max)
+    exponent = 0
+    if 0 < peak and representable and not 1 / limit <= peak <= limit:
+        exponent = -math.frexp(peak)[1]  # the peak lands in [0.5, 1)
+    matrix, exponent = prescale_matrix(
+        matrix, replace(health, scale_exponent=exponent)
+    )
+    if dtype != matrix.dtype:
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            matrix = matrix.astype(dtype)
+        if not np.isfinite(matrix).all():
+            raise NumericalError(
+                f"input matrix has entries beyond the {dtype} datapath's "
+                f"range (non-finite once cast)"
+            )
+    return matrix, exponent
 
 
 class HeteroSVDAccelerator:
@@ -164,6 +197,10 @@ class HeteroSVDAccelerator:
             dataflow for traffic accounting.
         placement: Optional pre-computed placement (a fresh one is
             derived from the config otherwise).
+
+    Raises:
+        RoutingError: when the placed task lacks an orth-AIE at a
+            first-layer slot a block pair's columns are routed to.
     """
 
     def __init__(
@@ -183,7 +220,16 @@ class HeteroSVDAccelerator:
         #: Which placed task pipeline this instance models.
         self.pipeline = pipeline
         self._forwarding = ForwardingRule(self.placement.tasks[pipeline])
-        self._sender = Sender(self._forwarding.route_orth)
+        #: Destination tile of each column packet of a block pair, in
+        #: stream order (slot by slot, left column then right): the
+        #: headers ``Sender(route_orth).packetize`` stamps.  Routes
+        #: depend on (slot, side) alone, so every block pair of every
+        #: sweep uses this one table.
+        self.routing_table: "tuple[Coord, ...]" = tuple(
+            self._forwarding.route_orth(slot, side)
+            for slot in range(config.pair_cols // 2)
+            for side in (0, 1)
+        )
         ordering_cls = ShiftingRingOrdering if config.use_codesign else RingOrdering
         self._ordering: Ordering = ordering_cls(config.pair_cols)
         self._schedule = movement_schedule(config.p_eng, config.use_codesign)
@@ -192,56 +238,12 @@ class HeteroSVDAccelerator:
         )
         #: Numeric type of the simulated datapath (fp32 on real AIEs).
         self._dtype = np.dtype(config.arithmetic)
-        #: Stacked local round-kernel ``idx`` per ordering round over the
-        #: ``p // 2`` block pairs of one tournament round (every round
-        #: has that many, byes excluded).
-        width = config.pair_cols
-        self._round_indices = block_pair_round_indices(
-            [range(g * width, (g + 1) * width) for g in range(config.n_blocks // 2)],
-            self._ordering,
+        #: One sweep as round-kernel calls: each ordering round of each
+        #: tournament round, over the global columns of that tournament
+        #: round's disjoint block pairs.
+        self._sweep_indices = sweep_round_indices(
+            BlockPartition(config.n, config.block_width), self._ordering
         )
-
-    # -- AIE-side kernels -------------------------------------------------------
-    def _orth_sweep(
-        self,
-        pair_data: List[np.ndarray],
-        v_data: Optional[List[np.ndarray]],
-        zero_sq: float,
-        work: "tuple[np.ndarray, np.ndarray]",
-    ) -> "tuple[np.ndarray, Optional[np.ndarray], float]":
-        """Run the parallel-ordering sweep of one tournament round.
-
-        ``pair_data`` holds the ``m x 2k`` panels of block pairs that
-        touch disjoint columns.  They are stacked side by side, over
-        their V columns when accumulating, in one fresh Fortran-order
-        ``W = [B; V]`` (:func:`~repro.linalg.hestenes.stack_panels`),
-        and each of the ordering's ``2k - 1`` rounds rotates every
-        panel in one batched kernel call through the run's ``work``
-        space: the same rotations, on the same data, as sweeping the
-        block pairs one after another.
-
-        Returns the stacked rotated panels (panel ``g`` in columns
-        ``g*2k:(g+1)*2k``), the stacked rotated V columns (when
-        accumulating), and the worst pre-rotation convergence ratio
-        over the whole group — what the orth-AIEs report upstream
-        (Algorithm 1, line 10).  Each block pair's receiver may thus be
-        handed the group's worst ratio rather than its own; since
-        :func:`~repro.pl.receiver.reduce_convergence` takes the max over
-        block pairs, the iteration's convergence rate (and the
-        ``convergence_history``) is unchanged.
-        """
-        w = stack_panels(pair_data, v_data)
-        m = self.config.m
-        worst = 0.0
-        precision = self.config.precision
-        for idx in self._round_indices:
-            ratios, _ = _sweep_pairs_indexed(
-                w, m, idx, precision, zero_sq, work
-            )
-            round_worst = float(ratios.max(initial=0.0))
-            if round_worst > worst:
-                worst = round_worst
-        return w[:m], (w[m:] if v_data is not None else None), worst
 
     def _normalize(self, working: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Norm-AIE stage: Eq. 7 column by column."""
@@ -251,7 +253,6 @@ class HeteroSVDAccelerator:
         u[:, nonzero] = working[:, nonzero] / sigma[nonzero]
         return u, sigma
 
-    # -- full task ---------------------------------------------------------------
     def run(
         self, matrix: np.ndarray, accumulate_v: bool = False
     ) -> AcceleratorResult:
@@ -268,96 +269,65 @@ class HeteroSVDAccelerator:
             descending order.
 
         Raises:
-            NumericalError: for an input :func:`checked_input` rejects.
+            NumericalError: for an input :func:`checked_input` rejects,
+                or singular values that come back non-finite.
             SimulationError: if the sweeps do not converge within the
                 system module's iteration bound.
         """
         cfg = self.config
+        m = cfg.m
         matrix, scale_exponent = checked_input(matrix, cfg)
-        arrangement = DataArrangement(matrix, cfg.block_width)
         system = SystemModule(
             precision=cfg.precision,
             fixed_iterations=cfg.fixed_iterations,
         )
-        stats = TransferStats()
         zero_sq = zero_column_threshold_sq(
             float(np.linalg.norm(matrix)), self._dtype
         )
-        v_working = np.eye(cfg.n, dtype=self._dtype) if accumulate_v else None
-        dma_per_sweep = self._schedule.dma_count(self._mode)
-        total_moves = 2 * cfg.p_eng * self._schedule.n_transitions
-
-        width = cfg.pair_cols
+        w = stack_panels(
+            [matrix],
+            [np.eye(cfg.n, dtype=self._dtype)] if accumulate_v else None,
+        )
+        # Sized for the widest call: every tournament round holds
+        # n_blocks // 2 block pairs (byes excluded).
         work = round_workspace(
-            (cfg.m + (cfg.n if accumulate_v else 0),
-             width * (cfg.n_blocks // 2)),
-            self._dtype,
+            (w.shape[0], cfg.pair_cols * (cfg.n_blocks // 2)), self._dtype
         )
 
         while system.phase is Phase.ORTHOGONALIZATION:
-            ratios: List[float] = []
-            # Each tournament round's block pairs are disjoint, so they
-            # rotate as one batch.
-            for group in arrangement.iteration_jobs():
-                pair_data = []
-                for job in group:
-                    # Jobs stage through the sender FIFOs (one per block
-                    # of the pair) before packetization, as in Fig. 2.
-                    arrangement.sender_fifos[0].push(job)
-                    arrangement.sender_fifos[1].push(job)
-                    staged = arrangement.sender_fifos[0].pop()
-                    arrangement.sender_fifos[1].pop()
-                    packets = self._sender.packetize(staged.columns, staged.data)
-                    stats.packets_sent += len(packets)
-                    pair_data.append(self._gather(packets, job.columns))
-                v_cols = (
-                    [v_working[:, job.columns] for job in group]
-                    if v_working is not None
-                    else None
+            # The sweep's convergence rate is the worst pre-rotation
+            # ratio any orth-AIE reports (Algorithm 1, line 10).
+            worst = 0.0
+            for idx in self._sweep_indices:
+                ratios, _ = _sweep_pairs_indexed(
+                    w, m, idx, cfg.precision, zero_sq, work
                 )
-                rotated, v_rotated, ratio = self._orth_sweep(
-                    pair_data, v_cols, zero_sq, work
-                )
+                round_worst = float(ratios.max(initial=0.0))
+                if round_worst > worst:
+                    worst = round_worst
+            system.report_iteration(worst)
 
-                for g, job in enumerate(group):
-                    stats.dma_transfers += dma_per_sweep
-                    stats.neighbor_transfers += total_moves - dma_per_sweep
-                    offset = g * width
-                    receiver = Receiver(job.columns)
-                    for position, column in enumerate(job.columns):
-                        packet = Packet(
-                            header=(0, 0),
-                            column_index=column,
-                            payload=rotated[:, offset + position],
-                            plio=position % 2,
-                        )
-                        receiver.accept(packet, ratio)
-                        stats.packets_received += 1
-                    # Results stage through a receiver FIFO before the
-                    # data arrangement re-pairs them.
-                    arrangement.receiver_fifos[0].push(receiver.reassemble())
-                    arrangement.retire_pair(
-                        job, arrangement.receiver_fifos[0].pop()
-                    )
-                    if v_rotated is not None:
-                        v_working[:, job.columns] = v_rotated[
-                            :, offset:offset + width
-                        ]
-                    ratios.append(receiver.convergence_ratio)
-            system.report_iteration(reduce_convergence(ratios))
-
-        u, sigma = self._normalize(arrangement.working)
+        # A C-order copy of B: NumPy sums a Fortran-order column's
+        # squares in another (pairwise) order, which moves sigma's
+        # last bits.
+        u, sigma = self._normalize(np.ascontiguousarray(w[:m]))
         system.report_normalization_done()
 
         order = np.argsort(sigma)[::-1]
         u = u[:, order]
         sigma = postscale_singular_values(sigma[order], scale_exponent)
-        v = v_working[:, order] if v_working is not None else None
-        arrangement.store_results(u, sigma)
-        stats.fifo_high_water = max(
-            fifo.high_water
-            for fifo in (*arrangement.sender_fifos, *arrangement.receiver_fifos)
-        )
+        if not np.isfinite(sigma).all():
+            raise NumericalError(
+                f"singular values overflowed the {self._dtype} datapath"
+            )
+        v = w[m:][:, order] if accumulate_v else None
+        # Every block pair of every sweep crosses the PL once each way:
+        # one packet per routed column, its job pushed and popped at
+        # once; the array moves columns as the movement schedule says.
+        pairs = system.iterations_completed * cfg.num_block_pairs
+        packets = pairs * len(self.routing_table)
+        dma = self._schedule.dma_count(self._mode)
+        moves = 2 * cfg.p_eng * self._schedule.n_transitions
         return AcceleratorResult(
             u=u,
             sigma=sigma,
@@ -365,7 +335,13 @@ class HeteroSVDAccelerator:
             iterations=system.iterations_completed,
             converged=system.converged,
             convergence_history=list(system.history),
-            transfers=stats,
+            transfers=TransferStats(
+                dma_transfers=pairs * dma,
+                neighbor_transfers=pairs * (moves - dma),
+                packets_sent=packets,
+                packets_received=packets,
+                fifo_high_water=1,
+            ),
         )
 
     def run_batch(
@@ -391,16 +367,3 @@ class HeteroSVDAccelerator:
             pipelines[i % len(pipelines)].run(m, accumulate_v=accumulate_v)
             for i, m in enumerate(matrices)
         ]
-
-    # -- helpers -------------------------------------------------------------------
-    @staticmethod
-    def _gather(packets: List[Packet], columns: List[int]) -> np.ndarray:
-        """Rebuild the pair matrix from routed packets (AIE-side view)."""
-        by_column: Dict[int, np.ndarray] = {
-            p.column_index: p.payload for p in packets
-        }
-        missing = [c for c in columns if c not in by_column]
-        if missing:
-            raise SimulationError(f"columns lost in routing: {missing}")
-        return np.column_stack([by_column[c] for c in columns])
-

@@ -126,6 +126,26 @@ def block_pair_round_indices(
     ]
 
 
+def sweep_round_indices(
+    partition: BlockPartition, ordering
+) -> List[np.ndarray]:
+    """One outer sweep as round-kernel ``idx`` arrays, in call order.
+
+    Each tournament round of :func:`block_pair_rounds` in turn, through
+    :func:`block_pair_round_indices` over the global columns of its
+    block pairs: one round-kernel call per ordering round rotates that
+    round of every block pair of the tournament round.  The schedule
+    repeats identically every sweep, so drivers build it once.
+    """
+    return [
+        idx
+        for one_round in block_pair_rounds(partition.n_blocks)
+        for idx in block_pair_round_indices(
+            [partition.pair_columns(pair) for pair in one_round], ordering
+        )
+    ]
+
+
 def block_pairs(n_blocks: int) -> List[BlockPair]:
     """Round-robin enumeration of all block pairs (tournament schedule).
 

@@ -44,11 +44,7 @@ from repro.linalg.convergence import (
     pair_convergence_ratios,
     zero_column_threshold_sq,
 )
-from repro.linalg.block import (
-    BlockPartition,
-    block_pair_round_indices,
-    block_pair_rounds,
-)
+from repro.linalg.block import BlockPartition, sweep_round_indices
 from repro.linalg.orderings import Ordering, RingOrdering
 from repro.linalg.rotations import (
     apply_rotation,
@@ -491,14 +487,7 @@ def _block_jacobi_svd(
     w = stack_panels(matrices, [np.eye(n)] * len(matrices))
     work = round_workspace(w.shape, w.dtype)
     sweep_rounds_fn = _round_sweeper(strategy)
-    local_rounds = [
-        idx
-        for block_round in block_pair_rounds(partition.n_blocks)
-        for idx in block_pair_round_indices(
-            [partition.pair_columns(pair) for pair in block_round],
-            ordering,
-        )
-    ]
+    local_rounds = sweep_round_indices(partition, ordering)
 
     def rounds_for(tasks: "list[int]") -> "list[tuple[np.ndarray, np.ndarray]]":
         # Matrix t's round indices offset by its column base t*n, laid

@@ -9,9 +9,12 @@ from repro.core.ordering_codesign import (
     codesign_dma_transfers,
     traditional_dma_transfers,
 )
-from repro.errors import NumericalError, SimulationError
+from repro.core.placement import place
+from repro.core.routing import ForwardingRule
+from repro.errors import NumericalError, RoutingError, SimulationError
 from repro.linalg.reference import validate_svd
 from repro.linalg.svd import svd
+from repro.pl.sender import Sender
 
 
 def make_accel(m, n, p_eng, **kwargs):
@@ -121,6 +124,26 @@ class TestTransferAccounting:
         assert result.transfers.packets_received == expected
 
 
+class TestRoutingTable:
+    """The table built at construction is the per-column sender's routing."""
+
+    @pytest.mark.parametrize("p_eng", [2, 4, 8])
+    def test_table_equals_sender_headers(self, rng, p_eng):
+        accel = make_accel(32, 32, p_eng)
+        rule = ForwardingRule(accel.placement.tasks[accel.pipeline])
+        columns = list(range(4, 4 + 2 * p_eng))
+        data = rng.standard_normal((32, 2 * p_eng))
+        packets = Sender(rule.route_orth).packetize(columns, data)
+        assert accel.routing_table == tuple(p.header for p in packets)
+
+    def test_missing_first_layer_slot_fails_construction(self):
+        config = HeteroSVDConfig(m=32, n=32, p_eng=4, p_task=1)
+        placement = place(config)
+        del placement.tasks[0].orth[(0, 2)]
+        with pytest.raises(RoutingError, match="slot 2"):
+            HeteroSVDAccelerator(config, placement=placement)
+
+
 class TestBlockDriverParity:
     """The accelerator rotates exactly what the block driver rotates.
 
@@ -206,6 +229,21 @@ class TestAcceleratorErrors:
         with pytest.raises(SimulationError):
             result.reconstruct()
 
+    def test_non_finite_sigma_rejected(self, rng, monkeypatch):
+        # Backstop for a datapath overflow the pre-scale did not avoid:
+        # an infinite sigma is an error, not a converged result.
+        accel = make_accel(16, 8, 2)
+        normalize = accel._normalize
+
+        def overflowing(working):
+            u, sigma = normalize(working)
+            sigma[0] = np.inf
+            return u, sigma
+
+        monkeypatch.setattr(accel, "_normalize", overflowing)
+        with pytest.raises(NumericalError, match="overflowed"):
+            accel.run(rng.standard_normal((16, 8)))
+
     def test_complex_rejected(self, rng):
         # The datapath is real: a complex input must not be cast away.
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -233,3 +271,14 @@ class TestInputScale:
         a = 1e50 * rng.standard_normal((16, 16))
         with pytest.raises(NumericalError, match="non-finite"):
             make_accel(16, 16, 4, arithmetic="float32").run(a)
+
+    @pytest.mark.parametrize("scale", [1e20, 1e30, 1e-30, 1e-50])
+    def test_float32_prescales_inputs_inside_its_range(self, rng, scale):
+        # Unscaled, float32's squared column norms overflow (1e20,
+        # 1e30: sigma = inf) or underflow (1e-30; 1e-50 flushes to zero
+        # in the cast): all-zero sigma.
+        a = scale * rng.standard_normal((16, 16))
+        result = make_accel(16, 16, 4, arithmetic="float32").run(a)
+        s_ref = np.linalg.svd(a, compute_uv=False)
+        assert result.converged
+        assert np.max(np.abs(result.sigma - s_ref)) <= 1e-5 * s_ref[0]

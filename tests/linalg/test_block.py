@@ -9,6 +9,7 @@ from repro.linalg.block import (
     block_pair_round_indices,
     block_pair_rounds,
     block_pairs,
+    sweep_round_indices,
 )
 from repro.linalg.orderings import ShiftingRingOrdering
 
@@ -119,3 +120,31 @@ class TestBlockPairRoundIndices:
             assert list(jj) == [*first_jj, *second_jj]
             assert np.unique(touched).size == touched.size
 
+
+class TestSweepRoundIndices:
+    @pytest.mark.parametrize("n_blocks", [4, 5])
+    def test_sweep_is_every_tournament_round_in_turn(self, n_blocks):
+        ordering = ShiftingRingOrdering(4)
+        partition = BlockPartition(n_cols=2 * n_blocks, block_width=2)
+        sweep = sweep_round_indices(partition, ordering)
+        rounds = block_pair_rounds(n_blocks)
+        assert len(sweep) == len(rounds) * ordering.n_rounds
+        for r, one_round in enumerate(rounds):
+            expected = block_pair_round_indices(
+                [partition.pair_columns(pair) for pair in one_round],
+                ordering,
+            )
+            calls = sweep[r * ordering.n_rounds:(r + 1) * ordering.n_rounds]
+            for idx, want in zip(calls, expected):
+                assert np.array_equal(idx, want)
+                assert np.unique(idx).size == idx.size
+
+    def test_sweep_rotates_every_column_pair(self):
+        partition = BlockPartition(n_cols=12, block_width=2)
+        sweep = sweep_round_indices(partition, ShiftingRingOrdering(4))
+        rotated = {
+            frozenset(pair)
+            for idx in sweep
+            for pair in zip(*np.split(idx, 2))
+        }
+        assert len(rotated) == 12 * 11 // 2

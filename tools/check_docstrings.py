@@ -1,8 +1,8 @@
 """Public-API docstring checker.
 
 Every symbol a user reaches through ``repro.baselines``, ``repro.core``,
-``repro.linalg``, ``repro.validation``, ``repro.versal`` or
-``repro.workloads`` (their ``__all__`` exports)
+``repro.linalg``, ``repro.pl``, ``repro.validation``, ``repro.versal``
+or ``repro.workloads`` (their ``__all__`` exports)
 must carry a docstring — classes and functions alike — and so must the public
 methods and properties of exported classes.  An undocumented export
 is an API the docs can't explain and ``help()`` can't introspect.
@@ -23,6 +23,7 @@ PACKAGES = (
     "repro.baselines",
     "repro.core",
     "repro.linalg",
+    "repro.pl",
     "repro.validation",
     "repro.versal",
     "repro.workloads",
