@@ -15,9 +15,12 @@ accumulating) and rotates it in place, one call of the block driver's
 batched round kernel
 (:func:`repro.linalg.hestenes._sweep_pairs_indexed`) per ordering
 round of each tournament round.  These are the rotations of sweeping
-the block pairs one by one, and the result equals
-``svd(method="block", block_width=P_eng, strategy="vectorized")`` bit
-for bit after the same number of sweeps.
+the block pairs one by one, and the result equals the block driver
+(:func:`~repro.linalg.hestenes._block_jacobi_svd` with
+``block_width=P_eng``, ``strategy="vectorized"``) on the same matrix
+bit for bit after the same number of sweeps.  The accelerator stays
+plain Hestenes: ``svd(method="block")`` runs that driver on the ``R^T``
+of a QR of its input instead (:mod:`repro.linalg.svd`).
 
 The PL only moves columns, and its dynamic-forwarding routes depend on
 (slot, side) alone (Section III-C, Fig. 5), so the PL side is

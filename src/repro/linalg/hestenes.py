@@ -377,10 +377,14 @@ def normalize_columns(b: np.ndarray, v: np.ndarray) -> "tuple[np.ndarray, np.nda
     Returns:
         ``(u, singular_values, v_sorted)``.  Zero columns of ``B`` give
         zero singular values with zero ``U`` columns, keeping
-        ``A = U S V^T`` exact for rank-deficient inputs.
+        ``A = U S V^T`` exact for rank-deficient inputs.  Equal singular
+        values keep their column order, so zero padding columns sort
+        after the matrix's own zero columns.  :func:`repro.linalg.svd`
+        runs this on ``R^T`` of a QR of its input, where these zero
+        ``U`` columns become zero ``V`` columns of the result.
     """
     sigma = np.linalg.norm(b, axis=0)
-    order = np.argsort(sigma)[::-1]
+    order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
     b = b[:, order]
     v = v[:, order]

@@ -11,6 +11,14 @@ HeteroSVD implements in hardware (Algorithm 1): block pairs are
 enumerated round-robin and a full parallel-ordering sweep runs over each
 block pair's ``2k`` columns.  ``"hestenes"`` is its one-block-pair case.
 
+The driver does not sweep the ``m x n`` input ``M`` (``m >= n``) itself
+but ``R^T`` of a Householder QR of its columns sorted by descending
+norm, ``M[:, perm] = Q R`` (Drmac and Veselic's preconditioner, LAPACK
+``xGEJSV``): the columns of ``R^T`` arrive nearly graded, so far fewer
+sweeps converge, and a tall ``M`` shrinks to ``n x n``.  From
+``R^T = U_x S V_x^T`` the factors are ``U = Q V_x`` and
+``V[perm] = U_x``.  The accelerator model stays plain Hestenes on ``M``.
+
 :func:`svd` is the one-matrix case of :func:`_svd_many`, which prepares
 each matrix and factors every group of same-shape Jacobi tasks as one
 stacked driver run (``solve_batch`` and the batch executor's software
@@ -141,11 +149,12 @@ def svd(
 
     Args:
         a: Any real 2-D array.  Wide matrices are handled by factoring
-            the transpose.  The Jacobi methods pad to the block grid:
-            zero columns up to ``max(2w, ceil(n / w) w)`` for block
-            width ``w`` (an even width for ``"hestenes"``), and zero
-            rows if that makes the matrix wide; the padding contributes
-            zero singular values that are dropped from the result.
+            the transpose.  The Jacobi methods sweep the ``n x n``
+            ``R^T`` of its norm-sorted QR, padded to the block grid:
+            zero columns and rows up to ``max(2w, ceil(n / w) w)`` for
+            block width ``w`` (an even width for ``"hestenes"``); the
+            padding contributes zero singular values that are dropped
+            from the result.
         method: ``"hestenes"`` for the monolithic sweep (the
             one-block-pair case of the block driver), ``"block"``
             for the block-Jacobi restructuring of Algorithm 1,
@@ -200,6 +209,11 @@ def svd(
 
     Returns:
         An :class:`SVDResult` with ``min(m, n)`` singular triplets.
+        For the Jacobi methods the longer side's factor (U when
+        ``m >= n``, else V) is ``Q`` times accumulated rotations,
+        orthonormal to ~eps, and the other is orthonormal to
+        ~``precision``; an exactly-zero singular value carries a zero
+        column in that other factor.
     """
     return _svd_many(
         [a],
@@ -346,12 +360,15 @@ def _reduce(
 class _Task:
     """One real matrix prepared for a solver by :func:`_prepare`.
 
-    ``work`` is the (pre-scaled) matrix with ``m >= n``: transposed when
-    the input is wide, and for the Jacobi methods padded to the block
-    grid of ``width``-column blocks.  ``rows`` x ``cols`` is its shape
-    before padding.  ``injected`` is the reference fallback result that
-    replaces a ``"hestenes"`` run when the ``linalg.nonconvergence``
-    fault fires under ``fallback="reference"``.
+    ``work`` is what the solver factors.  For the reduction methods it
+    is the (pre-scaled) matrix with ``m >= n``, transposed when the
+    input is wide.  For the Jacobi methods it is ``R^T`` of that
+    matrix's norm-sorted QR, ``M[:, perm] = q R``, padded to the block
+    grid of ``width``-column blocks.  ``rows`` x ``cols`` is ``work``'s
+    shape before padding.  ``injected`` is the reference fallback
+    result that replaces a ``"hestenes"`` run when the
+    ``linalg.nonconvergence`` fault fires under
+    ``fallback="reference"``.
     """
 
     work: np.ndarray
@@ -361,6 +378,8 @@ class _Task:
     transposed: bool
     scale_exponent: int
     injected: Optional[HestenesResult] = None
+    q: Optional[np.ndarray] = None
+    perm: Optional[np.ndarray] = None
 
 
 def _prepare(
@@ -373,8 +392,9 @@ def _prepare(
 ) -> Optional[_Task]:
     """:func:`svd`'s per-matrix checks and preparation.
 
-    Validates, pre-scales, transposes a wide matrix and pads to the
-    Jacobi block grid, running every check and fault hook the solve of
+    Validates, pre-scales and transposes a wide matrix; for the Jacobi
+    methods takes the norm-sorted QR and pads ``R^T`` to the block
+    grid.  Runs every check and fault hook the solve of
     this matrix runs before its sweeps (``"hestenes"`` adds
     :func:`~repro.linalg.hestenes.hestenes_svd`'s own).  Returns None
     for a complex matrix, which :func:`svd` factors through its real
@@ -405,17 +425,19 @@ def _prepare(
 
     m, n = a.shape
     transposed = m < n
-    work = a.T.copy() if transposed else a.copy()
-
-    # The Jacobi methods pad with zero columns to their block grid of
-    # whole blocks, at least two (hestenes: one pair of n // 2 columns,
-    # i.e. an even width), and with zero rows when that makes the matrix
-    # wide.  The reduction-based methods (tsqr/dnc/streaming) handle any
-    # m >= n shape directly.
-    rows, cols = work.shape
-    width = None
-    injected = None
+    width = injected = q = perm = None
     if method in JACOBI_METHODS:
+        # The Jacobi methods sweep R^T of a Householder QR of the
+        # columns sorted by descending norm (Drmac and Veselic's
+        # preconditioner): its columns arrive nearly graded, so far
+        # fewer sweeps converge, and a tall matrix shrinks to n x n.
+        # They pad it with zero columns and rows to their block grid of
+        # whole blocks, at least two (hestenes: one pair of n // 2
+        # columns, i.e. an even width).
+        tall = a.T if transposed else a
+        perm = np.argsort(-np.einsum("ij,ij->j", tall, tall), kind="stable")
+        q, r = np.linalg.qr(tall[:, perm])
+        rows = cols = r.shape[0]
         even = cols + cols % 2
         if method == "hestenes":
             width = even // 2
@@ -423,14 +445,17 @@ def _prepare(
             width = block_width if block_width is not None else min(8, even // 2)
         # A width below 1 is left for BlockPartition to reject.
         grid = max(2 * width, -(-even // width) * width) if width > 0 else even
-        if grid > cols:
-            work = np.pad(work, ((0, max(grid - rows, 0)), (0, grid - cols)))
+        work = np.pad(r.T, (0, grid - cols))
         if method == "hestenes":
             work, injected = _hestenes_input(work, fallback)
-    elif method not in ("tsqr", "dnc", "streaming"):
+    elif method in ("tsqr", "dnc", "streaming"):
+        # The reduction-based methods handle any m >= n shape directly.
+        work = a.T.copy() if transposed else a.copy()
+        rows, cols = work.shape
+    else:
         raise NumericalError(f"unknown SVD method {method!r}")
     return _Task(work, width, rows, cols, transposed, scale_exponent,
-                 injected)
+                 injected, q, perm)
 
 
 def _finish(task: _Task, result, method: str) -> SVDResult:
@@ -441,6 +466,10 @@ def _finish(task: _Task, result, method: str) -> SVDResult:
     # and a zero U row there, and the restriction stays orthonormal.
     u = result.u[:task.rows, :rank_bound]
     v = result.v[:task.cols, :rank_bound]
+    if task.q is not None:
+        # R^T = U_x S V_x^T and M[:, perm] = q R give M = (q V_x) S
+        # U_x^T permuted: U = q V_x and V[perm] = U_x.
+        u, v = task.q @ v, u[np.argsort(task.perm)]
     s = postscale_singular_values(
         result.singular_values[:rank_bound], task.scale_exponent
     )

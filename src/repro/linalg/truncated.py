@@ -9,8 +9,9 @@ problem to a small dense SVD that fits the accelerator comfortably:
    ``Omega`` of ``r + oversample`` columns,
 2. orthonormalize ``Q = qr(Y)``,
 3. factor the small ``B = Q^T A`` with the (accelerator-friendly)
-   block-Jacobi SVD,
-4. lift: ``U = Q U_B``.
+   Jacobi SVD, through the square ``L`` of its LQ factorization
+   ``B = L Q_B^T``,
+4. lift: ``U = Q U_L`` and ``V = Q_B V_L``.
 
 Step 3 is exactly the dense small-matrix SVD HeteroSVD accelerates, so
 this module is also the recipe for *offloading truncated SVDs of
@@ -101,12 +102,15 @@ def truncated_svd(
     q, _ = np.linalg.qr(y)
 
     b = q.T @ a  # sketch_cols x n, small and dense
-    core = svd(b, method="hestenes", precision=precision)
+    # Factor the square L of b = L Q_b^T: svd() leaves U orthonormal to
+    # eps and V only to ``precision``, and U is the factor lifted by q.
+    q_b, r_b = np.linalg.qr(b.T)
+    core = svd(r_b.T, method="hestenes", precision=precision)
     u = q @ core.u[:, :rank]
     return TruncatedSVDResult(
         u=u,
         singular_values=core.singular_values[:rank].copy(),
-        v=core.v[:, :rank],
+        v=q_b @ core.v[:, :rank],
         rank=rank,
         sweeps=core.sweeps,
     )

@@ -98,6 +98,11 @@ INPUT_CLASSES: Dict[str, Callable[[int, int], np.ndarray]] = {
         size, size, rank=size // 4, seed=seed
     ),
     "zero-columns": _zero_columns,
+    # Column scales 1 ... 1e-8: the case the Jacobi methods' norm-sorted
+    # QR preconditioner is built for.
+    "graded": lambda size, seed: random_matrix(
+        size, size, seed=seed
+    ) * np.logspace(0, -8, size),
     "tall": lambda size, seed: random_matrix(2 * size, size, seed=seed + 1),
     "wide": lambda size, seed: random_matrix(size, 2 * size, seed=seed + 1),
     "complex": _complex,

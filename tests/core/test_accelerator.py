@@ -12,8 +12,9 @@ from repro.core.ordering_codesign import (
 from repro.core.placement import place
 from repro.core.routing import ForwardingRule
 from repro.errors import NumericalError, RoutingError, SimulationError
+from repro.linalg.hestenes import DEFAULT_MAX_SWEEPS, _block_jacobi_svd
+from repro.linalg.orderings import ShiftingRingOrdering
 from repro.linalg.reference import validate_svd
-from repro.linalg.svd import svd
 from repro.pl.sender import Sender
 
 
@@ -147,10 +148,13 @@ class TestRoutingTable:
 class TestBlockDriverParity:
     """The accelerator rotates exactly what the block driver rotates.
 
-    Both run each tournament round of block pairs through the same
-    batched round kernel, so after the same number of sweeps the
-    accumulated V is bit-identical — odd block counts (a bye in every
-    tournament round) included.
+    The block driver (:func:`~repro.linalg.hestenes._block_jacobi_svd`)
+    runs here on ``a`` itself: ``svd(method="block")`` sweeps the
+    ``R^T`` of a QR of ``a`` instead, while the accelerator stays plain
+    Hestenes (Algorithm 1).  Both run each tournament round of block
+    pairs through the same batched round kernel, so after the same
+    number of sweeps the accumulated V is bit-identical — odd block
+    counts (a bye in every tournament round) included.
     """
 
     @pytest.mark.parametrize("use_codesign", [True, False])
@@ -164,10 +168,12 @@ class TestBlockDriverParity:
             n, n, p_eng, fixed_iterations=sweeps, use_codesign=use_codesign
         )
         result = accel.run(a, accumulate_v=True)
-        reference = svd(
+        reference = _block_jacobi_svd(
             a,
-            method="block",
             block_width=p_eng,
+            precision=accel.config.precision,
+            max_sweeps=DEFAULT_MAX_SWEEPS,
+            ordering_cls=ShiftingRingOrdering,
             fixed_sweeps=sweeps,
             strategy="vectorized",
         )

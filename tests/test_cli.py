@@ -122,9 +122,30 @@ class TestCommands:
                      "--method", method]) == 0
         out = capsys.readouterr().out
         assert f"method={method}" in out
-        deviation = float(out.split("max deviation vs LAPACK: ")[1]
-                          .split()[0])
+        deviation = float(
+            out.split("max deviation vs LAPACK, relative to s_max: ")[1]
+            .split()[0]
+        )
         assert deviation < 1e-6
+
+    @pytest.mark.parametrize("method", ["accelerator", "hestenes"])
+    def test_svd_accuracy_lines_are_scale_free(self, tmp_path, capsys,
+                                               method):
+        # Entries of 1e300: sigma prints in e-notation and the deviation
+        # relative to s_max, not as ~300-digit absolute numbers.
+        in_path = tmp_path / "huge.npy"
+        np.save(in_path, 1e300 * np.random.default_rng(0)
+                .standard_normal((16, 16)))
+        assert main(["svd", "--input", str(in_path), "--p-eng", "4",
+                     "--method", method]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == (
+            "leading singular values: 7.5320e+300, 6.7482e+300, "
+            "5.5746e+300, 5.0688e+300, 4.9053e+300"
+        )
+        prefix = "max deviation vs LAPACK, relative to s_max: "
+        assert lines[3].startswith(prefix)
+        assert float(lines[3][len(prefix):]) < 1e-10
 
     def test_svd_method_rejects_unknown(self):
         with pytest.raises(SystemExit):
