@@ -19,8 +19,8 @@ the block pairs one by one, and the result equals the block driver
 (:func:`~repro.linalg.hestenes._block_jacobi_svd` with
 ``block_width=P_eng``, ``strategy="vectorized"``) on the same matrix
 bit for bit after the same number of sweeps.  The accelerator stays
-plain Hestenes: ``svd(method="block")`` runs that driver on the ``R^T``
-of a QR of its input instead (:mod:`repro.linalg.svd`).
+plain Hestenes: ``svd(method="block")`` runs that driver on the ``L``
+of a QR and an LQ of its input instead (:mod:`repro.linalg.svd`).
 
 The PL only moves columns, and its dynamic-forwarding routes depend on
 (slot, side) alone (Section III-C, Fig. 5), so the PL side is
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Type
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.guard.validate import (
     prescale_matrix,
     validate_matrix,
 )
-from repro.linalg.block import BlockPartition, sweep_round_indices
+from repro.linalg.block import sweep_schedule
 from repro.linalg.convergence import zero_column_threshold_sq
 from repro.linalg.hestenes import (
     _sweep_pairs_indexed,
@@ -233,8 +233,9 @@ class HeteroSVDAccelerator:
             for slot in range(config.pair_cols // 2)
             for side in (0, 1)
         )
-        ordering_cls = ShiftingRingOrdering if config.use_codesign else RingOrdering
-        self._ordering: Ordering = ordering_cls(config.pair_cols)
+        self._ordering_cls: Type[Ordering] = (
+            ShiftingRingOrdering if config.use_codesign else RingOrdering
+        )
         self._schedule = movement_schedule(config.p_eng, config.use_codesign)
         self._mode = (
             DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
@@ -243,9 +244,10 @@ class HeteroSVDAccelerator:
         self._dtype = np.dtype(config.arithmetic)
         #: One sweep as round-kernel calls: each ordering round of each
         #: tournament round, over the global columns of that tournament
-        #: round's disjoint block pairs.
-        self._sweep_indices = sweep_round_indices(
-            BlockPartition(config.n, config.block_width), self._ordering
+        #: round's disjoint block pairs (the shape's memoized schedule,
+        #: shared with the block driver).
+        self._sweep_indices = sweep_schedule(
+            self._ordering_cls, config.n, config.block_width
         )
 
     def _normalize(self, working: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":

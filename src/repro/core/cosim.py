@@ -37,11 +37,7 @@ from repro.core.config import HeteroSVDConfig
 from repro.core.perf_model import PerformanceModel
 from repro.core.placement import Placement, place
 from repro.guard.validate import postscale_singular_values
-from repro.linalg.block import (
-    BlockPartition,
-    block_pair_round_indices,
-    block_pairs,
-)
+from repro.linalg.block import BlockPartition, block_pairs, sweep_schedule
 from repro.linalg.convergence import zero_column_threshold_sq
 from repro.linalg.hestenes import (
     _sweep_pairs_indexed,
@@ -100,7 +96,7 @@ class CoSimulator:
         self.config = config
         self.placement = placement if placement is not None else place(config)
         accel = HeteroSVDAccelerator(config, placement=self.placement)
-        self._ordering = accel._ordering
+        self._ordering_cls = accel._ordering_cls
         self._dtype = accel._dtype
         self.model = PerformanceModel(config, self.placement)
 
@@ -120,9 +116,10 @@ class CoSimulator:
         partition = BlockPartition(cfg.n, cfg.block_width)
         pairs = block_pairs(partition.n_blocks)
         # One ordering round per orth-layer: the round kernel's ``idx``
-        # over the ``2k`` local columns of a block pair's panel.
-        layer_indices = block_pair_round_indices(
-            [range(cfg.pair_cols)], self._ordering
+        # over the ``2k`` local columns of a block pair's panel: the
+        # memoized schedule of a two-block matrix.
+        layer_indices = sweep_schedule(
+            self._ordering_cls, cfg.pair_cols, cfg.block_width
         )
         work = round_workspace((cfg.m, cfg.pair_cols), self._dtype)
         model = self.model

@@ -17,6 +17,7 @@ harmless for convergence and mirrors the hardware's behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -144,6 +145,28 @@ def sweep_round_indices(
             [partition.pair_columns(pair) for pair in one_round], ordering
         )
     ]
+
+
+@lru_cache(maxsize=64)
+def sweep_schedule(
+    ordering_cls, n_cols: int, block_width: int
+) -> Tuple[np.ndarray, ...]:
+    """:func:`sweep_round_indices` of one shape, built once.
+
+    The schedule depends only on the ordering class, the column count
+    and the block width, so the block driver and the accelerator model
+    share one read-only copy per key instead of rebuilding the ordering
+    and translating its rounds on every run.  A width the partition
+    rejects raises :class:`~repro.errors.ConfigurationError` (and is
+    not memoized).
+    """
+    partition = BlockPartition(n_cols=n_cols, block_width=block_width)
+    schedule = tuple(
+        sweep_round_indices(partition, ordering_cls(2 * block_width))
+    )
+    for idx in schedule:
+        idx.flags.writeable = False
+    return schedule
 
 
 def block_pairs(n_blocks: int) -> List[BlockPair]:

@@ -44,7 +44,7 @@ from repro.linalg.convergence import (
     pair_convergence_ratios,
     zero_column_threshold_sq,
 )
-from repro.linalg.block import BlockPartition, sweep_round_indices
+from repro.linalg.block import sweep_schedule
 from repro.linalg.orderings import Ordering, RingOrdering
 from repro.linalg.rotations import (
     apply_rotation,
@@ -379,9 +379,9 @@ def normalize_columns(b: np.ndarray, v: np.ndarray) -> "tuple[np.ndarray, np.nda
         zero singular values with zero ``U`` columns, keeping
         ``A = U S V^T`` exact for rank-deficient inputs.  Equal singular
         values keep their column order, so zero padding columns sort
-        after the matrix's own zero columns.  :func:`repro.linalg.svd`
-        runs this on ``R^T`` of a QR of its input, where these zero
-        ``U`` columns become zero ``V`` columns of the result.
+        after the matrix's own zero columns, whose ``V`` columns (unit
+        vectors inside the unpadded rows) keep the trimmed ``V``
+        orthonormal.
     """
     sigma = np.linalg.norm(b, axis=0)
     order = np.argsort(-sigma, kind="stable")
@@ -471,8 +471,7 @@ def _block_jacobi_svd(
     stacked = isinstance(a, (list, tuple))
     matrices = list(a) if stacked else [a]
     m, n = matrices[0].shape
-    partition = BlockPartition(n_cols=n, block_width=block_width)
-    ordering = ordering_cls(2 * block_width)
+    local_rounds = sweep_schedule(ordering_cls, n, block_width)
     hestenes = method == "hestenes"
 
     floors = np.array([
@@ -486,12 +485,12 @@ def _block_jacobi_svd(
     # commute: interleaving them round by round performs the exact same
     # rotations as visiting each block pair in sequence, while
     # multiplying the batch width by the number of concurrent block
-    # pairs.  Stack the per-round index arrays across each round's
-    # pairs once; the schedule repeats identically every outer sweep.
+    # pairs.  The per-round index arrays, stacked across each round's
+    # pairs, are the shape's memoized schedule (sweep_schedule): it
+    # repeats identically every outer sweep and every run.
     w = stack_panels(matrices, [np.eye(n)] * len(matrices))
     work = round_workspace(w.shape, w.dtype)
     sweep_rounds_fn = _round_sweeper(strategy)
-    local_rounds = sweep_round_indices(partition, ordering)
 
     def rounds_for(tasks: "list[int]") -> "list[tuple[np.ndarray, np.ndarray]]":
         # Matrix t's round indices offset by its column base t*n, laid

@@ -12,12 +12,15 @@ enumerated round-robin and a full parallel-ordering sweep runs over each
 block pair's ``2k`` columns.  ``"hestenes"`` is its one-block-pair case.
 
 The driver does not sweep the ``m x n`` input ``M`` (``m >= n``) itself
-but ``R^T`` of a Householder QR of its columns sorted by descending
-norm, ``M[:, perm] = Q R`` (Drmac and Veselic's preconditioner, LAPACK
-``xGEJSV``): the columns of ``R^T`` arrive nearly graded, so far fewer
+but the ``L`` of Drmac and Veselic's two-step preconditioner (LAPACK
+``xGEJSV``): a Householder QR of the columns sorted by descending norm,
+``M[:, perm] = Q R``, then an LQ of that triangle, ``R = L Q_1^T``
+(the QR of ``R^T``).  The columns of ``L`` arrive graded, so far fewer
 sweeps converge, and a tall ``M`` shrinks to ``n x n``.  From
-``R^T = U_x S V_x^T`` the factors are ``U = Q V_x`` and
-``V[perm] = U_x``.  The accelerator model stays plain Hestenes on ``M``.
+``L = U_x S V_x^T`` the factors are ``U = Q U_x`` and
+``V[perm] = Q_1 V_x``: V is orthonormal to ~eps and U to ~precision,
+the convention of plain Hestenes.  The accelerator model stays plain
+Hestenes on ``M``.
 
 :func:`svd` is the one-matrix case of :func:`_svd_many`, which prepares
 each matrix and factors every group of same-shape Jacobi tasks as one
@@ -150,7 +153,7 @@ def svd(
     Args:
         a: Any real 2-D array.  Wide matrices are handled by factoring
             the transpose.  The Jacobi methods sweep the ``n x n``
-            ``R^T`` of its norm-sorted QR, padded to the block grid:
+            ``L`` of its norm-sorted QR's LQ, padded to the block grid:
             zero columns and rows up to ``max(2w, ceil(n / w) w)`` for
             block width ``w`` (an even width for ``"hestenes"``); the
             padding contributes zero singular values that are dropped
@@ -209,8 +212,8 @@ def svd(
 
     Returns:
         An :class:`SVDResult` with ``min(m, n)`` singular triplets.
-        For the Jacobi methods the longer side's factor (U when
-        ``m >= n``, else V) is ``Q`` times accumulated rotations,
+        For the Jacobi methods the shorter side's factor (V when
+        ``m >= n``, else U) is ``Q_1`` times accumulated rotations,
         orthonormal to ~eps, and the other is orthonormal to
         ~``precision``; an exactly-zero singular value carries a zero
         column in that other factor.
@@ -362,13 +365,14 @@ class _Task:
 
     ``work`` is what the solver factors.  For the reduction methods it
     is the (pre-scaled) matrix with ``m >= n``, transposed when the
-    input is wide.  For the Jacobi methods it is ``R^T`` of that
-    matrix's norm-sorted QR, ``M[:, perm] = q R``, padded to the block
-    grid of ``width``-column blocks.  ``rows`` x ``cols`` is ``work``'s
-    shape before padding.  ``injected`` is the reference fallback
-    result that replaces a ``"hestenes"`` run when the
-    ``linalg.nonconvergence`` fault fires under
-    ``fallback="reference"``.
+    input is wide.  For the Jacobi methods it is ``L`` of that matrix's
+    norm-sorted QR and its triangle's LQ, ``M[:, perm] = q R`` and
+    ``R = L q1^T``, padded to the block grid of ``width``-column
+    blocks; ``q1``'s rows are put back in input column order.
+    ``rows`` x ``cols`` is ``work``'s shape before padding.
+    ``injected`` is the reference fallback result that replaces a
+    ``"hestenes"`` run when the ``linalg.nonconvergence`` fault fires
+    under ``fallback="reference"``.
     """
 
     work: np.ndarray
@@ -379,7 +383,7 @@ class _Task:
     scale_exponent: int
     injected: Optional[HestenesResult] = None
     q: Optional[np.ndarray] = None
-    perm: Optional[np.ndarray] = None
+    q1: Optional[np.ndarray] = None
 
 
 def _prepare(
@@ -393,9 +397,9 @@ def _prepare(
     """:func:`svd`'s per-matrix checks and preparation.
 
     Validates, pre-scales and transposes a wide matrix; for the Jacobi
-    methods takes the norm-sorted QR and pads ``R^T`` to the block
-    grid.  Runs every check and fault hook the solve of
-    this matrix runs before its sweeps (``"hestenes"`` adds
+    methods takes the norm-sorted QR and its triangle's LQ and pads
+    ``L`` to the block grid.  Runs every check and fault hook the
+    solve of this matrix runs before its sweeps (``"hestenes"`` adds
     :func:`~repro.linalg.hestenes.hestenes_svd`'s own).  Returns None
     for a complex matrix, which :func:`svd` factors through its real
     embedding instead.
@@ -425,19 +429,22 @@ def _prepare(
 
     m, n = a.shape
     transposed = m < n
-    width = injected = q = perm = None
+    width = injected = q = q1 = None
     if method in JACOBI_METHODS:
-        # The Jacobi methods sweep R^T of a Householder QR of the
-        # columns sorted by descending norm (Drmac and Veselic's
-        # preconditioner): its columns arrive nearly graded, so far
-        # fewer sweeps converge, and a tall matrix shrinks to n x n.
-        # They pad it with zero columns and rows to their block grid of
-        # whole blocks, at least two (hestenes: one pair of n // 2
-        # columns, i.e. an even width).
+        # Drmac and Veselic's two-step preconditioner: a Householder QR
+        # of the columns sorted by descending norm shrinks a tall
+        # matrix to the n x n R, and the LQ of R, R = L q1^T, grades
+        # its columns further, so far fewer sweeps converge on L.  The
+        # Jacobi methods pad L with zero columns and rows to their
+        # block grid of whole blocks, at least two (hestenes: one pair
+        # of n // 2 columns, i.e. an even width).
         tall = a.T if transposed else a
         perm = np.argsort(-np.einsum("ij,ij->j", tall, tall), kind="stable")
         q, r = np.linalg.qr(tall[:, perm])
-        rows = cols = r.shape[0]
+        q1, r1 = np.linalg.qr(r.T)
+        # V[perm] = q1 V_x: put q1's rows back in input column order.
+        q1 = q1[np.argsort(perm)]
+        rows = cols = r1.shape[0]
         even = cols + cols % 2
         if method == "hestenes":
             width = even // 2
@@ -445,7 +452,7 @@ def _prepare(
             width = block_width if block_width is not None else min(8, even // 2)
         # A width below 1 is left for BlockPartition to reject.
         grid = max(2 * width, -(-even // width) * width) if width > 0 else even
-        work = np.pad(r.T, (0, grid - cols))
+        work = np.pad(r1.T, (0, grid - cols))
         if method == "hestenes":
             work, injected = _hestenes_input(work, fallback)
     elif method in ("tsqr", "dnc", "streaming"):
@@ -455,7 +462,7 @@ def _prepare(
     else:
         raise NumericalError(f"unknown SVD method {method!r}")
     return _Task(work, width, rows, cols, transposed, scale_exponent,
-                 injected, q, perm)
+                 injected, q, q1)
 
 
 def _finish(task: _Task, result, method: str) -> SVDResult:
@@ -467,9 +474,9 @@ def _finish(task: _Task, result, method: str) -> SVDResult:
     u = result.u[:task.rows, :rank_bound]
     v = result.v[:task.cols, :rank_bound]
     if task.q is not None:
-        # R^T = U_x S V_x^T and M[:, perm] = q R give M = (q V_x) S
-        # U_x^T permuted: U = q V_x and V[perm] = U_x.
-        u, v = task.q @ v, u[np.argsort(task.perm)]
+        # M[:, perm] = q R, R = L q1^T and L = U_x S V_x^T give
+        # U = q U_x and V[perm] = q1 V_x.
+        u, v = task.q @ u, task.q1 @ v
     s = postscale_singular_values(
         result.singular_values[:rank_bound], task.scale_exponent
     )

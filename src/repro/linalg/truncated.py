@@ -9,9 +9,8 @@ problem to a small dense SVD that fits the accelerator comfortably:
    ``Omega`` of ``r + oversample`` columns,
 2. orthonormalize ``Q = qr(Y)``,
 3. factor the small ``B = Q^T A`` with the (accelerator-friendly)
-   Jacobi SVD, through the square ``L`` of its LQ factorization
-   ``B = L Q_B^T``,
-4. lift: ``U = Q U_L`` and ``V = Q_B V_L``.
+   Jacobi SVD,
+4. lift: ``U = Q U_B``.
 
 Step 3 is exactly the dense small-matrix SVD HeteroSVD accelerates, so
 this module is also the recipe for *offloading truncated SVDs of
@@ -102,15 +101,14 @@ def truncated_svd(
     q, _ = np.linalg.qr(y)
 
     b = q.T @ a  # sketch_cols x n, small and dense
-    # Factor the square L of b = L Q_b^T: svd() leaves U orthonormal to
-    # eps and V only to ``precision``, and U is the factor lifted by q.
-    q_b, r_b = np.linalg.qr(b.T)
-    core = svd(r_b.T, method="hestenes", precision=precision)
+    # b is wide, so svd() leaves its U (the factor lifted by q)
+    # orthonormal to eps and V to ``precision``.
+    core = svd(b, method="hestenes", precision=precision)
     u = q @ core.u[:, :rank]
     return TruncatedSVDResult(
         u=u,
         singular_values=core.singular_values[:rank].copy(),
-        v=q_b @ core.v[:, :rank],
+        v=core.v[:, :rank],
         rank=rank,
         sweeps=core.sweeps,
     )

@@ -10,9 +10,8 @@ parallelizable SVD design of arXiv:2511.12461, in spirit) instead
    the repo's process pool with its shared-memory fan-out;
 2. reduces the per-panel ``R`` factors pairwise (stack two, re-QR)
    down a binary tree until a single ``n x n`` triangle remains;
-3. hands that small dense core (transposed, so its right vectors are
-   the factor ``svd()`` makes orthonormal to eps) to
-   ``svd(method="block")`` so the
+3. hands that small dense core to ``svd(method="block")`` (whose V,
+   the factor lifted in step 4, is orthonormal to eps) so the
    final factorization inherits the strategy tiers, the guard rails,
    and the deadline plumbing of the paper's block-Jacobi engine;
 4. recovers the left vectors panel-wise as ``U = A V diag(1/s)``.
@@ -183,11 +182,8 @@ def tall_skinny_svd(
             w for w in range(min(8, max(padded_cols // 2, 1)), 0, -1)
             if padded_cols % w == 0
         )
-    # Factor R^T: svd() leaves U orthonormal to eps (Q of its QR times
-    # the accumulated rotations) and V only to the core's threshold,
-    # so R's V is the U of R^T, and U = A V / s inherits eps.
     core = _svd(
-        r_factors[0].T,
+        r_factors[0],
         method="block",
         block_width=block_width,
         precision=min(precision, 1e-8),
@@ -201,7 +197,7 @@ def tall_skinny_svd(
     )
 
     s = core.singular_values
-    v = core.u
+    v = core.v
     s_max = float(s[0]) if s.size else 0.0
     cutoff = s_max * max(m, n) * np.finfo(float).eps
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)

@@ -139,10 +139,13 @@ class CoalesceKey(Tuple[int, int, str, str, int, str]):
     """Hashable batching key:
     ``(m, n, dtype, strategy, block_width, method)``.
 
-    ``m x n`` is the factored shape ``(max(rows, cols), min(rows,
-    cols))``: the solver transposes a wide matrix, so a 16x32 and a
-    32x16 request are the same 32x16 problem.  Jobs sharing a key are
-    interchangeable for the executor — same factored shape and
+    ``m x n`` is the prepared shape the solver factors.  The
+    ``"hestenes"``/``"block"`` methods sweep the ``n x n`` ``L`` of
+    the input's QR preconditioner (:mod:`repro.linalg.svd`), so a
+    32x16, a 16x32 and a 16x16 request are all the 16x16 problem; the
+    other methods factor ``(max(rows, cols), min(rows, cols))``, a wide
+    matrix transposed.  Jobs sharing a key are
+    interchangeable for the executor — same prepared shape and
     dtype/strategy/block width/method feed the same solver
     configuration, and one stacked Jacobi run — so the dispatcher may
     coalesce them into one :class:`~repro.exec.batch.BatchExecutor`
@@ -183,7 +186,8 @@ class CoalesceKey(Tuple[int, int, str, str, int, str]):
 
     @property
     def cells(self) -> int:
-        """Problem size ``m * n`` — the admission controller's unit."""
+        """Prepared problem size ``m * n`` (admission judges the
+        request's own shape instead)."""
         return self.m * self.n
 
 
@@ -316,23 +320,26 @@ def request_key(doc: Dict[str, Any], shape: Tuple[int, int],
                 default_block_width: int) -> CoalesceKey:
     """The request's coalescing key (shape already materialized).
 
-    The shape is keyed as the factored ``(max, min)`` shape, and the
-    strategy is normalized through
+    The shape is keyed as the prepared shape (see
+    :class:`CoalesceKey`), and the strategy is normalized through
     :func:`repro.linalg.resolve_strategy` before keying: ``"auto"``
     and its resolved tier name the same engine configuration, so a
     mixed batch of ``"auto"`` and explicit-tier requests coalesces
     instead of splitting into separate engine runs.
     """
     from repro.linalg.hestenes import resolve_strategy
+    from repro.linalg.svd import JACOBI_METHODS
 
     rows, cols = int(shape[0]), int(shape[1])
+    method = doc.get("method", "block")
+    n = min(rows, cols)
     return CoalesceKey(
-        m=max(rows, cols),
-        n=min(rows, cols),
+        m=n if method in JACOBI_METHODS else max(rows, cols),
+        n=n,
         dtype=doc.get("dtype", "float64"),
         strategy=resolve_strategy(doc.get("strategy", "auto")),
         block_width=int(doc.get("block_width", default_block_width)),
-        method=doc.get("method", "block"),
+        method=method,
     )
 
 

@@ -130,7 +130,9 @@ class Job:
 
     @property
     def cells(self) -> int:
-        return self.key.cells
+        """The request's own ``m * n``: its admission size and its
+        fair-share work (the key's prepared shape can be smaller)."""
+        return int(self.matrix.size)
 
     def queue_seconds(self) -> float:
         """Seconds spent queued so far."""

@@ -482,14 +482,18 @@ class SVDServer:
         else:
             shape = (int(doc["shape"][0]), int(doc["shape"][1]))
         key = request_key(doc, shape, self.config.p_eng)
-        tier = self.queue.classify(key.cells)
-        if tier == "engine" and key.m > ENGINE_MAX_M:
+        # Admission judges the request's own (factored) shape: the key
+        # holds the prepared shape, which for the Jacobi methods drops
+        # the QR that a tall request still costs.
+        m, n = max(shape), min(shape)
+        tier = self.queue.classify(m * n)
+        if tier == "engine" and m > ENGINE_MAX_M:
             tier = "brownout"
         if tier == "reject":
             self._count("serve.rejected")
             await self._send(writer, lock, error_response(
                 request_id, "oversized",
-                f"{key.m}x{key.n} ({key.cells} cells) exceeds the hard "
+                f"{m}x{n} ({m * n} cells) exceeds the hard "
                 f"cap of {self.queue.policy.reject_cells} cells",
             ))
             return
@@ -516,7 +520,7 @@ class SVDServer:
             self._count("serve.internal_errors")
             await self._send(writer, lock, error_response(
                 request_id, "internal",
-                f"materializing a {key.m}x{key.n} matrix exhausted "
+                f"materializing a {m}x{n} matrix exhausted "
                 f"memory",
             ))
             return

@@ -13,7 +13,8 @@ from repro.core.placement import place
 from repro.core.routing import ForwardingRule
 from repro.errors import NumericalError, RoutingError, SimulationError
 from repro.linalg.hestenes import DEFAULT_MAX_SWEEPS, _block_jacobi_svd
-from repro.linalg.orderings import ShiftingRingOrdering
+from repro.linalg.block import sweep_schedule
+from repro.linalg.orderings import RingOrdering, ShiftingRingOrdering
 from repro.linalg.reference import validate_svd
 from repro.pl.sender import Sender
 
@@ -143,6 +144,18 @@ class TestRoutingTable:
         del placement.tasks[0].orth[(0, 2)]
         with pytest.raises(RoutingError, match="slot 2"):
             HeteroSVDAccelerator(config, placement=placement)
+
+    @pytest.mark.parametrize("codesign, ordering_cls",
+                             [(True, ShiftingRingOrdering),
+                              (False, RingOrdering)])
+    def test_sweep_indices_are_the_shared_schedule(self, codesign,
+                                                   ordering_cls):
+        config = HeteroSVDConfig(m=32, n=32, p_eng=4, p_task=1,
+                                 use_codesign=codesign)
+        accel = HeteroSVDAccelerator(config)
+        assert accel._sweep_indices is sweep_schedule(ordering_cls, 32, 4)
+        assert HeteroSVDAccelerator(config)._sweep_indices is \
+            accel._sweep_indices
 
 
 class TestBlockDriverParity:

@@ -10,8 +10,9 @@ from repro.linalg.block import (
     block_pair_rounds,
     block_pairs,
     sweep_round_indices,
+    sweep_schedule,
 )
-from repro.linalg.orderings import ShiftingRingOrdering
+from repro.linalg.orderings import RingOrdering, ShiftingRingOrdering
 
 
 class TestBlockPartition:
@@ -148,3 +149,43 @@ class TestSweepRoundIndices:
             for pair in zip(*np.split(idx, 2))
         }
         assert len(rotated) == 12 * 11 // 2
+
+
+class TestSweepSchedule:
+    """One read-only schedule per (ordering class, columns, width)."""
+
+    def test_one_read_only_copy_per_key(self):
+        schedule = sweep_schedule(ShiftingRingOrdering, 16, 4)
+        assert isinstance(schedule, tuple)
+        assert sweep_schedule(ShiftingRingOrdering, 16, 4) is schedule
+        for idx in schedule:
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0] = 0
+        want = sweep_round_indices(BlockPartition(16, 4),
+                                   ShiftingRingOrdering(8))
+        assert len(schedule) == len(want)
+        for idx, expected in zip(schedule, want):
+            assert np.array_equal(idx, expected)
+
+    def test_every_key_field_splits(self):
+        base = sweep_schedule(ShiftingRingOrdering, 16, 4)
+        assert sweep_schedule(RingOrdering, 16, 4) is not base
+        assert sweep_schedule(ShiftingRingOrdering, 24, 4) is not base
+        assert sweep_schedule(ShiftingRingOrdering, 16, 2) is not base
+
+    def test_rejected_width_raises(self):
+        with pytest.raises(ConfigurationError):
+            sweep_schedule(ShiftingRingOrdering, 18, 4)
+
+    def test_driver_reads_the_memo(self):
+        from repro.linalg.hestenes import _block_jacobi_svd
+
+        a = np.random.default_rng(3).standard_normal((20, 20))
+        schedule = sweep_schedule(ShiftingRingOrdering, 20, 5)
+        hits = sweep_schedule.cache_info().hits
+        _block_jacobi_svd(a, block_width=5, precision=1e-10, max_sweeps=30,
+                          ordering_cls=ShiftingRingOrdering,
+                          fixed_sweeps=None)
+        assert sweep_schedule.cache_info().hits == hits + 1
+        assert sweep_schedule(ShiftingRingOrdering, 20, 5) is schedule

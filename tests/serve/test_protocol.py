@@ -153,8 +153,21 @@ class TestCoalesceKey:
 
     def test_different_shape_different_key(self):
         a = request_key(_decompose(), (16, 16), 4)
-        b = request_key(_decompose(), (16, 32), 4)
+        b = request_key(_decompose(), (24, 32), 4)
         assert a != b
+        assert request_key(_decompose(method="tsqr"), (16, 16), 4) != \
+            request_key(_decompose(method="tsqr"), (16, 32), 4)
+
+    @pytest.mark.parametrize("method", ["hestenes", "block"])
+    def test_jacobi_methods_key_the_prepared_shape(self, method):
+        # Their solver sweeps the n x n triangle of the input's QR.
+        keys = {
+            request_key(_decompose(method=method), shape, 4)
+            for shape in [(32, 16), (16, 32), (16, 16)]
+        }
+        assert len(keys) == 1
+        (key,) = keys
+        assert (key.m, key.n) == (16, 16)
 
     def test_strategy_and_dtype_split_keys(self):
         base = request_key(_decompose(), (16, 16), 4)

@@ -191,6 +191,54 @@ class TestByteIdentity:
             assert np.asarray(responses[seed]["sigma"]).tobytes() == \
                 np.asarray(local, dtype=np.float64).tobytes()
 
+    @pytest.mark.parametrize("method", ["hestenes", "block"])
+    def test_prepared_shape_coalesces_tall_wide_and_square(self, server,
+                                                           method):
+        # The Jacobi methods sweep the 16x16 triangle of every one of
+        # these inputs' QR, so all three shapes share one batch.
+        shapes = [(32, 16), (16, 32), (16, 16)]
+        responses = {}
+        release = _park_pool(server)
+        threads = []
+
+        def ask(seed, shape):
+            with ServeClient(*server.address) as c:
+                responses[seed] = c.decompose(shape=list(shape), seed=seed,
+                                              method=method)
+
+        try:
+            with ServeClient(*server.address) as probe:
+                # A job of another key is popped and parked first; the
+                # three shapes then queue behind it.
+                threads.append(threading.Thread(target=ask,
+                                                args=(99, (24, 24))))
+                threads[-1].start()
+                assert _wait_stats(probe, lambda st: st["admitted"] >= 1
+                                   and st["queue_depth"] == 0)
+                for seed, shape in enumerate(shapes):
+                    threads.append(threading.Thread(target=ask,
+                                                    args=(seed, shape)))
+                    threads[-1].start()
+                assert _wait_stats(probe,
+                                   lambda st: st["queue_depth"] == 3)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join()
+        with ServeClient(*server.address) as probe:
+            stats = probe.stats()
+        assert stats["serve.batches"] == 2
+        assert stats["serve.coalesced_tasks"] == 4
+        for seed, shape in enumerate(shapes):
+            local = svd(
+                random_matrix(*shape, seed=seed), method=method,
+                block_width=4 if method == "block" else None,
+                precision=1e-6, strategy="auto",
+            ).singular_values
+            assert responses[seed]["degraded"] is False
+            assert np.asarray(responses[seed]["sigma"]).tobytes() == \
+                np.asarray(local, dtype=np.float64).tobytes()
+
 
 class TestMethodField:
     def test_explicit_block_byte_identical_to_default(self, client):
@@ -266,6 +314,21 @@ class TestBrownoutTier:
                 with pytest.raises(ServiceOverloadError) as excinfo:
                     client.decompose(shape=[64, 64], seed=0)
                 assert excinfo.value.code == "oversized"
+
+    def test_tall_jacobi_request_admitted_on_its_own_shape(self):
+        # The key holds the 4x4 prepared shape; the tiers and the
+        # oversized message judge the request's 128x4 and 512x4.
+        config = ServeConfig(
+            admission=AdmissionPolicy(max_cells=256, reject_cells=1024)
+        )
+        with ServerThread(config) as handle:
+            with ServeClient(*handle.address) as client:
+                response = client.decompose(shape=[128, 4], seed=1)
+                assert response["shed"] is True
+                with pytest.raises(ServiceOverloadError) as excinfo:
+                    client.decompose(shape=[512, 4], seed=0)
+                assert excinfo.value.code == "oversized"
+                assert "512x4 (2048 cells)" in str(excinfo.value)
 
     def test_huge_declared_shape_rejected_without_materialization(
         self, client
