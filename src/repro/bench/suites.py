@@ -361,8 +361,9 @@ def _workloads_cases(size: int) -> List[BenchCase]:
     """The three new workload classes plus their crossover partner.
 
     ``streaming_fold`` tracks an evolving rating matrix chunk by
-    chunk, ``tsqr`` reduces a tall-skinny panel stack, ``dnc`` and
-    ``block_square`` factor the same dense square matrix — together
+    chunk, ``block_tall`` factors a tall-skinny panel through the
+    Jacobi methods' QR preconditioner, ``dnc`` and ``block_square``
+    factor the same dense square matrix — together
     they are the measured legs of the crossover study in
     ``docs/workloads.md`` / ``EXPERIMENTS.md``.  Each case reports
     ``sigma_rel_err`` (worst relative singular-value deviation vs
@@ -371,7 +372,7 @@ def _workloads_cases(size: int) -> List[BenchCase]:
     """
     import numpy as np
 
-    from repro.linalg import StreamingSVD, svd, tall_skinny_svd
+    from repro.linalg import StreamingSVD, svd
     from repro.workloads import (
         random_matrix,
         rating_stream,
@@ -402,14 +403,13 @@ def _workloads_cases(size: int) -> List[BenchCase]:
             "error_bound": tracker.error_bound(),
         }
 
-    def tsqr_run(seed: int) -> Dict[str, Any]:
+    def block_tall_run(seed: int) -> Dict[str, Any]:
         a = tall_skinny_matrix(8 * size, max(8, size // 4), seed=seed)
-        result = tall_skinny_svd(a)
+        result = svd(a, method="block")
         ref = np.linalg.svd(a, compute_uv=False)
         return {
             "m": a.shape[0], "n": a.shape[1],
-            "panels": result.panels,
-            "tree_levels": result.tree_levels,
+            "sweeps": result.sweeps,
             "sigma_rel_err": rel_err(result.singular_values, ref),
         }
 
@@ -428,7 +428,7 @@ def _workloads_cases(size: int) -> List[BenchCase]:
 
     return [
         BenchCase(f"streaming_fold_{size}", streaming_run),
-        BenchCase(f"tsqr_{size}", tsqr_run),
+        BenchCase(f"block_tall_{size}", block_tall_run),
         BenchCase(f"dnc_{size}", square_run("dnc")),
         BenchCase(f"block_square_{size}", square_run("block")),
     ]

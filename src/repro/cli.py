@@ -29,6 +29,7 @@ from repro.core.dse import DesignSpaceExplorer
 from repro.core.perf_model import PerformanceModel
 from repro.core.placement import place
 from repro.core.timing import TimingSimulator
+from repro.linalg.svd import METHODS
 from repro.reporting.tables import Table
 from repro.units import mhz
 from repro.versal.tile import TileKind
@@ -154,23 +155,31 @@ def cmd_svd(args) -> int:
     _print_sigma_accuracy(a, result.sigma[:min(a.shape)])
     print(f"traffic: {result.transfers.dma_transfers} DMA / "
           f"{result.transfers.neighbor_transfers} neighbour transfers")
-    if args.check_invariants:
-        from repro.guard import check_factor_invariants
-
-        report = check_factor_invariants(
-            a, result.u * result.sigma, result.v, args.precision,
-            converged=result.converged,
-        )
-        print(f"invariants: {'ok' if report.ok else 'VIOLATED'} "
-              f"(reconstruction {report.reconstruction_error:.3e}, "
-              f"orthogonality {report.orthogonality_residual:.3e})")
-        if not report.ok:
-            print("error: factor invariants violated", file=sys.stderr)
-            return 1
+    if args.check_invariants and not _print_invariants(
+        a, result.u, result.sigma, result.v, args.precision,
+        result.converged,
+    ):
+        return 1
     if args.output:
         np.savez(args.output, u=result.u, sigma=result.sigma)
         print(f"saved factors to {args.output}")
     return 0
+
+
+def _print_invariants(a, u, sigma, v, precision, converged) -> bool:
+    """Print the ``invariants:`` line of the factors ``a = U S V^T``
+    (:func:`~repro.guard.check_factor_invariants`); False, with an
+    error on stderr, when they are violated."""
+    from repro.guard import check_factor_invariants
+
+    report = check_factor_invariants(a, u * sigma, v, precision,
+                                     converged=converged)
+    print(f"invariants: {'ok' if report.ok else 'VIOLATED'} "
+          f"(reconstruction {report.reconstruction_error:.3e}, "
+          f"orthogonality {report.orthogonality_residual:.3e})")
+    if not report.ok:
+        print("error: factor invariants violated", file=sys.stderr)
+    return report.ok
 
 
 def _print_sigma_accuracy(a: np.ndarray, sigma: np.ndarray) -> None:
@@ -187,8 +196,8 @@ def _print_sigma_accuracy(a: np.ndarray, sigma: np.ndarray) -> None:
 
 def _cmd_svd_software(args) -> int:
     """Factor one matrix with a software solver (``--method`` != the
-    accelerator model): block/hestenes Jacobi, TSQR, divide-and-
-    conquer, or the streaming fold."""
+    accelerator model): block/hestenes Jacobi, divide-and-conquer, or
+    the streaming fold."""
     from repro.linalg import svd
 
     deadline = _make_deadline(args)
@@ -208,28 +217,17 @@ def _cmd_svd_software(args) -> int:
         # pre-scaling that keeps extreme-magnitude inputs finite.
         validate=args.validate,
         deadline=deadline,
-        check_invariants=(
-            args.check_invariants
-            and args.method in ("block", "hestenes")
-        ),
+        check_invariants=args.check_invariants,
     )
     print(f"matrix {m}x{n}, method={args.method}")
     print(f"sweeps: {result.sweeps} (converged={result.converged}"
           + (", DEGRADED" if result.degraded else "") + ")")
     _print_sigma_accuracy(a, result.singular_values)
-    if args.check_invariants and args.method not in ("block", "hestenes"):
-        from repro.guard import check_factor_invariants
-
-        report = check_factor_invariants(
-            a, result.u * result.singular_values, result.v,
-            args.precision, converged=result.converged,
-        )
-        print(f"invariants: {'ok' if report.ok else 'VIOLATED'} "
-              f"(reconstruction {report.reconstruction_error:.3e}, "
-              f"orthogonality {report.orthogonality_residual:.3e})")
-        if not report.ok:
-            print("error: factor invariants violated", file=sys.stderr)
-            return 1
+    if args.check_invariants and not _print_invariants(
+        a, result.u, result.singular_values, result.v, args.precision,
+        result.converged,
+    ):
+        return 1
     if args.output:
         np.savez(
             args.output, u=result.u, sigma=result.singular_values,
@@ -1025,12 +1023,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_svd.add_argument(
         "--method", default="accelerator",
-        choices=["accelerator", "block", "hestenes", "tsqr", "dnc",
-                 "streaming"],
+        choices=["accelerator", *METHODS],
         help="solver: the functional accelerator model (default) or a "
-        "software method — block/hestenes Jacobi, tsqr panel "
-        "reduction, dnc bidiagonal divide-and-conquer, streaming "
-        "row-block fold (crossover study in docs/workloads.md)",
+        "software method — block/hestenes Jacobi, dnc bidiagonal "
+        "divide-and-conquer, streaming row-block fold (crossover "
+        "study in docs/workloads.md)",
     )
     add_jobs_flag(p_svd)
     add_cache_flag(p_svd)

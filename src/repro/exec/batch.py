@@ -38,6 +38,7 @@ from repro.errors import (
 )
 from repro.exec.parallel import ParallelRunner, resolve_jobs
 from repro.guard.deadline import Deadline, PartialResult, as_deadline
+from repro.linalg.svd import METHODS
 from repro.obs import metrics as _metrics
 from repro.obs import tracer as _tracer
 from repro.resilience import faults as _faults
@@ -45,7 +46,6 @@ from repro.resilience.retry import call_with_retry
 from repro.workloads.batch import TaskBatch
 
 VALID_ENGINES = ("accelerator", "software")
-VALID_METHODS = ("block", "hestenes", "tsqr", "dnc", "streaming")
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ def _factor_task(
     software engine (see :func:`repro.linalg.svd`); the accelerator
     engine models hardware round by round and ignores it (deadlines
     apply between its tasks, not within them).  ``method`` selects the
-    software solver (``"block"``, ``"hestenes"``, ``"tsqr"``,
-    ``"dnc"`` or ``"streaming"``); the accelerator engine ignores it.
+    software solver (``"block"``, ``"hestenes"``, ``"dnc"`` or
+    ``"streaming"``); the accelerator engine ignores it.
     Either engine returns ``min(m, n)`` values: the accelerator's
     padding columns only add zeros, which are dropped.
     """
@@ -194,7 +194,7 @@ def _run_pipeline(
     prepared there and then factored together, each same-shape group
     as one stacked Jacobi run
     (:func:`repro.linalg.svd._svd_stacked`).  The other tasks (the
-    accelerator engine; tsqr, dnc, streaming and complex tasks) are
+    accelerator engine; dnc, streaming and complex tasks) are
     factored one by one as the stream reaches them.
 
     When a worker-side fault plan ships with the payload it is
@@ -327,11 +327,11 @@ class BatchExecutor:
         check_invariants: Verify factorization invariants for every
             software-engine task (see :func:`repro.linalg.svd`);
             ignored by the accelerator engine.
-        method: Solver for the software engine — ``"block"``
-            (default), ``"hestenes"``, ``"tsqr"``, ``"dnc"`` or
-            ``"streaming"`` (see :func:`repro.linalg.svd` and the
-            crossover study in ``docs/workloads.md``); ignored by the
-            accelerator engine.
+        method: Solver for the software engine, one of
+            :data:`repro.linalg.svd.METHODS` — ``"block"`` (default),
+            ``"hestenes"``, ``"dnc"`` or ``"streaming"`` (see
+            :func:`repro.linalg.svd` and the crossover study in
+            ``docs/workloads.md``); ignored by the accelerator engine.
     """
 
     def __init__(
@@ -351,9 +351,9 @@ class BatchExecutor:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; expected one of {VALID_ENGINES}"
             )
-        if method not in VALID_METHODS:
+        if method not in METHODS:
             raise ConfigurationError(
-                f"unknown method {method!r}; expected one of {VALID_METHODS}"
+                f"unknown method {method!r}; expected one of {METHODS}"
             )
         from repro.linalg.hestenes import resolve_strategy
 

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ConvergenceError
 from repro.obs import metrics as _metrics
 
 #: Reconstruction tolerance is ``RECONSTRUCTION_TOL_FACTOR * n * eps``
@@ -52,6 +53,21 @@ class InvariantReport:
     ok: bool
     reconstruction_error: float
     orthogonality_residual: Optional[float]
+
+    def error(self, iterations: int, when: str = "") -> ConvergenceError:
+        """The :class:`~repro.errors.ConvergenceError` of a failed check,
+        which a solver raises or degrades on; ``when`` qualifies it."""
+        return ConvergenceError(
+            f"factor invariants violated{when} "
+            f"(reconstruction error {self.reconstruction_error:.3e}, "
+            f"orthogonality residual {self.orthogonality_residual})",
+            iterations=iterations,
+            residual=float(
+                self.orthogonality_residual
+                if self.orthogonality_residual is not None
+                else self.reconstruction_error
+            ),
+        )
 
 
 def orthogonality_residual(b: np.ndarray) -> float:

@@ -18,8 +18,6 @@ accelerates (paper Section II-A):
 * :mod:`repro.linalg.svd` — the public entry point.
 * :mod:`repro.linalg.streaming` — incremental rank-k SVD with
   row-block folding (``method="streaming"``).
-* :mod:`repro.linalg.tsqr` — tall-skinny SVD via TSQR panel reduction
-  (``method="tsqr"``).
 * :mod:`repro.linalg.dnc` — bidiagonal divide-and-conquer SVD
   (``method="dnc"``).
 * :mod:`repro.linalg.reference` — validation against ``numpy.linalg``.
@@ -58,7 +56,6 @@ from repro.linalg.block import (
 from repro.linalg.svd import SVDResult, svd
 from repro.linalg.truncated import TruncatedSVDResult, truncated_svd
 from repro.linalg.streaming import StreamingResult, StreamingSVD, streaming_svd
-from repro.linalg.tsqr import TSQRResult, tall_skinny_svd
 from repro.linalg.dnc import DnCResult, dnc_svd
 
 __all__ = [
@@ -89,8 +86,6 @@ __all__ = [
     "StreamingSVD",
     "StreamingResult",
     "streaming_svd",
-    "TSQRResult",
-    "tall_skinny_svd",
     "DnCResult",
     "dnc_svd",
 ]

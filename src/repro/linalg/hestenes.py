@@ -613,18 +613,9 @@ def _block_jacobi_svd(
                 report = check_factor_invariants(a_t, b, v, precision,
                                                  converged=done)
             if not report.ok:
-                error = ConvergenceError(
-                    f"factor invariants violated after re-orthogonalization "
-                    f"(reconstruction error {report.reconstruction_error:.3e}, "
-                    f"orthogonality residual {report.orthogonality_residual})",
-                    iterations=sweeps_done[t],
-                    residual=float(
-                        report.orthogonality_residual
-                        if report.orthogonality_residual is not None
-                        else report.reconstruction_error
-                    ),
-                )
-                return reference_fallback(a_t, error)
+                return reference_fallback(a_t, report.error(
+                    sweeps_done[t], " after re-orthogonalization"
+                ))
 
         u, sigma, v = normalize_columns(b, v)
         return HestenesResult(

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.errors import NumericalError, ReproError
 from repro.guard.deadline import Deadline, as_deadline
+from repro.guard.invariants import check_factor_invariants
 from repro.guard.validate import (
     postscale_singular_values,
     prescale_matrix,
@@ -48,6 +49,7 @@ from repro.linalg.hestenes import (
     HestenesResult,
     _block_jacobi_svd,
     _hestenes_input,
+    reference_fallback,
     resolve_strategy,
 )
 from repro.linalg.orderings import Ordering, ShiftingRingOrdering
@@ -55,6 +57,10 @@ from repro.linalg.orderings import Ordering, ShiftingRingOrdering
 #: The methods run by the one Jacobi driver; their same-shape tasks can
 #: share a stacked run (:func:`_svd_stacked`).
 JACOBI_METHODS = ("hestenes", "block")
+#: Every ``svd(method=...)``: the Jacobi methods and the reduction-based
+#: ones.  The batch executor, the serve wire protocol and the CLI accept
+#: exactly these.
+METHODS = JACOBI_METHODS + ("dnc", "streaming")
 
 
 @dataclass
@@ -161,12 +167,11 @@ def svd(
         method: ``"hestenes"`` for the monolithic sweep (the
             one-block-pair case of the block driver), ``"block"``
             for the block-Jacobi restructuring of Algorithm 1,
-            ``"tsqr"`` for tall-skinny TSQR panel reduction
-            (:mod:`repro.linalg.tsqr`), ``"dnc"`` for bidiagonal
-            divide-and-conquer (:mod:`repro.linalg.dnc`), or
-            ``"streaming"`` for the incremental row-block fold
-            (:mod:`repro.linalg.streaming`).  The crossover study in
-            ``docs/workloads.md`` maps which method wins where.
+            ``"dnc"`` for bidiagonal divide-and-conquer
+            (:mod:`repro.linalg.dnc`), or ``"streaming"`` for the
+            incremental row-block fold (:mod:`repro.linalg.streaming`).
+            The crossover study in ``docs/workloads.md`` maps which
+            method wins where.
         block_width: Columns per block for the block method (defaults to
             ``min(8, n // 2)``, i.e. the largest engine parallelism the
             paper evaluates).
@@ -206,9 +211,13 @@ def svd(
             :class:`~repro.errors.DeadlineExceeded` with a
             :class:`~repro.guard.PartialResult` on expiry.
         check_invariants: Verify orthogonality/reconstruction
-            invariants before returning, with one re-orthogonalization
-            attempt and a degraded reference fallback (see
-            :func:`~repro.guard.check_factor_invariants`).
+            invariants before returning (see
+            :func:`~repro.guard.check_factor_invariants`).  The Jacobi
+            methods make one re-orthogonalization attempt and then
+            degrade to the reference result; ``"dnc"`` and
+            ``"streaming"`` raise
+            :class:`~repro.errors.ConvergenceError`, or degrade under
+            ``fallback="reference"``.
 
     Returns:
         An :class:`SVDResult` with ``min(m, n)`` singular triplets.
@@ -256,7 +265,7 @@ def _svd_many(
     ``"hestenes"``/``"block"`` ones are then factored by
     :func:`_svd_stacked`, every group of one prepared shape as one
     stacked driver run, and the rest (complex inputs, the
-    tsqr/dnc/streaming methods) one by one as the loop reaches them.
+    dnc/streaming methods) one by one as the loop reaches them.
     Every result is bit-identical to :func:`svd` on its matrix alone.
     The first failure, in task order, is raised.
     """
@@ -292,7 +301,7 @@ def _svd_many(
             deferred.append((i, task))
         else:
             results[i] = _finish(
-                task, _reduce(task.work, method, block_width, **solver),
+                task, _reduce(task.work, method, **solver),
                 method,
             )
     outcomes = _svd_stacked(
@@ -312,7 +321,6 @@ def _svd_many(
 def _reduce(
     work: np.ndarray,
     method: str,
-    block_width: Optional[int],
     precision: float,
     max_sweeps: int,
     fallback: Optional[str],
@@ -320,25 +328,17 @@ def _reduce(
     deadline: Optional[Deadline],
     check_invariants: bool,
 ):
-    """A prepared matrix through one of the reduction-based methods."""
-    if method == "tsqr":
-        from repro.linalg.tsqr import tall_skinny_svd
+    """A prepared matrix through one of the reduction-based methods.
 
-        return tall_skinny_svd(
-            work,
-            block_width=block_width,
-            precision=precision,
-            max_sweeps=max_sweeps,
-            strategy=strategy,
-            fallback=fallback,
-            validate=False,
-            deadline=deadline,
-            check_invariants=check_invariants,
-        )
+    With ``check_invariants`` the factors are checked as the Jacobi
+    driver checks its own (:func:`~repro.guard.check_factor_invariants`);
+    a violation raises :class:`~repro.errors.ConvergenceError`, or
+    under ``fallback="reference"`` returns the degraded LAPACK result.
+    """
     if method == "dnc":
         from repro.linalg.dnc import dnc_svd
 
-        return dnc_svd(
+        result = dnc_svd(
             work,
             precision=precision,
             max_sweeps=max_sweeps,
@@ -347,16 +347,28 @@ def _reduce(
             validate=False,
             deadline=deadline,
         )
-    from repro.linalg.streaming import streaming_svd
+    else:
+        from repro.linalg.streaming import streaming_svd
 
-    return streaming_svd(
-        work,
-        precision=precision,
-        max_sweeps=max_sweeps,
-        strategy=strategy,
-        validate=False,
-        deadline=deadline,
-    )
+        result = streaming_svd(
+            work,
+            precision=precision,
+            max_sweeps=max_sweeps,
+            strategy=strategy,
+            validate=False,
+            deadline=deadline,
+        )
+    if check_invariants:
+        report = check_factor_invariants(
+            work, result.u * result.singular_values, result.v, precision,
+            converged=result.converged,
+        )
+        if not report.ok:
+            error = report.error(result.sweeps)
+            if fallback != "reference":
+                raise error
+            return reference_fallback(work, error)
+    return result
 
 
 @dataclass
@@ -455,7 +467,7 @@ def _prepare(
         work = np.pad(r1.T, (0, grid - cols))
         if method == "hestenes":
             work, injected = _hestenes_input(work, fallback)
-    elif method in ("tsqr", "dnc", "streaming"):
+    elif method in METHODS:
         # The reduction-based methods handle any m >= n shape directly.
         work = a.T.copy() if transposed else a.copy()
         rows, cols = work.shape

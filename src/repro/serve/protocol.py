@@ -17,8 +17,9 @@ The matrix arrives either as ``shape`` + ``seed`` (the server
 regenerates it with :func:`repro.workloads.random_matrix` — the load
 generator's zero-copy path) or inline as ``matrix`` (list of rows).
 An optional ``method`` field selects the software solver
-(``"block"``, the default, ``"hestenes"``, ``"tsqr"``, ``"dnc"`` or
-``"streaming"`` — see ``docs/workloads.md`` for the crossover study);
+(``"block"``, the default, ``"hestenes"``, ``"dnc"`` or
+``"streaming"``, i.e. :data:`repro.linalg.svd.METHODS` — see
+``docs/workloads.md`` for the crossover study);
 jobs with different methods never coalesce into one engine run.
 ``float64`` values survive the JSON round trip exactly (``repr``
 shortest round-trip), which is what makes the server's answers
@@ -57,6 +58,7 @@ import numpy as np
 
 from repro.errors import SchemaValidationError, ServeProtocolError
 from repro.guard.schemas import validate_json
+from repro.linalg.svd import JACOBI_METHODS, METHODS
 
 #: Protocol version, echoed by ``ping`` and ``stats`` responses.
 PROTOCOL_VERSION = "1"
@@ -76,10 +78,6 @@ WIRE_STRATEGIES = ("auto", "scalar", "vectorized", "native")
 #: Matrix dtypes accepted on the wire.
 WIRE_DTYPES = ("float64", "float32")
 
-#: Solver methods accepted on the wire (mirrors the software-engine
-#: methods of :class:`~repro.exec.batch.BatchExecutor`).
-WIRE_METHODS = ("block", "hestenes", "tsqr", "dnc", "streaming")
-
 #: Declarative request schema (see :mod:`repro.guard.schemas`).
 REQUEST_SCHEMA = {
     "fields": {
@@ -91,7 +89,7 @@ REQUEST_SCHEMA = {
         "matrix": {"items": {"items": (int, float)}, "min_len": 1},
         "dtype": {"enum": WIRE_DTYPES},
         "strategy": {"enum": WIRE_STRATEGIES},
-        "method": {"enum": WIRE_METHODS},
+        "method": {"enum": METHODS},
         "block_width": int,
         "deadline_s": (int, float),
     },
@@ -328,7 +326,6 @@ def request_key(doc: Dict[str, Any], shape: Tuple[int, int],
     instead of splitting into separate engine runs.
     """
     from repro.linalg.hestenes import resolve_strategy
-    from repro.linalg.svd import JACOBI_METHODS
 
     rows, cols = int(shape[0]), int(shape[1])
     method = doc.get("method", "block")

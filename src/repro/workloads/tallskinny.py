@@ -1,14 +1,14 @@
 """Tall-skinny matrices — the least-squares / PCA panel use case.
 
-Tall-skinny inputs (``m >> n``) are where the TSQR dataflow
-(:func:`repro.linalg.tall_skinny_svd`) beats the dense Jacobi solvers:
-row panels reduce independently and only an ``n x n`` core ever sees a
-full factorization.  :func:`tall_skinny_matrix` generates the standard
-test shape — a Gaussian matrix with geometrically decaying column
-scales, i.e. a controlled spectrum whose condition number is set by
-``decay ** (n - 1)`` — so solver comparisons sweep conditioning
-without changing the aspect ratio (see the crossover study in
-``docs/workloads.md``).
+Tall-skinny inputs (``m >> n``) are where the Jacobi methods' QR
+preconditioner pays most: one Householder QR shrinks the matrix to an
+``n x n`` triangle and only that core is swept (the single-panel TSQR
+reduction; see :func:`repro.linalg.svd`).  :func:`tall_skinny_matrix`
+generates the standard test shape — a Gaussian matrix with
+geometrically decaying column scales, i.e. a controlled spectrum whose
+condition number is set by ``decay ** (n - 1)`` — so solver
+comparisons sweep conditioning without changing the aspect ratio (see
+the crossover study in ``docs/workloads.md``).
 """
 
 from __future__ import annotations

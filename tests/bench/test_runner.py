@@ -213,7 +213,7 @@ class TestSuiteRegistry:
 
     def test_workloads_suite_case_names(self):
         names = [case.name for case in build_suite("workloads", 16)]
-        assert names == ["streaming_fold_16", "tsqr_16", "dnc_16",
+        assert names == ["streaming_fold_16", "block_tall_16", "dnc_16",
                          "block_square_16"]
 
     def test_workloads_suite_runs_smoke(self):
@@ -223,7 +223,7 @@ class TestSuiteRegistry:
         # streaming leg tracks a truncated rank so its deviation is
         # truncation-dominated but must stay bounded by the tracker's
         # own error estimate (relative to the leading singular value).
-        for name in ("tsqr_16", "dnc_16", "block_square_16"):
+        for name in ("block_tall_16", "dnc_16", "block_square_16"):
             assert report.case(name).metrics["sigma_rel_err"] < 1e-8
         streaming = report.case("streaming_fold_16").metrics
         assert streaming["updates"] >= 2

@@ -79,11 +79,12 @@ class TestBatchExecutor:
         # same-sized tasks: one cost evaluation serves the whole batch
         assert cache.stats.stores == 1
 
-    def test_rejects_unknown_method(self, config):
+    @pytest.mark.parametrize("method", ["qr", "tsqr"])
+    def test_rejects_unknown_method(self, config, method):
         with pytest.raises(ConfigurationError, match="method"):
-            BatchExecutor(config, method="qr")
+            BatchExecutor(config, method=method)
 
-    @pytest.mark.parametrize("method", ["tsqr", "dnc", "streaming",
+    @pytest.mark.parametrize("method", ["block", "dnc", "streaming",
                                         "hestenes"])
     def test_software_methods_match_lapack(self, config, batch, method):
         report = BatchExecutor(

@@ -96,14 +96,24 @@ class TestCheckFactorInvariants:
 
 
 class TestSolverIntegration:
-    @pytest.mark.parametrize("method", ["hestenes", "block"])
+    @pytest.mark.parametrize("method", ["hestenes", "block", "dnc",
+                                        "streaming"])
     def test_check_invariants_mode_matches_plain_solve(self, rng, method):
+        from repro import obs
         from repro.linalg.svd import svd
 
         a = rng.standard_normal((16, 16))
         kwargs = {"block_width": 8} if method == "block" else {}
-        checked = svd(a, method=method, check_invariants=True, **kwargs)
+        obs.reset()
+        obs.enable()
+        try:
+            checked = svd(a, method=method, check_invariants=True, **kwargs)
+            counters = obs.get_metrics().snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
         plain = svd(a, method=method, **kwargs)
+        assert counters["guard.invariant_checks"] == 1
         assert checked.converged
         assert not checked.degraded
         assert np.array_equal(
@@ -118,3 +128,33 @@ class TestSolverIntegration:
         a = rng.standard_normal((16, 16))
         result = svd(a, fixed_sweeps=1, check_invariants=True)
         assert np.all(np.isfinite(result.singular_values))
+
+    @pytest.mark.parametrize("method", ["dnc", "streaming"])
+    def test_reduction_violation_raises_or_degrades(self, rng, monkeypatch,
+                                                    method):
+        import importlib
+
+        from repro.errors import ConvergenceError, DegradedResultWarning
+        from repro.linalg.svd import svd
+
+        module = importlib.import_module(f"repro.linalg.{method}")
+        solve = getattr(module, f"{method}_svd")
+
+        def lost_update(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            result.u[:, 0] *= 2.0
+            return result
+
+        monkeypatch.setattr(module, f"{method}_svd", lost_update)
+        a = rng.standard_normal((16, 16))
+        assert not svd(a, method=method).degraded
+        with pytest.raises(ConvergenceError, match="invariants"):
+            svd(a, method=method, check_invariants=True)
+        with pytest.warns(DegradedResultWarning):
+            result = svd(a, method=method, check_invariants=True,
+                         fallback="reference")
+        assert result.degraded
+        np.testing.assert_allclose(
+            result.singular_values, np.linalg.svd(a, compute_uv=False),
+            rtol=1e-12,
+        )

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import NumericalError
+from repro.errors import DeadlineExceeded, NumericalError
 from repro.linalg.reference import validate_svd
 from repro.linalg.svd import svd
+from repro.workloads.tallskinny import tall_skinny_matrix
 
 
 class TestSVDShapes:
@@ -23,7 +24,8 @@ class TestSVDShapes:
 
     @pytest.mark.parametrize(
         "shape",
-        [(8, 8), (16, 8), (8, 16), (9, 9), (7, 12), (13, 5), (1, 4), (4, 1)],
+        [(8, 8), (16, 8), (8, 16), (9, 9), (7, 12), (13, 5), (1, 4), (4, 1),
+         (600, 20), (4096, 16), (24, 500), (33, 17)],
     )
     def test_accuracy_all_shapes(self, rng, shape):
         a = rng.standard_normal(shape)
@@ -59,9 +61,10 @@ class TestSVDMethods:
         report = validate_svd(a, result.u, result.singular_values, result.v)
         assert report.within(1e-6)
 
-    def test_unknown_method(self, rng):
+    @pytest.mark.parametrize("method", ["qr", "tsqr"])
+    def test_unknown_method(self, rng, method):
         with pytest.raises(NumericalError):
-            svd(rng.standard_normal((4, 4)), method="qr")
+            svd(rng.standard_normal((4, 4)), method=method)
 
     def test_fixed_sweeps_recorded(self, rng):
         a = rng.standard_normal((8, 6))
@@ -111,6 +114,48 @@ class TestSVDEdgeCases:
         result = svd(a, precision=1e-10)
         gram = result.v.T @ result.v
         assert np.allclose(gram, np.eye(7), atol=1e-8)
+
+
+@pytest.mark.parametrize("method", ["block", "hestenes"])
+class TestTallInputs:
+    """Tall inputs reach the Jacobi core through the QR in ``_prepare``."""
+
+    @staticmethod
+    def _check(a, result, rtol=1e-10):
+        s_ref = np.linalg.svd(a, compute_uv=False)
+        scale = s_ref[0] if s_ref[0] > 0 else 1.0
+        assert np.max(np.abs(result.singular_values - s_ref)) <= rtol * scale
+        assert np.allclose(result.reconstruct(), a, atol=1e-8 * max(scale, 1.0))
+
+    def test_graded_columns(self, method):
+        a = tall_skinny_matrix(2000, 24, decay=0.7, seed=3)
+        self._check(a, svd(a, method=method, precision=1e-10))
+
+    def test_orthogonal_factors(self, rng, method):
+        a = rng.standard_normal((900, 18))
+        result = svd(a, method=method, precision=1e-10)
+        eye = np.eye(18)
+        assert np.allclose(result.u.T @ result.u, eye, atol=1e-8)
+        assert np.allclose(result.v.T @ result.v, eye, atol=1e-10)
+
+    def test_rank_deficient(self, rng, method):
+        a = rng.standard_normal((300, 4)) @ rng.standard_normal((4, 12))
+        result = svd(a, method=method, precision=1e-10)
+        s_ref = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(result.singular_values, s_ref,
+                           atol=1e-9 * s_ref[0])
+        assert np.allclose(result.reconstruct(), a, atol=1e-8 * s_ref[0])
+
+    @pytest.mark.parametrize("n", [18, 9])
+    def test_odd_core_width(self, rng, method, n):
+        # The default block width must fit the n x n core, whatever n.
+        a = rng.standard_normal((300, n))
+        self._check(a, svd(a, method=method, precision=1e-10))
+
+    def test_expired_deadline_raises(self, rng, method):
+        a = rng.standard_normal((600, 20))
+        with pytest.raises(DeadlineExceeded):
+            svd(a, method=method, deadline=1e-12)
 
 
 class TestBlockGridPadding:

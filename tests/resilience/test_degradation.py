@@ -96,7 +96,7 @@ class TestSvdFallback:
         )
 
     @pytest.mark.parametrize(
-        "method", ["hestenes", "block", "tsqr", "dnc", "streaming"]
+        "method", ["hestenes", "block", "dnc", "streaming"]
     )
     def test_unknown_fallback_rejected_per_method(self, method):
         with pytest.raises(NumericalError, match="fallback"):

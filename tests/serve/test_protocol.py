@@ -155,8 +155,8 @@ class TestCoalesceKey:
         a = request_key(_decompose(), (16, 16), 4)
         b = request_key(_decompose(), (24, 32), 4)
         assert a != b
-        assert request_key(_decompose(method="tsqr"), (16, 16), 4) != \
-            request_key(_decompose(method="tsqr"), (16, 32), 4)
+        assert request_key(_decompose(method="dnc"), (16, 16), 4) != \
+            request_key(_decompose(method="dnc"), (16, 32), 4)
 
     @pytest.mark.parametrize("method", ["hestenes", "block"])
     def test_jacobi_methods_key_the_prepared_shape(self, method):
@@ -183,13 +183,14 @@ class TestCoalesceKey:
 
     def test_method_splits_keys(self):
         base = request_key(_decompose(), (16, 16), 4)
-        tsqr = request_key(_decompose(method="tsqr"), (16, 16), 4)
-        assert tsqr != base
-        assert tsqr.method == "tsqr"
+        dnc = request_key(_decompose(method="dnc"), (16, 16), 4)
+        assert dnc != base
+        assert dnc.method == "dnc"
         assert base.method == "block"
         # Explicit default method coalesces with the omitted field.
         assert request_key(_decompose(method="block"), (16, 16), 4) == base
 
-    def test_unknown_method_rejected(self):
+    @pytest.mark.parametrize("method", ["qr", "tsqr"])
+    def test_unknown_method_rejected(self, method):
         with pytest.raises(ServeProtocolError, match="method"):
-            validate_request(_decompose(method="qr"))
+            validate_request(_decompose(method=method))

@@ -251,7 +251,7 @@ class TestMethodField:
             explicit["sigma"]
         ).tobytes()
 
-    @pytest.mark.parametrize("method", ["tsqr", "dnc", "streaming",
+    @pytest.mark.parametrize("method", ["block", "dnc", "streaming",
                                         "hestenes"])
     def test_alternate_methods_match_lapack(self, client, method):
         matrix = random_matrix(32, 16, seed=8)
@@ -276,11 +276,12 @@ class TestMethodField:
                                        atol=1e-5)
         assert client.stats().get("serve.breaker_trips", 0) == 0
 
-    def test_unknown_method_answered_schema(self, client):
+    @pytest.mark.parametrize("method", ["qr", "tsqr"])
+    def test_unknown_method_answered_schema(self, client, method):
         from repro.errors import ServeProtocolError
 
         with pytest.raises(ServeProtocolError, match="method"):
-            client.decompose(shape=[16, 16], seed=1, method="qr")
+            client.decompose(shape=[16, 16], seed=1, method=method)
 
 
 class TestBrownoutTier:

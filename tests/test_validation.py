@@ -91,6 +91,7 @@ class TestBattery:
         assert np.count_nonzero(
             ~build("zero-columns").any(axis=0)
         ) == 4
+        assert build("large-tall").shape == (2048, 16)
         assert build("wide").shape == (16, 32)
         assert np.iscomplexobj(build("complex"))
         assert build("float32").dtype == np.float32
