@@ -15,7 +15,8 @@ angle, update and scatter path.
 
 ``test_bench_stacked`` times a whole precision-driven solve of ``T``
 same-shape matrices (``T`` in {1, 2, 4, 8}; 16x16, 24x24 and 32x16;
-``method="block"``, block width 4, vectorized kernel): ``stacked`` is
+``method="block"``, block width 4, so block rotations, with the
+vectorized kernel for any pairwise finish): ``stacked`` is
 one stacked driver run (:func:`repro.linalg.svd._svd_many`, the path of
 ``solve_batch`` and the batch executor), ``one-by-one`` is ``T``
 :func:`repro.linalg.svd` calls.  It regenerates the per-T table in

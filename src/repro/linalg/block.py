@@ -3,9 +3,15 @@
 To decompose an SVD beyond the capacity of a single AIE group, the data
 arrangement module splits ``A_{m x n}`` into ``p = n / k`` column blocks
 of shape ``m x k`` and enumerates *block pairs*.  Each block pair
-``(A_u, A_v)`` holds ``2k`` columns and is shipped to the orth-AIEs,
-which run a full shifting-ring sweep over all ``2k`` columns — i.e.,
-``(2k-1) x k`` column-pair rotations per block pair.
+``(A_u, A_v)`` holds ``2k`` columns.  On the accelerator it is shipped
+to the orth-AIEs, which run a full shifting-ring sweep over all ``2k``
+columns — i.e., ``(2k-1) x k`` column-pair rotations per block pair
+(:func:`sweep_schedule`).  The software ``svd(method="block")`` rotates
+each block pair at once instead, by the right singular vectors of its
+``m x 2k`` panel (:func:`panel_schedule`), and falls back to the
+column-pair sweeps only where those block rotations stall.  When
+``n <= 2k`` there is one block pair, and its block rotation is the
+SVD of the whole matrix.
 
 Because a block-pair sweep orthogonalizes *all* pairs among its ``2k``
 columns (intra-block pairs included), every column pair of the full
@@ -166,6 +172,27 @@ def sweep_schedule(
     )
     for idx in schedule:
         idx.flags.writeable = False
+    return schedule
+
+
+@lru_cache(maxsize=64)
+def panel_schedule(n_cols: int, block_width: int) -> Tuple[np.ndarray, ...]:
+    """Each tournament round's block pairs as one ``(pairs, 2k)`` array.
+
+    Row ``i`` of round ``r`` holds the global columns of the round's
+    ``i``-th block pair (:func:`block_pair_rounds`), first block then
+    second: the panels one block-rotation call of the software block
+    driver rotates together.  Built once per shape and read-only, like
+    :func:`sweep_schedule`.
+    """
+    partition = BlockPartition(n_cols=n_cols, block_width=block_width)
+    schedule = tuple(
+        np.array([partition.pair_columns(pair) for pair in one_round],
+                 dtype=np.intp)
+        for one_round in block_pair_rounds(partition.n_blocks)
+    )
+    for cols in schedule:
+        cols.flags.writeable = False
     return schedule
 
 

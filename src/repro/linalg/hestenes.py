@@ -11,10 +11,14 @@ normalization step (Eq. 7) recovers the factorization
 
 so that ``A = U \\Sigma V^T``.
 
-This module is the *reference software implementation*: it performs the
-exact arithmetic the HeteroSVD accelerator distributes across orth-AIEs
-and norm-AIEs, and it is the golden model the hardware-level functional
-simulation (:mod:`repro.core.accelerator`) is validated against.
+This module is the *reference software implementation*: its pairwise
+sweeps perform the exact arithmetic the HeteroSVD accelerator
+distributes across orth-AIEs and norm-AIEs, and they are the golden
+model the hardware-level functional simulation
+(:mod:`repro.core.accelerator`) is validated against.  The software
+``method="block"`` instead rotates each block pair at once by the
+right singular vectors of its panel (block rotations), and finishes on
+pairwise sweeps where those stall.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from repro.linalg.convergence import (
     pair_convergence_ratios,
     zero_column_threshold_sq,
 )
-from repro.linalg.block import sweep_schedule
+from repro.linalg.block import panel_schedule, sweep_schedule
 from repro.linalg.orderings import Ordering, RingOrdering
 from repro.linalg.rotations import (
     apply_rotation,
@@ -55,6 +59,12 @@ from repro.linalg.rotations import (
 #: Safety cap on sweeps; Hestenes-Jacobi converges quadratically and in
 #: practice needs ~log2(n) + a few sweeps, so this is generous.
 DEFAULT_MAX_SWEEPS = 60
+
+#: A block sweep that leaves more than this share of the residual of
+#: the sweep before has stalled: its matrix finishes on pairwise sweeps.
+#: Converging block sweeps leave at most ~0.7 of it; once they reach
+#: the accuracy of the panel SVDs it stays put (0.99 or more).
+_BLOCK_STALL = 0.9
 
 #: Recognized values for the ``strategy`` knob of the Jacobi solvers.
 #: The strategy picks only the round kernel the drivers call on their
@@ -337,6 +347,141 @@ def _sweep_pairs_scalar(
     return ratios, count
 
 
+def _rotate_panels(
+    w: np.ndarray,
+    m: int,
+    cols: np.ndarray,
+    precision: float,
+    zero_sq: np.ndarray,
+) -> np.ndarray:
+    """Rotate one tournament round of block pairs of ``W = [B; V]``.
+
+    ``cols`` is a ``(panels, 2k)`` array: each row the columns of one
+    block pair, and ``zero_sq`` each panel's dead-column floor.  The
+    panels are disjoint, so one pass rotates them all:
+
+    1. gather every panel, ``B`` and ``V`` rows at once, and take each
+       panel's Gram matrix from its ``B`` rows;
+    2. keep the panels holding a live pair at or above ``precision``
+       (the Eq. 6 ratio with the pair kernel's floor);
+    3. take their rotations from one batched SVD of the ``B`` rows
+       (:func:`_panel_rotations`);
+    4. multiply each panel by its rotation, one batched ``matmul``,
+       and scatter back.
+
+    A panel with a column at or below its floor rotates only its live
+    columns, by the SVD of those alone: a dead column is never mixed
+    with the others, as in the pair kernel, so the zero padding of the
+    block grid stays zero with its unit ``V`` columns.  Each panel's
+    arithmetic is its own, so the result does not depend on which
+    panels share a call.
+
+    Returns:
+        Per panel, whether it was rotated.
+    """
+    count, width = cols.shape
+    rows = w.shape[0]
+    panels = w[:, cols.ravel()].reshape(rows, count, width).transpose(1, 0, 2)
+    top = panels[:, :m]
+    gram = np.matmul(top.transpose(0, 2, 1), top).astype(np.float64,
+                                                         copy=False)
+    diagonal = np.arange(width)
+    norms = gram[:, diagonal, diagonal]
+    live = norms > np.maximum(zero_sq, 0.0)[:, None]
+    # A dead column's infinite root zeroes its ratios.
+    roots = np.where(live, np.sqrt(norms), np.inf)
+    ratios = np.abs(gram) / (roots[:, :, None] * roots[:, None, :])
+    ratios[:, diagonal, diagonal] = 0.0
+    rotate = ratios.max(axis=(1, 2)) >= precision
+    if not rotate.all():
+        if not rotate.any():
+            return rotate
+        panels, top, cols, live = (
+            x[rotate] for x in (panels, top, cols, live)
+        )
+    whole = live.all(axis=1)
+    if whole.all():
+        rotations = _panel_rotations(top)
+    else:
+        rotations = np.empty((len(top), width, width), dtype=gram.dtype)
+        if whole.any():
+            rotations[whole] = _panel_rotations(top[whole])
+        for k in np.flatnonzero(~whole):
+            keep = np.flatnonzero(live[k])
+            rotations[k] = np.eye(width)
+            rotations[k][np.ix_(keep, keep)] = _panel_rotations(
+                top[k][None, :, keep]
+            )[0]
+    # Each rotated panel lands as contiguous columns of one
+    # Fortran-order array, ready for one scatter.
+    rotated = np.empty((rows, cols.size), dtype=w.dtype, order="F")
+    np.matmul(panels, rotations.astype(w.dtype, copy=False),
+              out=rotated.reshape(rows, len(cols), width).transpose(1, 0, 2))
+    w[:, cols.ravel()] = rotated
+    return rotate
+
+
+def _panel_rotations(top: np.ndarray) -> np.ndarray:
+    """The block rotation of each ``m x s`` panel in a ``(p, m, s)`` stack.
+
+    The right singular vectors of one batched SVD, their columns
+    permuted and signed towards the identity (:func:`_toward_identity`):
+    a panel times its rotation has orthogonal columns, each close to
+    the column it replaces.  That closeness is the UBC condition of
+    Drmač's convergence proof for cyclic Jacobi with block rotations
+    (SIMAX 31(3), 2009), and it keeps a nearly orthogonal panel's
+    rotation nearly the identity.
+    """
+    _, _, vt = np.linalg.svd(top, full_matrices=False)
+    return _toward_identity(vt.transpose(0, 2, 1))
+
+
+def _toward_identity(v: np.ndarray) -> np.ndarray:
+    """Permute and sign the columns of each ``s x s`` matrix of ``v``.
+
+    Column ``j`` of the result is the column of ``v`` assigned to row
+    ``j``, with a non-negative diagonal entry.  When each row's largest
+    entry sits in a different column, that column is the row's: every
+    row's largest entry lands on the diagonal.  Otherwise (two rows
+    share their largest column) the assignment is greedy, largest
+    entry first, so a row whose largest entry went to another row
+    gets its largest entry among the columns still free.  Where the
+    argmax is a permutation the greedy assignment picks it too (ties
+    aside), so the argmax is a fast path: ~93% of the panels of block
+    solves take it, and running every panel through the greedy loop
+    instead cost ~15% more solve time (docs/performance.md).
+    """
+    magnitude = np.abs(v)
+    order = magnitude.argmax(axis=2)
+    clash = (np.sort(order, axis=1) != np.arange(v.shape[-1])).any(axis=1)
+    if clash.any():
+        order[clash] = _greedy_assignment(magnitude[clash])
+    # Row j of the transpose is column order[j] of v.
+    picked = v.transpose(0, 2, 1)[np.arange(len(v))[:, None], order]
+    signs = np.copysign(1.0, np.diagonal(picked, axis1=1, axis2=2))
+    return picked.transpose(0, 2, 1) * signs[:, None, :]
+
+
+def _greedy_assignment(magnitude: np.ndarray) -> np.ndarray:
+    """Row-to-column assignment of each ``s x s`` matrix, largest first.
+
+    ``s`` steps, each vectorized over the matrices: take every
+    matrix's largest entry among its free rows and columns, assign
+    that column to that row, and retire both.
+    """
+    magnitude = magnitude.copy()
+    count, size, _ = magnitude.shape
+    order = np.empty((count, size), dtype=np.intp)
+    which = np.arange(count)
+    for _ in range(size):
+        rows, picked = np.divmod(magnitude.reshape(count, -1).argmax(axis=1),
+                                 size)
+        order[which, rows] = picked
+        magnitude[which, rows, :] = -1.0
+        magnitude[which, :, picked] = -1.0
+    return order
+
+
 @dataclass
 class HestenesResult:
     """Output of :func:`hestenes_svd`.
@@ -437,22 +582,40 @@ def _block_jacobi_svd(
     """Block Hestenes-Jacobi: the software mirror of Algorithm 1.
 
     The one Jacobi sweep driver.  ``a`` (``m >= n``) is split into
-    column blocks of ``block_width`` and every outer sweep runs a full
-    ``ordering_cls`` sweep over each block pair's ``2 * block_width``
-    columns.  With ``block_width = n // 2`` the one block pair holds
-    every column, which is the monolithic sweep :func:`hestenes_svd`
-    runs through here.  ``strategy`` (already resolved) picks only the
-    round kernel.
+    column blocks of ``block_width``, and every outer sweep visits each
+    block pair of the tournament rounds of
+    :func:`~repro.linalg.block.block_pair_rounds` in one of two ways:
+
+    * a *pairwise* sweep runs a full ``ordering_cls`` sweep over the
+      block pair's ``2 * block_width`` columns, ``(2k - 1) x k`` column
+      pair rotations through the round kernel that ``strategy``
+      (already resolved) picks: the accelerator's arithmetic.  With
+      ``block_width = n // 2`` the one block pair holds every column,
+      which is the monolithic sweep :func:`hestenes_svd` runs through
+      here;
+    * a *block* sweep rotates each block pair at once by the right
+      singular vectors of its ``B`` rows (:func:`_rotate_panels`), one
+      batched call per tournament round.  When ``n <= 2k`` the one
+      block pair is the whole matrix and its rotation the whole SVD.
+
+    ``method="block"`` starts every matrix on block sweeps.  A panel
+    SVD is accurate to eps of the panel's largest column, so on an
+    ill-conditioned matrix the block sweeps stall short of a tight
+    ``precision``: once a block sweep leaves more than
+    :data:`_BLOCK_STALL` of the residual of the sweep before, that
+    matrix finishes on pairwise sweeps, which converge quadratically
+    from there.  ``method="hestenes"`` sweeps pairwise throughout, at
+    any ``block_width``: the accelerator's rotations.
 
     ``a`` may also be a list of ``T`` same-shape matrices, the paper's
     ``P_task`` tasks in flight: they sit side by side in one
-    ``W = [B_1 ... B_T; V_1 ... V_T]`` and one round-kernel call
-    rotates round ``r`` of every matrix still sweeping (their columns
+    ``W = [B_1 ... B_T; V_1 ... V_T]`` and one kernel call rotates
+    round ``r`` of every matrix still sweeping that way (their columns
     are disjoint, the argument that lets block pairs share a round).
     Each matrix keeps its own zero-column floor, sweep residual, sweep
-    and rotation counts, and stops on its own convergence, so its bits
-    are those of a run on it alone.  The list form returns one outcome
-    per matrix, in order: a :class:`HestenesResult`, or the
+    and rotation counts, sweep kind, and stops on its own convergence,
+    so its bits are those of a run on it alone.  The list form returns
+    one outcome per matrix, in order: a :class:`HestenesResult`, or the
     :class:`~repro.errors.ConvergenceError` (without ``fallback``) or
     :class:`~repro.errors.DeadlineExceeded` that ended it, returned
     rather than raised.  On deadline expiry the matrices that
@@ -460,19 +623,23 @@ def _block_jacobi_svd(
     share the one error, whose partial counts the first of them.  A
     single matrix returns its result or raises.
 
-    ``method`` names the caller in the deadline kind and the
-    :class:`~repro.errors.ConvergenceError` message, and picks the
-    sweep residual: ``"hestenes"`` takes the sweep's worst
-    pre-rotation pair ratio, ``"block"`` re-measures
+    Besides the sweep kind, ``method`` names the caller in the
+    deadline kind and the :class:`~repro.errors.ConvergenceError`
+    message, and picks the sweep residual: ``"hestenes"`` takes the
+    sweep's worst pre-rotation pair ratio, ``"block"`` re-measures
     :func:`~repro.linalg.convergence.off_diagonal_ratio` of ``B``
-    after the sweep.  The two rules can stop after different sweep
-    counts in precision mode.
+    after every sweep, the pairwise sweeps of its finish included.
+    The two rules can stop after different sweep counts in precision
+    mode.  A result's ``rotations`` counts pair
+    rotations and block rotations alike, one each.
     """
     stacked = isinstance(a, (list, tuple))
     matrices = list(a) if stacked else [a]
     m, n = matrices[0].shape
     local_rounds = sweep_schedule(ordering_cls, n, block_width)
     hestenes = method == "hestenes"
+    blocks = method == "block"
+    local_panels = panel_schedule(n, block_width) if blocks else ()
 
     floors = np.array([
         zero_column_threshold_sq(float(np.linalg.norm(x)), x.dtype)
@@ -487,7 +654,8 @@ def _block_jacobi_svd(
     # multiplying the batch width by the number of concurrent block
     # pairs.  The per-round index arrays, stacked across each round's
     # pairs, are the shape's memoized schedule (sweep_schedule): it
-    # repeats identically every outer sweep and every run.
+    # repeats identically every outer sweep and every run.  A block
+    # sweep reads the same tournament rounds (panel_schedule).
     w = stack_panels(matrices, [np.eye(n)] * len(matrices))
     work = round_workspace(w.shape, w.dtype)
     sweep_rounds_fn = _round_sweeper(strategy)
@@ -496,12 +664,23 @@ def _block_jacobi_svd(
         # Matrix t's round indices offset by its column base t*n, laid
         # out matrix-major within each half of concat(ii, jj), so a
         # round's ratios reshape to one row per matrix; and each pair's
-        # floor.  Rebuilt only when the set of sweeping matrices shrinks.
+        # floor.
         bases = np.asarray(tasks, dtype=np.intp)[:, None] * n
         return [
             ((idx.reshape(2, 1, -1) + bases).ravel(),
              np.repeat(floors[tasks], idx.size // 2))
             for idx in local_rounds
+        ]
+
+    def panels_for(tasks: "list[int]") -> "list[tuple[np.ndarray, np.ndarray]]":
+        # Each round's panel columns offset by t*n, matrix-major, so a
+        # round's per-panel flags reshape to one row per matrix; and
+        # each panel's floor.
+        bases = np.asarray(tasks, dtype=np.intp)[:, None, None] * n
+        return [
+            ((cols + bases).reshape(-1, cols.shape[1]),
+             np.repeat(floors[tasks], cols.shape[0]))
+            for cols in local_panels
         ]
 
     def columns(t: int) -> slice:
@@ -512,12 +691,13 @@ def _block_jacobi_svd(
     sweep_residuals: "list[list[float]]" = [[] for _ in range(count)]
     sweeps_done = [0] * count
     converged = [False] * count
+    rotating_blocks = [blocks] * count
     budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
     outcomes: "list[HestenesResult | ReproError | None]" = [None] * count
 
     def check_deadline(tasks: "list[int]") -> None:
-        # Once per ordering round: one monotonic-clock read behind a
-        # None test, so the hot loop pays nothing when unbounded.
+        # Once per kernel call: one monotonic-clock read behind a None
+        # test, so the hot loop pays nothing when unbounded.
         if deadline is None or not deadline.expired():
             return
         t = tasks[0]
@@ -529,11 +709,21 @@ def _block_jacobi_svd(
             rotations=rotations[t],
         )
 
-    def run_sweep(tasks, rounds) -> "tuple[list[float], list[int]]":
+    def block_sweep(tasks, panels, active) -> "tuple[list[float], list[int]]":
+        # Per matrix: the sweep residual and the block rotations applied.
+        rotated = np.zeros(len(tasks), dtype=np.intp)
+        for cols, floor in panels:
+            check_deadline(active)
+            flags = _rotate_panels(w, m, cols, precision, floor)
+            rotated += np.count_nonzero(flags.reshape(len(tasks), -1), axis=1)
+        residuals = [off_diagonal_ratio(w[:m, columns(t)]) for t in tasks]
+        return residuals, rotated.tolist()
+
+    def pair_sweep(tasks, rounds, active) -> "tuple[list[float], list[int]]":
         # Per matrix: the sweep residual and the rotations applied.
         ratios = []
         for idx, floor in rounds:
-            check_deadline(tasks)
+            check_deadline(active)
             round_ratios, _ = sweep_rounds_fn(
                 w, m, idx, precision, floor, work
             )
@@ -549,25 +739,43 @@ def _block_jacobi_svd(
             residuals = [off_diagonal_ratio(w[:m, columns(t)]) for t in tasks]
         return residuals, rotated.tolist()
 
-    active = list(range(count))
-    rounds = rounds_for(active)
+    # The schedules of the matrices sweeping each way, rebuilt only
+    # when that set changes.
+    built: "dict[bool, tuple[list[int], list]]" = {}
+
+    def sweep_each_way(active: "list[int]") -> "dict[int, tuple[float, int]]":
+        sweeps = {}
+        for kind, sweep, schedule in ((True, block_sweep, panels_for),
+                                      (False, pair_sweep, rounds_for)):
+            tasks = [t for t in active if rotating_blocks[t] == kind]
+            if not tasks:
+                continue
+            if kind not in built or built[kind][0] != tasks:
+                built[kind] = (tasks, schedule(tasks))
+            sweeps.update(zip(tasks, zip(*sweep(tasks, built[kind][1],
+                                                active))))
+        return sweeps
+
+    active = list(range(count)) if budget > 0 else []
     try:
-        for _ in range(budget):
-            residuals, rotated = run_sweep(active, rounds)
+        while active:
+            sweeps = sweep_each_way(active)
             still = []
-            for t, residual, applied in zip(active, residuals, rotated):
+            for t in active:
+                residual, applied = sweeps[t]
                 rotations[t] += applied
                 sweeps_done[t] += 1
                 sweep_residuals[t].append(residual)
                 if fixed_sweeps is None and residual < precision:
                     converged[t] = True
-                else:
+                    continue
+                if sweeps_done[t] < budget:
                     still.append(t)
-            if len(still) < len(active):
-                active = still
-                if not active:
-                    break
-                rounds = rounds_for(active)
+                history = sweep_residuals[t]
+                if rotating_blocks[t] and len(history) > 1 and \
+                        not residual < _BLOCK_STALL * history[-2]:
+                    rotating_blocks[t] = False
+            active = still
     except DeadlineExceeded as error:
         for t in active:
             outcomes[t] = error
@@ -605,8 +813,8 @@ def _block_jacobi_svd(
                 # marginally-off factor; a corrupt one won't recover and
                 # degrades to the reference fallback.
                 _metrics.counter("guard.reorth_passes").inc()
-                (extra_residual,), (extra_rotations,) = run_sweep(
-                    [t], rounds_for([t])
+                (extra_residual,), (extra_rotations,) = pair_sweep(
+                    [t], rounds_for([t]), [t]
                 )
                 rotations[t] += extra_rotations
                 residuals.append(extra_residual)

@@ -8,8 +8,14 @@ grid, dispatches to a solver method, and returns a uniform
 Both Jacobi methods run the one sweep driver of
 :mod:`repro.linalg.hestenes`, which performs the same restructuring
 HeteroSVD implements in hardware (Algorithm 1): block pairs are
-enumerated round-robin and a full parallel-ordering sweep runs over each
-block pair's ``2k`` columns.  ``"hestenes"`` is its one-block-pair case.
+enumerated round-robin, one tournament round of disjoint block pairs
+at a time.  ``"hestenes"`` runs a full parallel-ordering sweep of
+column-pair rotations over its one block pair, all ``n`` columns: the
+accelerator's arithmetic.  ``"block"`` rotates each block pair of
+``2k`` columns at once by the right singular vectors of its panel,
+one batched SVD per tournament round (block rotations), and finishes
+on column-pair sweeps once those stall; when ``n <= 2k`` its one
+block pair is the whole matrix and the block rotation its whole SVD.
 
 The driver does not sweep the ``m x n`` input ``M`` (``m >= n``) itself
 but the ``L`` of Drmac and Veselic's two-step preconditioner (LAPACK
@@ -164,10 +170,16 @@ def svd(
             block width ``w`` (an even width for ``"hestenes"``); the
             padding contributes zero singular values that are dropped
             from the result.
-        method: ``"hestenes"`` for the monolithic sweep (the
-            one-block-pair case of the block driver), ``"block"``
-            for the block-Jacobi restructuring of Algorithm 1,
-            ``"dnc"`` for bidiagonal divide-and-conquer
+        method: ``"hestenes"`` for the monolithic sweep of
+            column-pair rotations (the one-block-pair case of the
+            block driver's pairwise sweeps), ``"block"`` for the
+            block-Jacobi restructuring of Algorithm 1 with block
+            rotations: each tournament round rotates its disjoint
+            block pairs at once by one batched SVD of their panels,
+            and a matrix whose block sweeps stall short of
+            ``precision`` finishes on column-pair sweeps (with
+            ``n <= 2 * block_width`` the one block pair is the whole
+            matrix), ``"dnc"`` for bidiagonal divide-and-conquer
             (:mod:`repro.linalg.dnc`), or ``"streaming"`` for the
             incremental row-block fold (:mod:`repro.linalg.streaming`).
             The crossover study in ``docs/workloads.md`` maps which
@@ -185,8 +197,9 @@ def svd(
         fallback: ``"reference"`` returns the LAPACK factorization
             (``degraded=True``) on non-convergence instead of raising
             :class:`~repro.errors.ConvergenceError`.
-        strategy: The round kernel both Jacobi drivers run:
-            ``"scalar"`` for the per-pair reference kernel,
+        strategy: The column-pair round kernel of the Jacobi
+            methods' pairwise sweeps (``"block"``'s block rotations
+            take none): ``"scalar"`` for the per-pair reference kernel,
             ``"vectorized"`` for batched rounds
             (:func:`~repro.linalg.hestenes.sweep_pairs`), ``"native"``
             for the compiled (Numba) whole-round kernels of

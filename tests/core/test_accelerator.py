@@ -159,11 +159,14 @@ class TestRoutingTable:
 
 
 class TestBlockDriverParity:
-    """The accelerator rotates exactly what the block driver rotates.
+    """The accelerator rotates exactly what the pairwise block driver
+    rotates.
 
     The block driver (:func:`~repro.linalg.hestenes._block_jacobi_svd`)
-    runs here on ``a`` itself: ``svd(method="block")`` sweeps the
-    ``R^T`` of a QR of ``a`` instead, while the accelerator stays plain
+    runs here on ``a`` itself with ``method="hestenes"``, which sweeps
+    column pairs at any block width: the accelerator's rotations, where
+    ``svd(method="block")`` rotates whole block pairs of the ``L`` of a
+    QR and LQ of ``a`` instead, while the accelerator stays plain
     Hestenes (Algorithm 1).  Both run each tournament round of block
     pairs through the same batched round kernel, so after the same
     number of sweeps the accumulated V is bit-identical — odd block
@@ -189,6 +192,7 @@ class TestBlockDriverParity:
             ordering_cls=ShiftingRingOrdering,
             fixed_sweeps=sweeps,
             strategy="vectorized",
+            method="hestenes",
         )
         assert result.iterations == sweeps
         assert np.array_equal(result.v, reference.v)

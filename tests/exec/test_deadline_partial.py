@@ -25,7 +25,7 @@ from repro.linalg import svd
 from repro.resilience import FaultPlan, FaultSpec
 from repro.workloads import make_batch
 
-SIZE = 24
+SIZE = 32
 BATCH = 10
 
 
@@ -67,11 +67,12 @@ def _run_expired(budget_s: float, plan=None):
 def _mid_batch_budget(monkeypatch) -> float:
     """Cut the batch's one stacked run where its first tasks converge.
 
-    The worker tests the deadline once per task, then once per ordering
-    round of the stacked run.  Its tasks converge after 5 or 6 sweeps,
-    so the deadline expires at the first round of sweep 6: the 5-sweep
-    tasks are complete and the rest are still sweeping.  Returns a
-    budget the clock never exhausts.
+    The worker tests the deadline once per task, then once per
+    tournament round of the stacked run's block sweeps.  Its tasks
+    converge after 4 or 5 sweeps, all of them block sweeps, so the
+    deadline expires at the first round of sweep 5: the 4-sweep tasks
+    are complete and the rest are still sweeping.  Returns a budget
+    the clock never exhausts.
     """
     batch = make_batch(SIZE, SIZE, batch=BATCH, seed=7)
     solo = [svd(a, method="block", block_width=4) for a in batch]

@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
+import repro.linalg.hestenes as hestenes
 from repro.errors import ConvergenceError, NumericalError
-from repro.linalg.convergence import off_diagonal_ratio
-from repro.linalg.hestenes import hestenes_svd, normalize_columns
+from repro.linalg.convergence import DEFAULT_PRECISION, off_diagonal_ratio
+from repro.linalg.hestenes import (
+    DEFAULT_MAX_SWEEPS,
+    _block_jacobi_svd,
+    hestenes_svd,
+    normalize_columns,
+)
 from repro.linalg.orderings import (
     RingOrdering,
     RoundRobinOrdering,
     ShiftingRingOrdering,
 )
 from repro.linalg.svd import svd
+from repro.workloads.matrices import conditioned_matrix
 
 
 class TestHestenesSVD:
@@ -104,8 +111,20 @@ def _one_pair_inputs():
 ONE_PAIR_INPUTS = _one_pair_inputs()
 
 
+def _one_pair_block(a, fixed_sweeps, ordering_cls, strategy):
+    """The block driver's ``method="block"`` sweeps on ``a`` with one
+    block pair."""
+    return _block_jacobi_svd(
+        a, block_width=a.shape[1] // 2, precision=DEFAULT_PRECISION,
+        max_sweeps=DEFAULT_MAX_SWEEPS, ordering_cls=ordering_cls,
+        fixed_sweeps=fixed_sweeps, strategy=strategy, method="block",
+    )
+
+
 class TestOneBlockPair:
-    """``hestenes`` is the block driver's one-block-pair case."""
+    """With one block pair (``n <= 2k``) a block sweep is the SVD of
+    the whole panel, and the pairwise kernel only finishes the solve.
+    """
 
     @pytest.mark.parametrize("case", range(len(ONE_PAIR_INPUTS)))
     @pytest.mark.parametrize("fixed_sweeps", [1, 3])
@@ -114,26 +133,44 @@ class TestOneBlockPair:
     @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
     def test_fixed_sweeps_bit_identical(self, case, fixed_sweeps,
                                         ordering_cls, strategy):
+        # The first sweep's V is the panel's rotation itself.  It leaves
+        # every pair below precision, so later sweeps (a block sweep,
+        # then, stalled, a pairwise one in whatever ordering and
+        # strategy) rotate nothing.
         a = ONE_PAIR_INPUTS[case]
-        kwargs = dict(fixed_sweeps=fixed_sweeps, ordering_cls=ordering_cls,
-                      strategy=strategy)
-        mono = svd(a, method="hestenes", **kwargs)
-        block = svd(a, method="block", block_width=a.shape[1] // 2,
-                    **kwargs)
-        assert mono.u.tobytes() == block.u.tobytes()
-        assert mono.singular_values.tobytes() == \
-            block.singular_values.tobytes()
-        assert mono.v.tobytes() == block.v.tobytes()
-        assert mono.sweeps == block.sweeps == fixed_sweeps
+        block = _one_pair_block(a, fixed_sweeps, ordering_cls, strategy)
+        rotation = hestenes._panel_rotations(a[None])[0]
+        order = np.argsort(-np.linalg.norm(a @ rotation, axis=0),
+                           kind="stable")
+        assert block.v.tobytes() == rotation[:, order].tobytes()
+        assert block.sweeps == fixed_sweeps
+        assert block.sweep_residuals[-1] < DEFAULT_PRECISION
 
-    def test_residual_rules_differ_in_precision_mode(self):
+    def test_residual_rules_differ_in_precision_mode(self, monkeypatch):
         # hestenes stops on the sweep's worst pre-rotation pair ratio,
-        # block on off_diagonal_ratio(B) after the sweep: the same
-        # rotations, but one more sweep for hestenes here.
-        a = np.random.default_rng(0).standard_normal((8, 8))
-        mono = svd(a, method="hestenes")
-        block = svd(a, method="block", block_width=4)
-        assert (mono.sweeps, block.sweeps) == (5, 4)
+        # block on off_diagonal_ratio(B) after every sweep, the pairwise
+        # sweeps that finish a stalled block solve included.  Here the
+        # block sweeps stall at 1.7e-7 and one pairwise sweep stops the
+        # solve, although its worst pre-rotation ratio (that 1.7e-7)
+        # would make the hestenes rule sweep again.
+        worst = []
+        kernel = hestenes._sweep_pairs_indexed
+
+        def keep_worst(*args):
+            ratios, rotated = kernel(*args)
+            worst.append(ratios.max())
+            return ratios, rotated
+
+        monkeypatch.setattr(hestenes, "_sweep_pairs_indexed", keep_worst)
+        a = conditioned_matrix(64, 64, 1e8, seed=0)
+        block = svd(a, method="block", precision=1e-10,
+                    strategy="vectorized")
+        # One pairwise sweep: 7 tournament rounds of 15 ordering rounds.
+        assert len(worst) == 7 * 15
+        assert max(worst) >= 1e-10 > block.sweep_residuals[-1]
+        mono = svd(a, method="hestenes", precision=1e-10,
+                   strategy="vectorized")
+        assert (mono.sweeps, block.sweeps) == (7, 5)
         np.testing.assert_allclose(mono.singular_values,
                                    block.singular_values, rtol=1e-12)
 
