@@ -16,11 +16,11 @@ the explorer also models the frequency a design point closes timing at
 (fitted to the paper's Table V: 450 MHz for a small single-task design
 down to 310 MHz for large or many-task designs).  A full exploration
 of the paper's 286-point space (95 feasible points at 256x256) takes
-0.11 s in a fresh process; in a warm process a Table V sweep takes a
-median 34 ms (2-CPU Xeon VM; regenerate with ``python3 perfbench/run.py
---workload dse --seed 1 --seconds 20 --trace 0``, row
-``dse/latency_p50_s``) — versus the seven hours per point of the Vitis
-flow the paper motivates against.
+0.2–0.3 s in a fresh process, mostly first-call set-up; in a warm
+process a Table V sweep takes a median 7.0 ms (2-CPU Xeon VM;
+regenerate with ``python3 perfbench/run.py --workload dse --seed 1
+--seconds 20 --trace 0``, row ``dse/latency_p50_s``) — versus the
+seven hours per point of the Vitis flow the paper motivates against.
 """
 
 from __future__ import annotations
@@ -173,22 +173,41 @@ class DesignSpaceExplorer:
         )
 
     # -- stage 1: feasibility ----------------------------------------------------
+    def _feasible_tasks(
+        self, p_eng: int, frequency_hz: Optional[float] = None
+    ) -> List[Tuple[HeteroSVDConfig, ResourceUsage]]:
+        """Config and usage of ``P_task = 1, 2, ...`` up to the first
+        point the placement or an Eq. 16 budget rejects."""
+        feasible = []
+        for p_task in P_TASK_RANGE:
+            try:
+                config = self.make_config(p_eng, p_task, frequency_hz)
+                usage = self.usage(config)
+            except (PlacementError, ResourceBudgetError, ConfigurationError):
+                break
+            feasible.append((config, usage))
+        return feasible
+
     def max_p_task(self, p_eng: int, frequency_hz: Optional[float] = None) -> int:
         """Largest feasible ``P_task`` for an engine parallelism.
 
         Feasibility combines the placement geometry and every Eq. 16
         budget; returns 0 when even a single task does not fit.
         """
-        best = 0
-        for p_task in P_TASK_RANGE:
-            try:
-                config = self.make_config(p_eng, p_task, frequency_hz)
-                usage = estimate_resources(config)
-                check_budgets(usage, config)
-            except (PlacementError, ResourceBudgetError, ConfigurationError):
-                break
-            best = p_task
-        return best
+        return len(self._feasible_tasks(p_eng, frequency_hz))
+
+    def feasible(
+        self, frequency_hz: Optional[float] = None
+    ) -> Dict[Tuple[int, int], Tuple[HeteroSVDConfig, ResourceUsage]]:
+        """Stage 1 with what it computed on the way: every surviving
+        ``(P_eng, P_task)``, in :meth:`candidates` order, mapped to its
+        configuration and budget-checked resource usage (which stage 2
+        scores without recomputing)."""
+        return {
+            (config.p_eng, config.p_task): (config, usage)
+            for p_eng in P_ENG_RANGE
+            for config, usage in self._feasible_tasks(p_eng, frequency_hz)
+        }
 
     def stage1(
         self, frequency_hz: Optional[float] = None
@@ -210,11 +229,7 @@ class DesignSpaceExplorer:
         :class:`~repro.dse.space.DesignSpace` unit list), whatever the
         job count: it is what makes parallel exploration deterministic.
         """
-        return [
-            (p_eng, p_task)
-            for p_eng, max_tasks in self.stage1(frequency_hz).items()
-            for p_task in range(1, max_tasks + 1)
-        ]
+        return list(self.feasible(frequency_hz))
 
     # -- stage 2: evaluation --------------------------------------------------------
     def evaluate(
@@ -243,9 +258,27 @@ class DesignSpaceExplorer:
         """
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
+        usage = self.usage(config)
+        return self.score(PerformanceModel(config), usage, batch)
+
+    @staticmethod
+    def usage(config: HeteroSVDConfig) -> ResourceUsage:
+        """Resource usage of a design point, checked against Eq. 16.
+
+        Raises:
+            PlacementError / ResourceBudgetError: when it does not fit.
+        """
         usage = estimate_resources(config)
         check_budgets(usage, config)
-        model = PerformanceModel(config)
+        return usage
+
+    def score(
+        self, model: PerformanceModel, usage: ResourceUsage, batch: int
+    ) -> DesignPoint:
+        """The design point of ``model.config``, whose budget-checked
+        ``usage`` the caller already has (stage 1 computed it, or
+        :meth:`usage`)."""
+        config = model.config
         latency = model.task_time()
         throughput = model.throughput(batch)
         power = self.power_model.estimate(config, usage)

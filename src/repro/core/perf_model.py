@@ -181,24 +181,37 @@ class PerformanceModel:
     Every model term is evaluated once per instance, in :attr:`_terms`;
     the term methods read it.  The timing simulator and co-simulator
     take every static duration they pace from an instance of this
-    class.  Nothing is memoised across instances:
-    the terms read calibration constants that
-    :mod:`repro.analysis.sensitivity` rescales in place before building
-    fresh models.
+    class.  The caching rule: nothing that reads a calibration constant
+    outlives one sweep.  The terms read constants that
+    :mod:`repro.analysis.sensitivity` rescales in place between model
+    builds, so this class memoises nothing across instances; a DSE
+    sweep may hand the :attr:`stages` it computed to the models it
+    builds after, and drops them when it ends.
 
     Args:
         config: The design point to model.
         placement: Optional placed design; enables the distance-aware
             refinement of chunk-crossing DMA latencies.
+        stages: Optional :attr:`stages` of this design point, already
+            computed for another point of the same sweep with the same
+            ``m``, device, ``P_eng`` and ordering (the durations read
+            nothing else).  Only valid without a ``placement``.
     """
 
-    def __init__(self, config: HeteroSVDConfig, placement=None):
+    def __init__(
+        self,
+        config: HeteroSVDConfig,
+        placement=None,
+        stages: Optional["tuple[float, ...]"] = None,
+    ):
         self.config = config
         self.placement = placement
         self._schedule = movement_schedule(config.p_eng, config.use_codesign)
         self._mode = (
             DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
         )
+        if stages is not None:
+            self.stages = stages
 
     @functools.cached_property
     def _terms(self) -> PerformanceBreakdown:

@@ -39,6 +39,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import HeteroSVDConfig
 from repro.core.dse import DesignPoint, DesignSpaceExplorer, check_objective
+from repro.core.perf_model import PerformanceModel
+from repro.core.resources import ResourceUsage
 from repro.errors import ConfigurationError, DesignSpaceError
 from repro.exec.cache import cache_key, key_for_config
 from repro.exec.parallel import CHUNKS_PER_WORKER, ParallelRunner
@@ -96,10 +98,14 @@ class SpaceUnit:
         """The full configuration this unit denotes.
 
         The classic axes go through ``make_config`` (padding, fitted
-        frequency); the new axes are applied on top — the derate scales
-        the fitted clock, the ordering flips ``use_codesign``.
+        frequency); the new axes are applied on top by :meth:`apply`.
         """
-        base = explorer.make_config(self.p_eng, self.p_task)
+        return self.apply(explorer.make_config(self.p_eng, self.p_task))
+
+    def apply(self, base: HeteroSVDConfig) -> HeteroSVDConfig:
+        """This unit's new axes on its classic ``base`` configuration:
+        the derate scales the fitted clock, the ordering flips
+        ``use_codesign``."""
         return replace(
             base,
             pl_frequency_hz=base.pl_frequency_hz * self.freq_derate,
@@ -212,23 +218,25 @@ class DesignSpace:
         the identical key the classic checkpointed sweep derives for
         the same configuration, so ledgers stay interoperable.
         """
+        return self._unit_keys(self._sweep())
+
+    def _unit_keys(self, sweep: "_Sweep") -> List[str]:
         if self._keys is None:
-            explorer = self.explorer()
             self._keys = [
                 key_for_config(
-                    "dse-evaluate", unit.build_config(explorer),
-                    batch=self.batch,
+                    "dse-evaluate", sweep.config(unit), batch=self.batch
                 )
                 for unit in self.units()
             ]
         return list(self._keys)
 
     # -- evaluation -----------------------------------------------------------
+    def _sweep(self, feasible=None) -> "_Sweep":
+        return _Sweep(self.explorer(), self.batch, feasible)
+
     def evaluate_unit(self, unit: SpaceUnit) -> DesignPoint:
         """Score one unit with the performance model."""
-        return self.explorer().evaluate_config(
-            unit.build_config(self.explorer()), self.batch
-        )
+        return self._sweep()(unit)
 
     def explore(
         self,
@@ -279,12 +287,12 @@ class DesignSpace:
             with _tracer.span("dse.stage1", category="dse", jobs=1,
                               cached=cache is not None), \
                     _metrics.timer("dse.stage1_seconds"):
-                units = self._stage1(cache)
+                units, feasible = self._stage1(cache)
             with _tracer.span("dse.stage2", category="dse",
                               candidates=len(units), jobs=runner.jobs), \
                     _metrics.timer("dse.stage2_seconds"):
-                points = self._stage2(units, runner, cache, checkpoint,
-                                      retry, deadline)
+                points = self._stage2(units, self._sweep(feasible), runner,
+                                      cache, checkpoint, retry, deadline)
         kept = self.apply_power_cap(points)
         if not kept:
             raise DesignSpaceError(
@@ -300,31 +308,42 @@ class DesignSpace:
         Pareto frontier)."""
         return self.explore(jobs=1)
 
-    def _stage1(self, cache) -> List[SpaceUnit]:
-        """The units, with stage 1 memoised under the classic key: the
-        placement/budget checks cost about as much as stage 2, so a
-        warm re-run must not repeat them."""
-        if cache is not None and self._units is None:
-            key = cache_key("dse-stage1", {
-                "m": self.m,
-                "n": self.n,
-                "precision": self.precision,
-                "fixed_iterations": self.fixed_iterations,
-                "frequency_hz": None,
-            })
-            pairs = cache.get(key)
+    def _stage1(self, cache) -> Tuple[List[SpaceUnit], Dict]:
+        """The units, and what stage 1 computed for them when it ran.
+
+        Stage 1 runs once per space, memoised under the classic key in
+        ``cache``: the placement/budget checks cost about as much as
+        stage 2, so a warm re-run must not repeat them.  The second
+        value is :meth:`~repro.core.dse.DesignSpaceExplorer.feasible`
+        when stage 1 ran here, else empty (stage 2 then builds each
+        candidate's config and usage on first use).
+        """
+        feasible: Dict = {}
+        if self._units is None:
+            key = pairs = None
+            if cache is not None:
+                key = cache_key("dse-stage1", {
+                    "m": self.m,
+                    "n": self.n,
+                    "precision": self.precision,
+                    "fixed_iterations": self.fixed_iterations,
+                    "frequency_hz": None,
+                })
+                pairs = cache.get(key)
             if pairs is None:
-                pairs = self.explorer().candidates()
-                cache.put(key, [list(pair) for pair in pairs])
+                feasible = self.explorer().feasible()
+                pairs = list(feasible)
+                if cache is not None:
+                    cache.put(key, [list(pair) for pair in pairs])
             self._units = self._cross(pairs)
-        return self.units()
+        return self.units(), feasible
 
     def _stage2(
-        self, units, runner, cache, checkpoint, retry, deadline
+        self, units, sweep, runner, cache, checkpoint, retry, deadline
     ) -> List[DesignPoint]:
         points: List[Optional[DesignPoint]] = [None] * len(units)
         keys = (
-            self.unit_keys()
+            self._unit_keys(sweep)
             if cache is not None or checkpoint is not None else None
         )
         for index, key in enumerate(keys or ()):
@@ -336,8 +355,6 @@ class DesignSpace:
         _metrics.counter("dse.candidates").inc(len(units))
         _metrics.counter("dse.evaluations").inc(len(missing))
 
-        spec = (self.m, self.n, self.precision, self.fixed_iterations,
-                self.batch)
         # One fan-out, or -- with a checkpoint, retry or deadline --
         # chunks with a flush and a deadline check between them: a
         # killed or expired sweep loses at most one chunk, and each
@@ -358,8 +375,7 @@ class DesignSpace:
                 )
             chunk = missing[start:start + step]
             evaluated = call_with_retry(
-                retry, runner.map, _evaluate_payload,
-                [(spec, units[index]) for index in chunk],
+                retry, runner.map, sweep, [units[index] for index in chunk],
             )
             for index, point in zip(chunk, evaluated):
                 points[index] = point
@@ -445,14 +461,69 @@ class DesignSpace:
         )
 
 
-def _evaluate_payload(payload: Tuple) -> DesignPoint:
-    """Pool worker: score one unit of the space ``spec`` describes.
+class _Sweep:
+    """Stage 2 of one sweep: scores units, computing what they share once.
 
-    Rebuilds the explorer from primitives, so only a small tuple and
-    the unit cross the pool boundary.
+    A sweep scores every feasible ``(P_eng, P_task)`` once per ordering
+    and derate.  Those evaluations share the candidate's base
+    configuration and its budget-checked
+    :class:`~repro.core.resources.ResourceUsage` (which depend on
+    neither new axis), and every candidate of one ``P_eng`` and
+    ordering shares the orth-stage durations
+    (:attr:`~repro.core.perf_model.PerformanceModel.stages`).  Each is
+    computed once: taken from stage 1 (``feasible``) where it ran,
+    otherwise on first use.
+
+    One instance lives for one sweep, never longer: the stage durations
+    read calibration constants that :mod:`repro.analysis.sensitivity`
+    rescales in place between sweeps (docs/performance.md, "The caching
+    rule").  A pickled instance carries the explorer's parameters and
+    the batch only, so a pool worker rebuilds the tables for each chunk
+    it runs.
     """
-    (m, n, precision, fixed_iterations, batch), unit = payload
-    explorer = DesignSpaceExplorer(
-        m, n, precision=precision, fixed_iterations=fixed_iterations
-    )
-    return explorer.evaluate_config(unit.build_config(explorer), batch)
+
+    def __init__(self, explorer: DesignSpaceExplorer, batch: int,
+                 feasible: Optional[Dict] = None):
+        self.explorer = explorer
+        self.batch = batch
+        self._base: Dict[Tuple[int, int], HeteroSVDConfig] = {}
+        self._usage: Dict[Tuple[int, int], ResourceUsage] = {}
+        for pair, (config, usage) in (feasible or {}).items():
+            self._base[pair] = config
+            self._usage[pair] = usage
+        self._stages: Dict[Tuple[int, str], Tuple[float, ...]] = {}
+
+    def __getstate__(self) -> Tuple:
+        explorer = self.explorer
+        return (explorer.m, explorer.n, explorer.precision,
+                explorer.fixed_iterations, self.batch)
+
+    def __setstate__(self, state: Tuple) -> None:
+        m, n, precision, fixed_iterations, batch = state
+        self.__init__(
+            DesignSpaceExplorer(m, n, precision=precision,
+                                fixed_iterations=fixed_iterations),
+            batch,
+        )
+
+    def config(self, unit: SpaceUnit) -> HeteroSVDConfig:
+        """:meth:`SpaceUnit.build_config`, from the memoised base."""
+        pair = (unit.p_eng, unit.p_task)
+        base = self._base.get(pair)
+        if base is None:
+            base = self._base[pair] = self.explorer.make_config(*pair)
+        return unit.apply(base)
+
+    def __call__(self, unit: SpaceUnit) -> DesignPoint:
+        """Score one unit with the performance model."""
+        config = self.config(unit)
+        pair = (unit.p_eng, unit.p_task)
+        usage = self._usage.get(pair)
+        if usage is None:
+            usage = self._usage[pair] = self.explorer.usage(
+                self._base[pair]
+            )
+        key = (unit.p_eng, unit.ordering)
+        model = PerformanceModel(config, stages=self._stages.get(key))
+        self._stages[key] = model.stages
+        return self.explorer.score(model, usage, self.batch)

@@ -636,7 +636,6 @@ def _block_jacobi_svd(
     stacked = isinstance(a, (list, tuple))
     matrices = list(a) if stacked else [a]
     m, n = matrices[0].shape
-    local_rounds = sweep_schedule(ordering_cls, n, block_width)
     hestenes = method == "hestenes"
     blocks = method == "block"
     local_panels = panel_schedule(n, block_width) if blocks else ()
@@ -654,8 +653,10 @@ def _block_jacobi_svd(
     # multiplying the batch width by the number of concurrent block
     # pairs.  The per-round index arrays, stacked across each round's
     # pairs, are the shape's memoized schedule (sweep_schedule): it
-    # repeats identically every outer sweep and every run.  A block
-    # sweep reads the same tournament rounds (panel_schedule).
+    # repeats identically every outer sweep and every run, and is read
+    # on a matrix's first pairwise sweep (a block solve that never
+    # stalls makes none).  A block sweep reads the same tournament
+    # rounds (panel_schedule).
     w = stack_panels(matrices, [np.eye(n)] * len(matrices))
     work = round_workspace(w.shape, w.dtype)
     sweep_rounds_fn = _round_sweeper(strategy)
@@ -669,7 +670,7 @@ def _block_jacobi_svd(
         return [
             ((idx.reshape(2, 1, -1) + bases).ravel(),
              np.repeat(floors[tasks], idx.size // 2))
-            for idx in local_rounds
+            for idx in sweep_schedule(ordering_cls, n, block_width)
         ]
 
     def panels_for(tasks: "list[int]") -> "list[tuple[np.ndarray, np.ndarray]]":

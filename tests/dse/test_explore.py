@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.analysis.sensitivity import KNOBS, _scaled
 from repro.core.dse import DesignSpaceExplorer
 from repro.dse import DesignSpace
 from repro.errors import ConfigurationError, DeadlineExceeded
@@ -90,3 +91,35 @@ class TestWidenedDeadline:
         assert partial.kind == "dse-sweep"
         assert partial.total == len(space.units())
         assert partial.completed == 0
+
+
+class TestNothingOutlivesASweep:
+    """A sweep shares each candidate's stage durations between its
+    evaluations, and must drop them when it ends: the durations read
+    calibration constants that ``analysis.sensitivity`` rescales in
+    place between sweeps.  A second sweep on the same object, under a
+    rescaled knob, must read what a fresh object reads."""
+
+    @staticmethod
+    def _latencies(points):
+        return [p.latency for p in points]
+
+    @pytest.mark.parametrize("knob", sorted(KNOBS))
+    def test_widened_space(self, knob):
+        space = DesignSpace(128, 128)
+        first = self._latencies(space.explore_serial())
+        with _scaled(*KNOBS[knob], 1.5):
+            second = self._latencies(space.explore_serial())
+            fresh = self._latencies(DesignSpace(128, 128).explore_serial())
+        assert second == fresh
+        assert second != first
+
+    @pytest.mark.parametrize("knob", sorted(KNOBS))
+    def test_classic_explorer(self, knob):
+        explorer = DesignSpaceExplorer(128, 128)
+        first = self._latencies(explorer.explore())
+        with _scaled(*KNOBS[knob], 1.5):
+            second = self._latencies(explorer.explore())
+            fresh = self._latencies(DesignSpaceExplorer(128, 128).explore())
+        assert second == fresh
+        assert second != first

@@ -179,6 +179,7 @@ class TestSweepSchedule:
             sweep_schedule(ShiftingRingOrdering, 18, 4)
 
     def test_driver_reads_the_memo(self):
+        # A pairwise solve reads the shape's schedule once, from the memo.
         from repro.linalg.hestenes import _block_jacobi_svd
 
         a = np.random.default_rng(3).standard_normal((20, 20))
@@ -186,6 +187,15 @@ class TestSweepSchedule:
         hits = sweep_schedule.cache_info().hits
         _block_jacobi_svd(a, block_width=5, precision=1e-10, max_sweeps=30,
                           ordering_cls=ShiftingRingOrdering,
-                          fixed_sweeps=None)
+                          fixed_sweeps=None, method="hestenes")
         assert sweep_schedule.cache_info().hits == hits + 1
         assert sweep_schedule(ShiftingRingOrdering, 20, 5) is schedule
+
+    def test_block_solve_without_a_stall_builds_no_schedule(self):
+        from repro.linalg import svd
+
+        a = np.random.default_rng(3).standard_normal((40, 40))
+        before = sweep_schedule.cache_info()
+        svd(a, method="block", block_width=5)
+        after = sweep_schedule.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
