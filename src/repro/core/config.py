@@ -86,12 +86,7 @@ class HeteroSVDConfig:
                 f"n={self.n} must be divisible by the block width "
                 f"{self.block_width} with at least two blocks"
             )
-        low, high = self.device.pl_frequency_range_hz
-        if not low <= self.pl_frequency_hz <= high:
-            raise ConfigurationError(
-                f"PL frequency {self.pl_frequency_hz / 1e6:.1f} MHz outside "
-                f"achievable range [{low / 1e6:.0f}, {high / 1e6:.0f}] MHz"
-            )
+        self._check_frequency()
         if self.fixed_iterations is not None and self.fixed_iterations < 1:
             raise ConfigurationError(
                 f"fixed_iterations must be >= 1, got {self.fixed_iterations}"
@@ -115,6 +110,14 @@ class HeteroSVDConfig:
                 f"column length {self.m} exceeds one AIE memory bank "
                 f"({max_m} fp32 elements); split the matrix row-wise "
                 f"before offloading"
+            )
+
+    def _check_frequency(self) -> None:
+        low, high = self.device.pl_frequency_range_hz
+        if not low <= self.pl_frequency_hz <= high:
+            raise ConfigurationError(
+                f"PL frequency {self.pl_frequency_hz / 1e6:.1f} MHz outside "
+                f"achievable range [{low / 1e6:.0f}, {high / 1e6:.0f}] MHz"
             )
 
     # -- derived structure ---------------------------------------------------
@@ -171,6 +174,25 @@ class HeteroSVDConfig:
     def with_frequency(self, pl_frequency_hz: float) -> "HeteroSVDConfig":
         """A copy of this configuration with a different PL clock."""
         return replace(self, pl_frequency_hz=pl_frequency_hz)
+
+    def with_clock_and_ordering(
+        self, pl_frequency_hz: float, use_codesign: bool
+    ) -> "HeteroSVDConfig":
+        """A copy at another PL clock and ring ordering.
+
+        Checks only the clock against the device range: every other
+        field is this validated configuration's, so the rest of
+        ``__post_init__`` (which :func:`dataclasses.replace` would rerun)
+        cannot fail.  A DSE sweep builds each of its points this way.
+        """
+        clone = object.__new__(HeteroSVDConfig)
+        clone.__dict__.update(
+            self.__dict__,
+            pl_frequency_hz=pl_frequency_hz,
+            use_codesign=use_codesign,
+        )
+        clone._check_frequency()
+        return clone
 
     def describe(self) -> str:
         """Short human-readable summary."""

@@ -17,7 +17,7 @@ the explorer also models the frequency a design point closes timing at
 down to 310 MHz for large or many-task designs).  A full exploration
 of the paper's 286-point space (95 feasible points at 256x256) takes
 0.2–0.3 s in a fresh process, mostly first-call set-up; in a warm
-process a Table V sweep takes a median 7.0 ms (2-CPU Xeon VM;
+process a Table V sweep takes a median 3.5 ms (2-CPU Xeon VM;
 regenerate with ``python3 perfbench/run.py --workload dse --seed 1
 --seconds 20 --trace 0``, row ``dse/latency_p50_s``) — versus the
 seven hours per point of the Vitis flow the paper motivates against.
@@ -27,10 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import P_ENG_RANGE, P_TASK_RANGE, HeteroSVDConfig
-from repro.core.perf_model import PerformanceModel
+from repro.core.perf_model import (
+    PerformanceModel,
+    config_iterations,
+    fair_ddr_share,
+    model_terms,
+    system_time,
+    task_time,
+)
 from repro.core.power import PowerEstimate, PowerModel
 from repro.core.resources import (
     ResourceUsage,
@@ -258,8 +267,7 @@ class DesignSpaceExplorer:
         """
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        usage = self.usage(config)
-        return self.score(PerformanceModel(config), usage, batch)
+        return self.score([config], [self.usage(config)], batch)[0]
 
     @staticmethod
     def usage(config: HeteroSVDConfig) -> ResourceUsage:
@@ -273,25 +281,85 @@ class DesignSpaceExplorer:
         return usage
 
     def score(
-        self, model: PerformanceModel, usage: ResourceUsage, batch: int
-    ) -> DesignPoint:
-        """The design point of ``model.config``, whose budget-checked
-        ``usage`` the caller already has (stage 1 computed it, or
-        :meth:`usage`)."""
-        config = model.config
-        latency = model.task_time()
-        throughput = model.throughput(batch)
-        power = self.power_model.estimate(config, usage)
-        efficiency = throughput / power.total
-        return DesignPoint(
-            config=config,
-            latency=latency,
-            throughput=throughput,
-            power=power,
-            energy_efficiency=efficiency,
-            usage=usage,
-            batch=batch,
+        self,
+        configs: Sequence[HeteroSVDConfig],
+        usages: Sequence[ResourceUsage],
+        batch: int,
+        stage_totals: Optional[Sequence[Tuple[float, float]]] = None,
+    ) -> List[DesignPoint]:
+        """Stage 2 of Fig. 8 in one array pass: the design points of
+        ``configs``, whose budget-checked ``usages`` the caller already
+        has (stage 1 computed them, or :meth:`usage`).
+
+        The configs share one ``m`` and device.  Their scalars are
+        gathered into arrays with one lane per point, and Eqs. 8-14
+        (:func:`~repro.core.perf_model.model_terms`), the throughput and
+        the power model are evaluated over every lane at once; each
+        point is bit-identical to its
+        :class:`~repro.core.perf_model.PerformanceModel` alone.
+
+        Args:
+            stage_totals: Per config, the
+                :attr:`~repro.core.perf_model.PerformanceModel.stage_totals`
+                when the caller has them (a sweep computes them once per
+                ``(P_eng, ordering)``); computed here otherwise.
+        """
+        if not configs:
+            return []
+        m, device = configs[0].m, configs[0].device
+        if any(c.m != m or (c.device is not device and c.device != device)
+               for c in configs):
+            raise ConfigurationError(
+                "score() needs design points of one m and device"
+            )
+        if stage_totals is None:
+            stage_totals = [
+                PerformanceModel(config).stage_totals for config in configs
+            ]
+        iterations: Dict[Tuple, int] = {}
+        lanes = []
+        for config, (stage_max, stage_sum), usage in zip(
+            configs, stage_totals, usages
+        ):
+            key = (config.n, config.precision, config.fixed_iterations)
+            if key not in iterations:
+                iterations[key] = config_iterations(config)
+            lanes.append((
+                config.p_eng, config.p_task, config.pl_frequency_hz,
+                config.n, iterations[key], stage_max, stage_sum,
+                usage.aie, usage.uram, usage.bram,
+            ))
+        (p_eng, p_task, pl_hz, n, iters, stage_max, stage_sum,
+         aie, uram, bram) = map(np.array, zip(*lanes))
+        n_blocks = n // p_eng
+        num = n_blocks * (n_blocks - 1) // 2
+        terms = model_terms(
+            m, device, p_eng, pl_hz, n, n_blocks, num,
+            fair_ddr_share(device, p_task), stage_max, stage_sum,
         )
+        latency = task_time(terms, iters, num, pl_hz)
+        throughput = batch / system_time(latency, batch, p_task)
+        power = self.power_model.estimate_terms(pl_hz, aie, uram, bram)
+        efficiency = throughput / power.total
+        return [
+            DesignPoint(
+                config=config,
+                latency=lat,
+                throughput=tput,
+                power=PowerEstimate(power.static, pl_dyn, aie_w, uram_w,
+                                    bram_w),
+                energy_efficiency=eff,
+                usage=usage,
+                batch=batch,
+            )
+            for config, usage, lat, tput, pl_dyn, aie_w, uram_w, bram_w, eff
+            in zip(
+                configs, usages, latency.tolist(), throughput.tolist(),
+                power.pl_dynamic.tolist(), power.aie.tolist(),
+                power.uram.tolist(), power.bram.tolist(),
+                efficiency.tolist(),
+            )
+        ]
 
     def explore(
         self,

@@ -41,6 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.config import HeteroSVDConfig
 from repro.core.dataflow import DataflowMode
 from repro.core.ordering_codesign import MovementSchedule, movement_schedule
@@ -152,6 +154,14 @@ def estimated_iterations(n: int, precision: float = 1e-6) -> int:
     return base + extra
 
 
+def config_iterations(config: HeteroSVDConfig) -> int:
+    """Sweep count of a design point: fixed for benchmarking, estimated
+    otherwise."""
+    if config.fixed_iterations is not None:
+        return config.fixed_iterations
+    return estimated_iterations(config.n, config.precision)
+
+
 @dataclass(frozen=True)
 class PerformanceBreakdown:
     """All model terms for one design point, in seconds.
@@ -175,105 +185,173 @@ class PerformanceBreakdown:
     t_norm: float
 
 
+def _max(a, b):
+    """``max(a, b)``, elementwise when either operand is an array.
+
+    On a tie ``max`` returns its first operand and ``np.maximum`` its
+    second, which differ for ``-0.0`` against ``0.0``: the operands are
+    swapped, so a lane keeps the bits ``max`` gives one point.
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(b, a)
+    return max(a, b)
+
+
+def _where(condition, a, b):
+    """``a if condition else b``, elementwise for an array condition."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, a, b)
+    return a if condition else b
+
+
+def fair_ddr_share(device, p_task):
+    """A pipeline's DDR bandwidth share, bits/s, with all ``P_task``
+    pipelines loading concurrently."""
+    return DDRChannel(device).bits_per_s / p_task
+
+
+def _ddr_fetch(m, n, num, share_bits_per_s):
+    """:meth:`PerformanceModel.ddr_fetch`, elementwise."""
+    matrix_bits = m * n * FLOAT32_BITS
+    return matrix_bits / _max(1, num) / share_bits_per_s
+
+
+def _norm_kernel_seconds(m: int, device) -> float:
+    """:meth:`PerformanceModel.t_norm_kernel` of column length ``m``."""
+    return norm_kernel_cycles(m, 1, device) / device.aie_frequency_hz
+
+
+def model_terms(
+    m: int, device, p_eng, pl_frequency_hz, n, n_blocks, num, ddr_share,
+    stage_max, stage_sum,
+) -> PerformanceBreakdown:
+    """Eqs. 8-13 of design points that share ``m`` and ``device``.
+
+    The other arguments are Python scalars (one point: every field of
+    the result is a Python float) or arrays with one lane per design
+    point (a table: every field but the scalar ``t_orth`` is then an
+    array of the points' values).  This is the model's one copy of these
+    expressions: :class:`PerformanceModel` evaluates it on one point, a
+    DSE sweep (:meth:`repro.core.dse.DesignSpaceExplorer.score`) on all
+    of its points at once.  Straight-line, in dependency order; every
+    expression keeps the operands and evaluation order the term
+    methods document, and ``max`` and the ``num < 2`` cases go through
+    :func:`_max` and :func:`_where`, so a lane of a table holds the
+    bits of the same point evaluated alone.
+
+    Args:
+        n / n_blocks / num: Padded column count, blocks and block
+            pairs per sweep.
+        ddr_share: The pipeline's DDR bandwidth share, bits/s
+            (:func:`fair_ddr_share`).
+        stage_max / stage_sum: ``max`` and ``sum`` of the point's
+            :attr:`PerformanceModel.stages`.
+    """
+    f_aie = device.aie_frequency_hz
+    # Eq. 8, both directions.
+    payload_cycles = p_eng * (m * FLOAT32_BITS) / device.plio_width_bits
+    gap_cycles = p_eng * COLUMN_GAP_PL_CYCLES
+    t_tx = (payload_cycles + gap_cycles) / pl_frequency_hz
+    t_rx = t_tx
+    t_orth = orth_kernel_cycles(m, device) / f_aie
+    t_stage = stage_max
+    aie_total = stage_sum
+    # Eq. 9.
+    t_aiewait = _max(t_stage - t_tx, 0.0)
+    # Eq. 10.
+    single = num < 2
+    t_algo = _where(single, 0.0, t_tx + t_aiewait)
+    # Steady-state initiation interval.
+    reuse_gap = _max(1, n_blocks // 2)
+    loop_delay = aie_total + t_rx + t_tx
+    t_period = _max(t_tx + t_aiewait, loop_delay / reuse_gap)
+    # Eq. 11.
+    pipeline = aie_total + t_rx + t_algo
+    t_datawait = _where(
+        single, 0.0, _max(pipeline - (num - 1) * t_period, 0.0)
+    )
+    # Eq. 12, generalized.
+    first_interval = _max(
+        _max(_ddr_fetch(m, n, num, ddr_share), 2 * t_tx), t_period
+    )
+    t_ddr = num * (first_interval - t_period)
+    # Eq. 13.
+    t_blocks = (num - 1) * t_period + t_algo + t_datawait
+    t_iter = t_blocks + t_tx + aie_total + t_rx
+    # Normalization; U block + sigma return on the norm Rx PLIO.
+    per_block_cycles = payload_cycles + gap_cycles
+    stream = n_blocks * per_block_cycles / pl_frequency_hz
+    kernel_tail = _norm_kernel_seconds(m, device)
+    drain = per_block_cycles / pl_frequency_hz
+    return PerformanceBreakdown(
+        t_tx=t_tx,
+        t_rx=t_rx,
+        t_orth=t_orth,
+        t_stage=t_stage,
+        t_aiewait=t_aiewait,
+        t_algo=t_algo,
+        t_period=t_period,
+        t_datawait=t_datawait,
+        t_ddr=t_ddr,
+        t_hls_per_iteration=loop_overhead_seconds(1, num, pl_frequency_hz),
+        aie_total=aie_total,
+        t_iter=t_iter,
+        t_norm=stream + kernel_tail + drain,
+    )
+
+
+def task_time(terms: PerformanceBreakdown, iterations, num, pl_frequency_hz):
+    """Eq. 14: end-to-end time of one SVD task, elementwise over a
+    :func:`model_terms` table (or one point's breakdown)."""
+    t_hls = loop_overhead_seconds(iterations, num, pl_frequency_hz)
+    return terms.t_ddr + iterations * terms.t_iter + terms.t_norm + t_hls
+
+
+def system_time(task_seconds, n_tasks, p_task):
+    """Eq. 14: completion time of ``n_tasks`` over ``P_task`` pipelines
+    (whole waves of ``task_seconds`` each), elementwise."""
+    waves = -(-n_tasks // p_task)
+    return waves * task_seconds
+
+
 class PerformanceModel:
     """Latency/throughput estimator for one HeteroSVD design point.
 
-    Every model term is evaluated once per instance, in :attr:`_terms`;
-    the term methods read it.  The timing simulator and co-simulator
-    take every static duration they pace from an instance of this
-    class.  The caching rule: nothing that reads a calibration constant
-    outlives one sweep.  The terms read constants that
-    :mod:`repro.analysis.sensitivity` rescales in place between model
-    builds, so this class memoises nothing across instances; a DSE
-    sweep may hand the :attr:`stages` it computed to the models it
-    builds after, and drops them when it ends.
+    Every model term is evaluated once per instance, in :attr:`_terms`
+    (:func:`model_terms` on this one point); the term methods read it.
+    A DSE sweep evaluates the same function on all of its points at
+    once (:meth:`repro.core.dse.DesignSpaceExplorer.score`).  The
+    timing simulator and co-simulator take every static duration they
+    pace from an instance of this class.  The caching rule: nothing
+    that reads a calibration constant outlives one sweep.  The terms
+    read constants that :mod:`repro.analysis.sensitivity` rescales in
+    place between model builds, so this class memoises nothing across
+    instances; a sweep keeps the stage durations it computed until it
+    ends, and no longer.
 
     Args:
         config: The design point to model.
         placement: Optional placed design; enables the distance-aware
             refinement of chunk-crossing DMA latencies.
-        stages: Optional :attr:`stages` of this design point, already
-            computed for another point of the same sweep with the same
-            ``m``, device, ``P_eng`` and ordering (the durations read
-            nothing else).  Only valid without a ``placement``.
     """
 
-    def __init__(
-        self,
-        config: HeteroSVDConfig,
-        placement=None,
-        stages: Optional["tuple[float, ...]"] = None,
-    ):
+    def __init__(self, config: HeteroSVDConfig, placement=None):
         self.config = config
         self.placement = placement
         self._schedule = movement_schedule(config.p_eng, config.use_codesign)
         self._mode = (
             DataflowMode.RELOCATED if config.use_codesign else DataflowMode.NAIVE
         )
-        if stages is not None:
-            self.stages = stages
 
     @functools.cached_property
     def _terms(self) -> PerformanceBreakdown:
-        """Eqs. 8-13 of this design point, each term computed once.
-
-        Straight-line, in dependency order; every expression keeps the
-        operands and evaluation order the term methods document.
-        """
+        """Eqs. 8-13 of this design point: :func:`model_terms` on one
+        point, each term computed once."""
         cfg = self.config
-        num = cfg.num_block_pairs
-        stages = self.stages
-        # Eq. 8, both directions.
-        payload_cycles = (
-            cfg.p_eng * self.column_bits / cfg.device.plio_width_bits
-        )
-        gap_cycles = cfg.p_eng * COLUMN_GAP_PL_CYCLES
-        t_tx = (payload_cycles + gap_cycles) / cfg.pl_frequency_hz
-        t_rx = t_tx
-        t_orth = orth_kernel_cycles(cfg.m, cfg.device) / cfg.device.aie_frequency_hz
-        t_stage = max(stages)
-        aie_total = sum(stages)
-        # Eq. 9.
-        t_aiewait = max(t_stage - t_tx, 0.0)
-        # Eq. 10.
-        t_algo = 0.0 if num < 2 else t_tx + t_aiewait
-        # Steady-state initiation interval.
-        reuse_gap = max(1, cfg.n_blocks // 2)
-        loop_delay = aie_total + t_rx + t_tx
-        t_period = max(t_tx + t_aiewait, loop_delay / reuse_gap)
-        # Eq. 11.
-        if num < 2:
-            t_datawait = 0.0
-        else:
-            pipeline = aie_total + t_rx + t_algo
-            t_datawait = max(pipeline - (num - 1) * t_period, 0.0)
-        # Eq. 12, generalized.
-        first_interval = max(self.ddr_fetch(), 2 * t_tx, t_period)
-        t_ddr = num * (first_interval - t_period)
-        # Eq. 13.
-        t_blocks = (num - 1) * t_period + t_algo + t_datawait
-        t_iter = t_blocks + t_tx + aie_total + t_rx
-        # Normalization; U block + sigma return on the norm Rx PLIO.
-        per_block_cycles = payload_cycles + gap_cycles
-        stream = cfg.n_blocks * per_block_cycles / cfg.pl_frequency_hz
-        kernel_tail = self.t_norm_kernel()
-        drain = per_block_cycles / cfg.pl_frequency_hz
-        return PerformanceBreakdown(
-            t_tx=t_tx,
-            t_rx=t_rx,
-            t_orth=t_orth,
-            t_stage=t_stage,
-            t_aiewait=t_aiewait,
-            t_algo=t_algo,
-            t_period=t_period,
-            t_datawait=t_datawait,
-            t_ddr=t_ddr,
-            t_hls_per_iteration=loop_overhead_seconds(
-                1, num, cfg.pl_frequency_hz
-            ),
-            aie_total=aie_total,
-            t_iter=t_iter,
-            t_norm=stream + kernel_tail + drain,
+        return model_terms(
+            cfg.m, cfg.device, cfg.p_eng, cfg.pl_frequency_hz, cfg.n,
+            cfg.n_blocks, cfg.num_block_pairs,
+            fair_ddr_share(cfg.device, cfg.p_task), *self.stage_totals,
         )
 
     # -- primitive terms -----------------------------------------------------
@@ -288,6 +366,13 @@ class PerformanceModel:
         return tuple(orth_stage_durations(
             self.config, self._schedule, self._mode, self.placement
         ))
+
+    @property
+    def stage_totals(self) -> "tuple[float, float]":
+        """``max`` and ``sum`` of :attr:`stages` (the bottleneck stage
+        and one pair's traversal), the two :func:`model_terms` reads."""
+        stages = self.stages
+        return max(stages), sum(stages)
 
     @property
     def column_bits(self) -> int:
@@ -388,10 +473,9 @@ class PerformanceModel:
                 loading concurrently.
         """
         cfg = self.config
-        matrix_bits = cfg.m * cfg.n * FLOAT32_BITS
         if share_bits_per_s is None:
-            share_bits_per_s = DDRChannel(cfg.device).bits_per_s / cfg.p_task
-        return matrix_bits / max(1, cfg.num_block_pairs) / share_bits_per_s
+            share_bits_per_s = fair_ddr_share(cfg.device, cfg.p_task)
+        return _ddr_fetch(cfg.m, cfg.n, cfg.num_block_pairs, share_bits_per_s)
 
     def t_ddr(self) -> float:
         """Eq. 12 generalized: extra first-iteration latency from DDR.
@@ -416,8 +500,7 @@ class PerformanceModel:
 
     def t_norm_kernel(self) -> float:
         """Norm-AIE kernel tail: one column's normalization (Eq. 7)."""
-        cfg = self.config
-        return norm_kernel_cycles(cfg.m, 1, cfg.device) / cfg.device.aie_frequency_hz
+        return _norm_kernel_seconds(self.config.m, self.config.device)
 
     def t_norm(self) -> float:
         """Normalization stage: blocks stream through the norm PLIOs."""
@@ -437,10 +520,7 @@ class PerformanceModel:
 
     def iterations(self) -> int:
         """Sweep count: fixed for benchmarking, estimated otherwise."""
-        cfg = self.config
-        if cfg.fixed_iterations is not None:
-            return cfg.fixed_iterations
-        return estimated_iterations(cfg.n, cfg.precision)
+        return config_iterations(self.config)
 
     @functools.cached_property
     def _default_task_time(self) -> float:
@@ -448,11 +528,10 @@ class PerformanceModel:
         return self._compose_task_time(self.iterations())
 
     def _compose_task_time(self, iters: int) -> float:
-        terms = self._terms
-        t_hls = loop_overhead_seconds(
-            iters, self.config.num_block_pairs, self.config.pl_frequency_hz
+        cfg = self.config
+        return task_time(
+            self._terms, iters, cfg.num_block_pairs, cfg.pl_frequency_hz
         )
-        return terms.t_ddr + iters * terms.t_iter + terms.t_norm + t_hls
 
     def task_time(self, iterations: Optional[int] = None) -> float:
         """Eq. 14: end-to-end time of one SVD task."""
@@ -464,8 +543,9 @@ class PerformanceModel:
         """Eq. 14: batch completion time over ``P_task`` pipelines."""
         if n_tasks < 1:
             raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-        waves = math.ceil(n_tasks / self.config.p_task)
-        return waves * self.task_time(iterations)
+        return system_time(
+            self.task_time(iterations), n_tasks, self.config.p_task
+        )
 
     def throughput(self, n_tasks: int, iterations: Optional[int] = None) -> float:
         """Tasks per second for a batch of ``n_tasks``."""

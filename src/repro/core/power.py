@@ -93,15 +93,23 @@ class PowerModel:
         self, config: HeteroSVDConfig, usage: ResourceUsage
     ) -> PowerEstimate:
         """Power of a design point given its resource usage."""
-        pl_dynamic = self.pl_dynamic_ref_w * (
-            config.pl_frequency_hz / PL_REFERENCE_FREQUENCY_HZ
+        return self.estimate_terms(
+            config.pl_frequency_hz, usage.aie, usage.uram, usage.bram
         )
+
+    def estimate_terms(self, pl_frequency_hz, aie, uram, bram) -> PowerEstimate:
+        """:meth:`estimate` from the PL clock and the AIE, URAM and BRAM
+        counts: Python scalars for one design point, or arrays with one
+        lane per point (the fields but ``static`` are then arrays too,
+        and so is :attr:`PowerEstimate.total`)."""
         return PowerEstimate(
             static=self.static_w,
-            pl_dynamic=pl_dynamic,
-            aie=self.aie_w * usage.aie,
-            uram=self.uram_w * usage.uram,
-            bram=self.bram_w * usage.bram,
+            pl_dynamic=self.pl_dynamic_ref_w * (
+                pl_frequency_hz / PL_REFERENCE_FREQUENCY_HZ
+            ),
+            aie=self.aie_w * aie,
+            uram=self.uram_w * uram,
+            bram=self.bram_w * bram,
         )
 
     def energy_efficiency(

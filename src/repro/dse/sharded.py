@@ -297,6 +297,7 @@ def _sweep_units(
     chunk boundaries: a crash raises, a stall sleeps through the
     heartbeat window.
     """
+    sweep = space.scorer()
     for chunk_units in _chunks(units, chunk):
         spec = _faults.fired(SHARD_CRASH_SITE)
         if spec is not None:
@@ -307,13 +308,14 @@ def _sweep_units(
         spec = _faults.fired(SHARD_STALL_SITE)
         if spec is not None:
             time.sleep(spec.param if spec.param else DEFAULT_STALL_S)
-        for _, unit, key in chunk_units:
-            if ledger.contains(key):
-                stats["skipped"] += 1
-                continue
-            ledger.record(key, space.evaluate_unit(unit))
-            stats["evaluated"] += 1
-            _metrics.counter("dse.unit_evaluations").inc()
+        todo = [(unit, key) for _, unit, key in chunk_units
+                if not ledger.contains(key)]
+        stats["skipped"] += len(chunk_units) - len(todo)
+        points = sweep([unit for unit, _ in todo])
+        for (_, key), point in zip(todo, points):
+            ledger.record(key, point)
+        stats["evaluated"] += len(todo)
+        _metrics.counter("dse.unit_evaluations").inc(len(todo))
         ledger.flush()
         for lease in heartbeats:
             lease.heartbeat()
@@ -592,10 +594,11 @@ def recover_missing_units(
     if not missing:
         return 0
     ledger = open_shard_ledger(recovered_path)
-    for _, unit, key in missing:
-        if ledger.contains(key):
-            continue
-        ledger.record(key, plan.space.evaluate_unit(unit))
-        _metrics.counter("dse.units_recovered_inline").inc()
+    todo = [(unit, key) for _, unit, key in missing
+            if not ledger.contains(key)]
+    points = plan.space.scorer()([unit for unit, _ in todo])
+    for (_, key), point in zip(todo, points):
+        ledger.record(key, point)
+    _metrics.counter("dse.units_recovered_inline").inc(len(todo))
     ledger.flush()
     return len(missing)

@@ -34,7 +34,7 @@ runs it on the one-ordering, one-derate space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import HeteroSVDConfig
@@ -105,11 +105,11 @@ class SpaceUnit:
     def apply(self, base: HeteroSVDConfig) -> HeteroSVDConfig:
         """This unit's new axes on its classic ``base`` configuration:
         the derate scales the fitted clock, the ordering flips
-        ``use_codesign``."""
-        return replace(
-            base,
-            pl_frequency_hz=base.pl_frequency_hz * self.freq_derate,
-            use_codesign=(self.ordering == "codesign"),
+        ``use_codesign``.  Only the derated clock is re-checked
+        (:meth:`~repro.core.config.HeteroSVDConfig.with_clock_and_ordering`)."""
+        return base.with_clock_and_ordering(
+            base.pl_frequency_hz * self.freq_derate,
+            self.ordering == "codesign",
         )
 
     def to_dict(self) -> Dict:
@@ -218,7 +218,7 @@ class DesignSpace:
         the identical key the classic checkpointed sweep derives for
         the same configuration, so ledgers stay interoperable.
         """
-        return self._unit_keys(self._sweep())
+        return self._unit_keys(self.scorer())
 
     def _unit_keys(self, sweep: "_Sweep") -> List[str]:
         if self._keys is None:
@@ -231,12 +231,22 @@ class DesignSpace:
         return list(self._keys)
 
     # -- evaluation -----------------------------------------------------------
-    def _sweep(self, feasible=None) -> "_Sweep":
+    def scorer(self, feasible=None) -> "_Sweep":
+        """Stage 2 of one sweep: a callable that scores a list of units
+        in one array pass, sharing what its calls have in common.
+
+        Keep it for one sweep and no longer (see :class:`_Sweep`).
+
+        Args:
+            feasible: Stage 1's
+                :meth:`~repro.core.dse.DesignSpaceExplorer.feasible`,
+                when it ran in this sweep.
+        """
         return _Sweep(self.explorer(), self.batch, feasible)
 
     def evaluate_unit(self, unit: SpaceUnit) -> DesignPoint:
         """Score one unit with the performance model."""
-        return self._sweep()(unit)
+        return self.scorer()([unit])[0]
 
     def explore(
         self,
@@ -291,7 +301,7 @@ class DesignSpace:
             with _tracer.span("dse.stage2", category="dse",
                               candidates=len(units), jobs=runner.jobs), \
                     _metrics.timer("dse.stage2_seconds"):
-                points = self._stage2(units, self._sweep(feasible), runner,
+                points = self._stage2(units, self.scorer(feasible), runner,
                                       cache, checkpoint, retry, deadline)
         kept = self.apply_power_cap(points)
         if not kept:
@@ -374,9 +384,20 @@ class DesignSpace:
                     checkpointed=checkpoint is not None,
                 )
             chunk = missing[start:start + step]
-            evaluated = call_with_retry(
-                retry, runner.map, sweep, [units[index] for index in chunk],
-            )
+            # Each worker scores a contiguous list of units in one call;
+            # inline, the whole chunk is one list.
+            todo = [units[index] for index in chunk]
+            size = -(-len(todo) // (
+                runner.jobs * CHUNKS_PER_WORKER if runner.jobs > 1 else 1
+            ))
+            evaluated = [
+                point
+                for points in call_with_retry(
+                    retry, runner.map, sweep,
+                    [todo[i:i + size] for i in range(0, len(todo), size)],
+                )
+                for point in points
+            ]
             for index, point in zip(chunk, evaluated):
                 points[index] = point
                 if cache is not None:
@@ -462,24 +483,27 @@ class DesignSpace:
 
 
 class _Sweep:
-    """Stage 2 of one sweep: scores units, computing what they share once.
+    """Stage 2 of one sweep: scores lists of units, computing what they
+    share once.
 
     A sweep scores every feasible ``(P_eng, P_task)`` once per ordering
     and derate.  Those evaluations share the candidate's base
     configuration and its budget-checked
     :class:`~repro.core.resources.ResourceUsage` (which depend on
     neither new axis), and every candidate of one ``P_eng`` and
-    ordering shares the orth-stage durations
-    (:attr:`~repro.core.perf_model.PerformanceModel.stages`).  Each is
-    computed once: taken from stage 1 (``feasible``) where it ran,
-    otherwise on first use.
+    ordering shares the orth-stage durations, of which the model reads
+    the ``max`` and the ``sum``
+    (:attr:`~repro.core.perf_model.PerformanceModel.stage_totals`).
+    Each is computed once: taken from stage 1 (``feasible``) where it
+    ran, otherwise on first use.  A call scores its list of units in
+    one array pass (:meth:`~repro.core.dse.DesignSpaceExplorer.score`).
 
     One instance lives for one sweep, never longer: the stage durations
     read calibration constants that :mod:`repro.analysis.sensitivity`
     rescales in place between sweeps (docs/performance.md, "The caching
     rule").  A pickled instance carries the explorer's parameters and
-    the batch only, so a pool worker rebuilds the tables for each chunk
-    it runs.
+    the batch only, so a pool worker rebuilds the tables for each list
+    it scores.
     """
 
     def __init__(self, explorer: DesignSpaceExplorer, batch: int,
@@ -491,7 +515,7 @@ class _Sweep:
         for pair, (config, usage) in (feasible or {}).items():
             self._base[pair] = config
             self._usage[pair] = usage
-        self._stages: Dict[Tuple[int, str], Tuple[float, ...]] = {}
+        self._stage_totals: Dict[Tuple[int, str], Tuple[float, float]] = {}
 
     def __getstate__(self) -> Tuple:
         explorer = self.explorer
@@ -514,16 +538,24 @@ class _Sweep:
             base = self._base[pair] = self.explorer.make_config(*pair)
         return unit.apply(base)
 
-    def __call__(self, unit: SpaceUnit) -> DesignPoint:
-        """Score one unit with the performance model."""
-        config = self.config(unit)
-        pair = (unit.p_eng, unit.p_task)
-        usage = self._usage.get(pair)
-        if usage is None:
-            usage = self._usage[pair] = self.explorer.usage(
-                self._base[pair]
-            )
-        key = (unit.p_eng, unit.ordering)
-        model = PerformanceModel(config, stages=self._stages.get(key))
-        self._stages[key] = model.stages
-        return self.explorer.score(model, usage, self.batch)
+    def __call__(self, units: Sequence[SpaceUnit]) -> List[DesignPoint]:
+        """Score ``units`` with the performance model, in order."""
+        configs = [self.config(unit) for unit in units]
+        usages = []
+        totals = []
+        for unit, config in zip(units, configs):
+            pair = (unit.p_eng, unit.p_task)
+            usage = self._usage.get(pair)
+            if usage is None:
+                usage = self._usage[pair] = self.explorer.usage(
+                    self._base[pair]
+                )
+            usages.append(usage)
+            key = (unit.p_eng, unit.ordering)
+            stage_totals = self._stage_totals.get(key)
+            if stage_totals is None:
+                stage_totals = self._stage_totals[key] = PerformanceModel(
+                    config
+                ).stage_totals
+            totals.append(stage_totals)
+        return self.explorer.score(configs, usages, self.batch, totals)

@@ -15,13 +15,20 @@ column is orthogonal to everything.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Tuple
 
 import numpy as np
 
 #: Default convergence threshold used across the package; matches the
 #: rate of 1e-6 used for the paper's converged-run experiments.
 DEFAULT_PRECISION = 1e-6
+
+#: Largest column count whose pair indices :func:`_upper_pairs` keeps
+#: (``n (n - 1)`` indices, 0.5 MB at 256); wider matrices rebuild them,
+#: which costs little next to their Gram matrix.
+UPPER_PAIRS_MAX_KEPT = 256
 
 
 def zero_column_threshold_sq(
@@ -98,6 +105,27 @@ def pair_convergence_ratios(
     return np.divide(np.abs(gamma), norm_product, out=ratios, where=live)
 
 
+@functools.lru_cache(maxsize=32)
+def _kept_upper_pairs(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    pairs = np.triu_indices(size, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _upper_pairs(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size, 1)``: every column pair ``i < j``.
+
+    Read-only arrays built once per size up to
+    :data:`UPPER_PAIRS_MAX_KEPT` (pure structure: they read no
+    calibration constant); the Jacobi drivers test convergence after
+    every sweep, mostly at a few sizes.
+    """
+    if size > UPPER_PAIRS_MAX_KEPT:
+        return np.triu_indices(size, 1)
+    return _kept_upper_pairs(size)
+
+
 def off_diagonal_ratio(matrix: np.ndarray) -> float:
     """Maximum pair convergence ratio over all column pairs of a matrix.
 
@@ -119,7 +147,7 @@ def off_diagonal_ratio(matrix: np.ndarray) -> float:
     # Roots and their product in float64, the quotient in the Gram's
     # own precision: the same IEEE operations as the per-pair formula.
     roots = np.sqrt(norms_sq[live].astype(np.float64))
-    first, second = np.triu_indices(live.size, 1)
+    first, second = _upper_pairs(live.size)
     denominator = (roots[first] * roots[second]).astype(gram.dtype)
     ratios = np.abs(gram[live[first], live[second]]) / denominator
     return float(np.max(ratios, initial=0.0, where=~np.isnan(ratios)))

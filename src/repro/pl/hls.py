@@ -18,6 +18,8 @@ outer boundaries, plus a handful of one-off stage transitions.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Cycles lost per loop boundary crossing (pipeline flush + re-prime).
@@ -27,9 +29,15 @@ HLS_LOOP_SWITCH_CYCLES = 6
 HLS_FIXED_TRANSITIONS = 3
 
 
-def loop_overhead_cycles(iterations: int, num_block_pairs: int) -> float:
-    """Total HLS loop-switch cycles for one task."""
-    if iterations < 0 or num_block_pairs < 0:
+def _any(mask) -> bool:
+    """Whether ``mask`` (a bool or an array of them) holds a True."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def loop_overhead_cycles(iterations, num_block_pairs):
+    """Total HLS loop-switch cycles for one task (elementwise over
+    arrays of tasks)."""
+    if _any(iterations < 0) or _any(num_block_pairs < 0):
         raise ConfigurationError(
             f"negative loop counts: iterations={iterations}, "
             f"num={num_block_pairs}"
@@ -38,11 +46,9 @@ def loop_overhead_cycles(iterations: int, num_block_pairs: int) -> float:
     return crossings * HLS_LOOP_SWITCH_CYCLES
 
 
-def loop_overhead_seconds(
-    iterations: int, num_block_pairs: int, pl_frequency_hz: float
-) -> float:
-    """``t_hls`` in seconds at a given PL clock."""
-    if pl_frequency_hz <= 0:
+def loop_overhead_seconds(iterations, num_block_pairs, pl_frequency_hz):
+    """``t_hls`` in seconds at a given PL clock (elementwise)."""
+    if _any(pl_frequency_hz <= 0):
         raise ConfigurationError(
             f"PL frequency must be positive, got {pl_frequency_hz}"
         )

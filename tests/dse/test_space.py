@@ -1,5 +1,7 @@
 """Tests for the widened design space (orderings x frequency derates)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dse import DesignSpace, SpaceUnit
@@ -33,6 +35,25 @@ class TestSpaceUnit:
         full = SpaceUnit(4, 1, "codesign", 1.0).build_config(explorer)
         assert full.use_codesign is True
         assert full.pl_frequency_hz == base.pl_frequency_hz
+
+    def test_derated_clock_outside_the_device_range_raises(self, space):
+        # A unit's config re-checks only the clock its derate changes;
+        # that check must still reject what the full validation does.
+        explorer = space.explorer()
+        base = explorer.make_config(4, 1)
+        unit = SpaceUnit(4, 1, "codesign", 0.2)
+        with pytest.raises(ConfigurationError) as full:
+            replace(base, pl_frequency_hz=base.pl_frequency_hz * 0.2)
+        with pytest.raises(ConfigurationError) as fast:
+            unit.build_config(explorer)
+        assert str(fast.value) == str(full.value)
+        assert "outside achievable range" in str(fast.value)
+
+    def test_sweep_with_a_derate_below_the_device_range_raises(self):
+        # 0.4 x the 310 MHz floor of the frequency fit is below 150 MHz.
+        with pytest.raises(ConfigurationError,
+                           match="outside achievable range"):
+            DesignSpace(128, 128, freq_derates=(0.4,)).explore_serial()
 
     def test_round_trip(self):
         unit = SpaceUnit(8, 2, "traditional", 0.9)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.linalg import convergence
 from repro.linalg.convergence import (
     is_converged,
     off_diagonal_ratio,
@@ -108,6 +109,28 @@ class TestOffDiagonalRatio:
         elif kind == "duplicate":
             a[:, 0] = a[:, -1]
         a = a.astype(dtype)
+        assert off_diagonal_ratio(a) == reference_off_diagonal_ratio(a)
+
+
+class TestUpperPairs:
+    """The pair indices are built once per size and shared read-only."""
+
+    def test_same_read_only_arrays_per_size(self):
+        first, second = convergence._upper_pairs(12)
+        again = convergence._upper_pairs(12)
+        assert again[0] is first and again[1] is second
+        assert not first.flags.writeable and not second.flags.writeable
+        expected = np.triu_indices(12, 1)
+        assert np.array_equal(first, expected[0])
+        assert np.array_equal(second, expected[1])
+        with pytest.raises(ValueError):
+            first[0] = 1
+
+    def test_sizes_above_the_kept_maximum_are_rebuilt(self, rng,
+                                                      monkeypatch):
+        monkeypatch.setattr(convergence, "UPPER_PAIRS_MAX_KEPT", 4)
+        assert convergence._upper_pairs(8)[0].flags.writeable
+        a = rng.standard_normal((11, 8))
         assert off_diagonal_ratio(a) == reference_off_diagonal_ratio(a)
 
 
