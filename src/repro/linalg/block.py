@@ -7,11 +7,11 @@ of shape ``m x k`` and enumerates *block pairs*.  Each block pair
 to the orth-AIEs, which run a full shifting-ring sweep over all ``2k``
 columns — i.e., ``(2k-1) x k`` column-pair rotations per block pair
 (:func:`sweep_schedule`).  The software ``svd(method="block")`` rotates
-each block pair at once instead, by the right singular vectors of its
-``m x 2k`` panel (:func:`panel_schedule`), and falls back to the
-column-pair sweeps only where those block rotations stall.  When
-``n <= 2k`` there is one block pair, and its block rotation is the
-SVD of the whole matrix.
+each block pair at once instead, by the eigenvectors of the
+``2k x 2k`` Gram matrix of its ``m x 2k`` panel (:func:`panel_schedule`),
+and falls back to the column-pair sweeps only where those block
+rotations stall.  When ``n <= 2k`` there is one block pair, and its
+block rotation is the eigenvectors of the whole matrix's Gram matrix.
 
 Because a block-pair sweep orthogonalizes *all* pairs among its ``2k``
 columns (intra-block pairs included), every column pair of the full

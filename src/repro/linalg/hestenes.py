@@ -17,8 +17,8 @@ distributes across orth-AIEs and norm-AIEs, and they are the golden
 model the hardware-level functional simulation
 (:mod:`repro.core.accelerator`) is validated against.  The software
 ``method="block"`` instead rotates each block pair at once by the
-right singular vectors of its panel (block rotations), and finishes on
-pairwise sweeps where those stall.
+eigenvectors of its panel's Gram matrix (block rotations), and
+finishes on pairwise sweeps where those stall.
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ DEFAULT_MAX_SWEEPS = 60
 
 #: A block sweep that leaves more than this share of the residual of
 #: the sweep before has stalled: its matrix finishes on pairwise sweeps.
-#: Converging block sweeps leave at most ~0.7 of it; once they reach
-#: the accuracy of the panel SVDs it stays put (0.99 or more).
+#: Converging block sweeps leave at most ~0.7 of it, but up to ~0.9
+#: near the accuracy of the panel Gram eigenvectors (0.84 and 0.896
+#: seen); once they reach it, the residual stays put or grows (0.94 or
+#: more).  docs/performance.md gives the input set and the bands.
 _BLOCK_STALL = 0.9
 
 #: Recognized values for the ``strategy`` knob of the Jacobi solvers.
@@ -364,17 +366,17 @@ def _rotate_panels(
        panel's Gram matrix from its ``B`` rows;
     2. keep the panels holding a live pair at or above ``precision``
        (the Eq. 6 ratio with the pair kernel's floor);
-    3. take their rotations from one batched SVD of the ``B`` rows
-       (:func:`_panel_rotations`);
+    3. take their rotations from one batched ``eigh`` of those Gram
+       matrices (:func:`_gram_rotations`);
     4. multiply each panel by its rotation, one batched ``matmul``,
        and scatter back.
 
     A panel with a column at or below its floor rotates only its live
-    columns, by the SVD of those alone: a dead column is never mixed
-    with the others, as in the pair kernel, so the zero padding of the
-    block grid stays zero with its unit ``V`` columns.  Each panel's
-    arithmetic is its own, so the result does not depend on which
-    panels share a call.
+    columns, by the eigenvectors of their Gram matrix alone: a dead
+    column is never mixed with the others, as in the pair kernel, so
+    the zero padding of the block grid stays zero with its unit ``V``
+    columns.  Each panel's arithmetic is its own, so the result does
+    not depend on which panels share a call.
 
     Returns:
         Per panel, whether it was rotated.
@@ -396,22 +398,21 @@ def _rotate_panels(
     if not rotate.all():
         if not rotate.any():
             return rotate
-        panels, top, cols, live = (
-            x[rotate] for x in (panels, top, cols, live)
+        panels, gram, cols, live = (
+            x[rotate] for x in (panels, gram, cols, live)
         )
     whole = live.all(axis=1)
     if whole.all():
-        rotations = _panel_rotations(top)
+        rotations = _gram_rotations(gram)
     else:
-        rotations = np.empty((len(top), width, width), dtype=gram.dtype)
+        rotations = np.empty_like(gram)
         if whole.any():
-            rotations[whole] = _panel_rotations(top[whole])
+            rotations[whole] = _gram_rotations(gram[whole])
         for k in np.flatnonzero(~whole):
             keep = np.flatnonzero(live[k])
+            sub = np.ix_(keep, keep)
             rotations[k] = np.eye(width)
-            rotations[k][np.ix_(keep, keep)] = _panel_rotations(
-                top[k][None, :, keep]
-            )[0]
+            rotations[k][sub] = _gram_rotations(gram[k][sub][None])[0]
     # Each rotated panel lands as contiguous columns of one
     # Fortran-order array, ready for one scatter.
     rotated = np.empty((rows, cols.size), dtype=w.dtype, order="F")
@@ -421,19 +422,23 @@ def _rotate_panels(
     return rotate
 
 
-def _panel_rotations(top: np.ndarray) -> np.ndarray:
-    """The block rotation of each ``m x s`` panel in a ``(p, m, s)`` stack.
+def _gram_rotations(gram: np.ndarray) -> np.ndarray:
+    """The block rotation of each panel of a ``(p, s, s)`` Gram stack.
 
-    The right singular vectors of one batched SVD, their columns
-    permuted and signed towards the identity (:func:`_toward_identity`):
-    a panel times its rotation has orthogonal columns, each close to
-    the column it replaces.  That closeness is the UBC condition of
-    Drmač's convergence proof for cyclic Jacobi with block rotations
-    (SIMAX 31(3), 2009), and it keeps a nearly orthogonal panel's
-    rotation nearly the identity.
+    The eigenvectors of one batched ``eigh``, in descending eigenvalue
+    order, their columns permuted and signed towards the identity
+    (:func:`_toward_identity`): a panel times its rotation has
+    orthogonal columns, each close to the column it replaces.  That
+    closeness is the UBC condition of Drmač's convergence proof for
+    cyclic Jacobi with block rotations (SIMAX 31(3), 2009), and it
+    keeps a nearly orthogonal panel's rotation nearly the identity.
+    The Gram matrix squares the panel's condition number, so its small
+    eigenvectors are accurate only to eps of the largest eigenvalue:
+    on an ill-conditioned matrix the block sweeps stall, and the
+    driver hands the matrix to pairwise sweeps.
     """
-    _, _, vt = np.linalg.svd(top, full_matrices=False)
-    return _toward_identity(vt.transpose(0, 2, 1))
+    _, vectors = np.linalg.eigh(gram)
+    return _toward_identity(vectors[..., ::-1])
 
 
 def _toward_identity(v: np.ndarray) -> np.ndarray:
@@ -593,13 +598,15 @@ def _block_jacobi_svd(
       ``block_width = n // 2`` the one block pair holds every column,
       which is the monolithic sweep :func:`hestenes_svd` runs through
       here;
-    * a *block* sweep rotates each block pair at once by the right
-      singular vectors of its ``B`` rows (:func:`_rotate_panels`), one
-      batched call per tournament round.  When ``n <= 2k`` the one
-      block pair is the whole matrix and its rotation the whole SVD.
+    * a *block* sweep rotates each block pair at once by the
+      eigenvectors of the Gram matrix of its ``B`` rows
+      (:func:`_rotate_panels`), one batched call per tournament round.
+      When ``n <= 2k`` the one block pair is the whole matrix and its
+      rotation the eigenvectors of the whole ``B^T B``.
 
-    ``method="block"`` starts every matrix on block sweeps.  A panel
-    SVD is accurate to eps of the panel's largest column, so on an
+    ``method="block"`` starts every matrix on block sweeps.  A Gram
+    matrix's eigenvectors are accurate to eps of its largest
+    eigenvalue, the square of the panel's largest column, so on an
     ill-conditioned matrix the block sweeps stall short of a tight
     ``precision``: once a block sweep leaves more than
     :data:`_BLOCK_STALL` of the residual of the sweep before, that

@@ -12,10 +12,11 @@ enumerated round-robin, one tournament round of disjoint block pairs
 at a time.  ``"hestenes"`` runs a full parallel-ordering sweep of
 column-pair rotations over its one block pair, all ``n`` columns: the
 accelerator's arithmetic.  ``"block"`` rotates each block pair of
-``2k`` columns at once by the right singular vectors of its panel,
-one batched SVD per tournament round (block rotations), and finishes
-on column-pair sweeps once those stall; when ``n <= 2k`` its one
-block pair is the whole matrix and the block rotation its whole SVD.
+``2k`` columns at once by the eigenvectors of its panel's ``2k x 2k``
+Gram matrix, one batched ``eigh`` per tournament round (block
+rotations), and finishes on column-pair sweeps once those stall; when
+``n <= 2k`` its one block pair is the whole matrix and the block
+rotation the eigenvectors of its whole Gram matrix.
 
 The driver does not sweep the ``m x n`` input ``M`` (``m >= n``) itself
 but the ``L`` of Drmac and Veselic's two-step preconditioner (LAPACK
@@ -175,7 +176,8 @@ def svd(
             block driver's pairwise sweeps), ``"block"`` for the
             block-Jacobi restructuring of Algorithm 1 with block
             rotations: each tournament round rotates its disjoint
-            block pairs at once by one batched SVD of their panels,
+            block pairs at once by one batched ``eigh`` of their
+            panels' Gram matrices,
             and a matrix whose block sweeps stall short of
             ``precision`` finishes on column-pair sweeps (with
             ``n <= 2 * block_width`` the one block pair is the whole

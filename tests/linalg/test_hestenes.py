@@ -122,8 +122,9 @@ def _one_pair_block(a, fixed_sweeps, ordering_cls, strategy):
 
 
 class TestOneBlockPair:
-    """With one block pair (``n <= 2k``) a block sweep is the SVD of
-    the whole panel, and the pairwise kernel only finishes the solve.
+    """With one block pair (``n <= 2k``) a block sweep rotates by the
+    eigenvectors of the whole panel's Gram matrix, and the pairwise
+    kernel only finishes the solve.
     """
 
     @pytest.mark.parametrize("case", range(len(ONE_PAIR_INPUTS)))
@@ -139,7 +140,7 @@ class TestOneBlockPair:
         # strategy) rotate nothing.
         a = ONE_PAIR_INPUTS[case]
         block = _one_pair_block(a, fixed_sweeps, ordering_cls, strategy)
-        rotation = hestenes._panel_rotations(a[None])[0]
+        rotation = hestenes._gram_rotations((a.T @ a)[None])[0]
         order = np.argsort(-np.linalg.norm(a @ rotation, axis=0),
                            kind="stable")
         assert block.v.tobytes() == rotation[:, order].tobytes()
@@ -150,8 +151,8 @@ class TestOneBlockPair:
         # hestenes stops on the sweep's worst pre-rotation pair ratio,
         # block on off_diagonal_ratio(B) after every sweep, the pairwise
         # sweeps that finish a stalled block solve included.  Here the
-        # block sweeps stall at 1.7e-7 and one pairwise sweep stops the
-        # solve, although its worst pre-rotation ratio (that 1.7e-7)
+        # block sweeps stall at 9.5e-8 and one pairwise sweep stops the
+        # solve, although its worst pre-rotation ratio (that 9.5e-8)
         # would make the hestenes rule sweep again.
         worst = []
         kernel = hestenes._sweep_pairs_indexed
@@ -162,7 +163,7 @@ class TestOneBlockPair:
             return ratios, rotated
 
         monkeypatch.setattr(hestenes, "_sweep_pairs_indexed", keep_worst)
-        a = conditioned_matrix(64, 64, 1e8, seed=0)
+        a = conditioned_matrix(64, 64, 1e10, seed=1)
         block = svd(a, method="block", precision=1e-10,
                     strategy="vectorized")
         # One pairwise sweep: 7 tournament rounds of 15 ordering rounds.

@@ -10,8 +10,9 @@ default precision:
 * ``qr+lq``: through ``repro.svd``, which sweeps the ``L`` of the LQ of
   that ``R`` (both steps).
 
-``block`` ops take block rotations in all three (one batched panel SVD
-per tournament round, with a pairwise finish where those stall);
+``block`` ops take block rotations in all three (one batched ``eigh``
+of the panel Gram matrices per tournament round, with a pairwise
+finish where those stall);
 ``hestenes`` ops sweep column pairs.
 
 Prints the mean sweeps per (input class, method) and the totals;
