@@ -16,7 +16,6 @@ test:
 # Full regression harness: every suite at default size, reports written
 # to the repo root and compared against any previous BENCH_*.json.
 bench:
-	$(PYTHON) -m repro.cli bench --suite solver --repeat 3
 	$(PYTHON) -m repro.cli bench --suite dse
 	$(PYTHON) -m repro.cli bench --suite scheduler
 	$(PYTHON) -m repro.cli bench --suite batch
@@ -26,9 +25,6 @@ bench:
 # regression past threshold — is reported but tolerated, because the
 # baselines were recorded on a different machine).
 bench-smoke:
-	$(PYTHON) -m repro.cli bench --suite solver --size 48 --out . \
-		--baseline $(BASELINE_DIR)/BENCH_solver.json --threshold 0.5; \
-		test $$? -eq 0 -o $$? -eq 3
 	$(PYTHON) -m repro.cli bench --suite dse --size 48 --out . \
 		--baseline $(BASELINE_DIR)/BENCH_dse.json --threshold 0.5; \
 		test $$? -eq 0 -o $$? -eq 3
@@ -50,7 +46,6 @@ bench-smoke:
 	$(PYTHON) -m repro.cli bench --suite dse_sharded --size 32 --out . \
 		--baseline $(BASELINE_DIR)/BENCH_dse_sharded.json --threshold 0.5; \
 		test $$? -eq 0 -o $$? -eq 3
-	$(PYTHON) -m repro.cli bench --check BENCH_solver.json
 	$(PYTHON) -m repro.cli bench --check BENCH_dse.json
 	$(PYTHON) -m repro.cli bench --check BENCH_scheduler.json
 	$(PYTHON) -m repro.cli bench --check BENCH_batch.json
@@ -62,7 +57,6 @@ bench-smoke:
 # Re-record the blessed baselines (commit the result deliberately).
 baselines:
 	mkdir -p $(BASELINE_DIR)
-	$(PYTHON) -m repro.cli bench --suite solver --size 48 --out $(BASELINE_DIR) --no-compare
 	$(PYTHON) -m repro.cli bench --suite dse --size 48 --out $(BASELINE_DIR) --no-compare
 	$(PYTHON) -m repro.cli bench --suite scheduler --size 64 --out $(BASELINE_DIR) --no-compare
 	$(PYTHON) -m repro.cli bench --suite batch --size 16 --out $(BASELINE_DIR) --no-compare

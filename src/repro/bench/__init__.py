@@ -11,22 +11,6 @@ as the baseline and the fresh run is compared case by case with a
 configurable relative threshold (:mod:`repro.bench.runner`); a breach
 exits non-zero so CI and ``make bench`` catch regressions.
 
-Why this exists here: the flagship optimisation of this repository's
-software solver is the *vectorized Jacobi inner loop*.  One-sided
-Jacobi sweeps are organised into rounds by a parallel ordering (ring /
-round-robin / the paper's shifting ring); every round is a perfect
-matching of the columns, so the pairs of a round touch **disjoint**
-columns.  That independent-pair batching invariant — the same property
-that lets HeteroSVD drive ``P_eng`` AIE engine rows concurrently —
-lets the software path compute all of a round's Gram entries, rotation
-angles, and column updates as single batched NumPy operations instead
-of a Python-level pair loop, while performing arithmetic identical to
-the scalar reference (up to floating-point summation order inside dot
-products).  The ``solver`` suite pins that story down: it times the
-``strategy="scalar"`` and ``strategy="vectorized"`` paths on the same
-matrices so every report documents the measured speedup, and the
-regression comparison keeps it from silently eroding.
-
 See ``docs/performance.md`` for the full performance story and report
 format walkthrough.
 """
@@ -51,7 +35,6 @@ from repro.bench.suites import (
     DEFAULT_SIZES,
     SUITES,
     build_suite,
-    strategy_speedups,
     suite_names,
 )
 
@@ -72,7 +55,6 @@ __all__ = [
     "report_path",
     "run_case",
     "run_suite",
-    "strategy_speedups",
     "suite_names",
     "validate_report",
     "write_report",

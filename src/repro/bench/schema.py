@@ -7,7 +7,7 @@ Version ``1`` of the schema is a single JSON object:
 
     {
       "schema_version": "1",
-      "suite": "solver",
+      "suite": "scheduler",
       "created_unix": 1754000000.0,
       "machine": {
         "hostname": "runner-1",
@@ -20,11 +20,11 @@ Version ``1`` of the schema is a single JSON object:
       "model_version": "1",
       "results": [
         {
-          "name": "hestenes_vectorized_256",
+          "name": "schedule_lpt_400",
           "repeats": 3,
-          "wall_time_s": 1.91,
-          "wall_times_s": [2.02, 1.91, 1.95],
-          "metrics": {"sweeps": 9, "rotations": 268432}
+          "wall_time_s": 0.0121,
+          "wall_times_s": [0.0125, 0.0121, 0.0123],
+          "metrics": {"tasks": 400, "policy": "lpt"}
         }
       ]
     }

@@ -5,17 +5,6 @@ objects built by a factory that takes a ``size`` knob, so the same
 suite runs at full scale locally (``--size 256``) and as a seconds-long
 smoke test in CI (``--size 48``).  The registry:
 
-* ``solver`` — Jacobi SVD kernels: the scalar reference inner loop
-  against the vectorized ``sweep_pairs`` path, for both the plain
-  Hestenes solver and the block-Jacobi method.  The block cases factor
-  a kappa = 1e10 matrix at precision 1e-10, whose block rotations
-  stall short of it (at sizes from 48 up), so the pairwise kernel that
-  ``strategy`` picks finishes the solve; a well-conditioned block
-  solve never reaches that kernel, and its legs would time one code
-  path twice.  This suite is the
-  performance story of the vectorization work: on one report the
-  ``hestenes_scalar_<n>`` / ``hestenes_vectorized_<n>`` pair measures
-  the batching speedup directly (see :func:`strategy_speedups`).
 * ``dse`` — a full design-space exploration sweep (feasibility +
   modelled evaluation of every candidate point).
 * ``dse_sharded`` — the widened space (ring orderings x frequency
@@ -47,12 +36,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.bench.runner import BenchCase, BenchReport
+from repro.bench.runner import BenchCase
 from repro.errors import BenchmarkError
 
 #: Default problem size per suite when ``--size`` is not given.
 DEFAULT_SIZES = {
-    "solver": 256,
     "dse": 64,
     "dse_sharded": 48,
     "scheduler": 400,
@@ -61,64 +49,6 @@ DEFAULT_SIZES = {
     "chaos": 120,
     "workloads": 96,
 }
-
-
-def _solver_cases(size: int) -> List[BenchCase]:
-    from repro.linalg import hestenes_svd, svd
-    from repro.workloads import (
-        conditioned_matrix,
-        make_batch,
-        random_matrix,
-        solve_batch,
-    )
-
-    def matrix(seed: int):
-        return random_matrix(size, size, seed=seed)
-
-    def hestenes_case(strategy: str) -> Callable[[int], Dict[str, Any]]:
-        def run(seed: int) -> Dict[str, Any]:
-            result = hestenes_svd(matrix(seed), strategy=strategy)
-            return {"sweeps": result.sweeps, "strategy": strategy,
-                    "n": size}
-
-        return run
-
-    def block_case(strategy: str) -> Callable[[int], Dict[str, Any]]:
-        def run(seed: int) -> Dict[str, Any]:
-            result = svd(conditioned_matrix(size, size, 1e10, seed=seed),
-                         method="block", precision=1e-10,
-                         strategy=strategy)
-            return {"sweeps": result.sweeps, "strategy": strategy,
-                    "n": size}
-
-        return run
-
-    def batch_run(seed: int) -> Dict[str, Any]:
-        small = max(8, size // 8)
-        batch = make_batch(small, small, batch=8, seed=seed)
-        results = solve_batch(batch, strategy="vectorized")
-        return {"tasks": len(results), "n": small}
-
-    cases = [
-        BenchCase(f"hestenes_scalar_{size}", hestenes_case("scalar")),
-        BenchCase(f"hestenes_vectorized_{size}",
-                  hestenes_case("vectorized")),
-        BenchCase(f"block_scalar_{size}", block_case("scalar")),
-        BenchCase(f"block_vectorized_{size}", block_case("vectorized")),
-        BenchCase(f"solve_batch_vectorized_{size}", batch_run),
-    ]
-    # The native legs only run where the compiled tier actually exists;
-    # without Numba, "native" resolves to "vectorized" and the case
-    # would silently re-measure the vectorized leg under a misleading
-    # name.  Absent cases are advisory in baseline comparison.
-    from repro.linalg import native_available
-
-    if native_available():
-        cases.extend([
-            BenchCase(f"hestenes_native_{size}", hestenes_case("native")),
-            BenchCase(f"block_native_{size}", block_case("native")),
-        ])
-    return cases
 
 
 def _dse_cases(size: int) -> List[BenchCase]:
@@ -357,9 +287,9 @@ def _chaos_cases(size: int) -> List[BenchCase]:
         metrics["faults_injected"] = plan.injected
         for counter in (
             "serve.breaker_trips", "serve.breaker_probes",
-            "serve.breaker_recoveries", "serve.breaker_demoted",
-            "serve.requeued_batches", "serve.dispatcher_restarts",
-            "serve.orphaned", "serve.responses_dropped",
+            "serve.breaker_recoveries", "serve.requeued_batches",
+            "serve.dispatcher_restarts", "serve.orphaned",
+            "serve.responses_dropped",
         ):
             value = stats.get(counter, 0)
             if isinstance(value, int):
@@ -448,7 +378,6 @@ def _workloads_cases(size: int) -> List[BenchCase]:
 
 #: Suite registry: name -> cases factory taking the problem size.
 SUITES: Dict[str, Callable[[int], List[BenchCase]]] = {
-    "solver": _solver_cases,
     "dse": _dse_cases,
     "dse_sharded": _dse_sharded_cases,
     "scheduler": _scheduler_cases,
@@ -486,28 +415,3 @@ def build_suite(name: str, size: Optional[int] = None) -> List[BenchCase]:
         )
     return SUITES[name](resolved)
 
-
-def strategy_speedups(report: BenchReport) -> Dict[str, float]:
-    """Scalar-over-batched-tier speedups derivable from a solver report.
-
-    Scans the report for ``<kernel>_scalar_<n>`` cases and, for each
-    faster tier present (``vectorized``, ``native``), returns
-    ``{"<kernel>_<n>": scalar_s / vectorized_s}`` and
-    ``{"<kernel>_<n>_native": scalar_s / native_s}`` — the figures
-    quoted in ``docs/performance.md``.  Reports without such pairs
-    yield an empty dict.
-    """
-    speedups: Dict[str, float] = {}
-    for result in report.results:
-        marker = "_scalar_"
-        if marker not in result.name:
-            continue
-        kernel, _, tail = result.name.partition(marker)
-        for tier, suffix in (("vectorized", ""), ("native", "_native")):
-            partner = report.case(result.name.replace(marker, f"_{tier}_"))
-            if partner is None or partner.wall_time_s <= 0.0:
-                continue
-            speedups[f"{kernel}_{tail}{suffix}"] = (
-                result.wall_time_s / partner.wall_time_s
-            )
-    return speedups

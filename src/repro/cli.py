@@ -29,6 +29,7 @@ from repro.core.dse import DesignSpaceExplorer
 from repro.core.perf_model import PerformanceModel
 from repro.core.placement import place
 from repro.core.timing import TimingSimulator
+from repro.linalg.hestenes import STRATEGIES
 from repro.linalg.svd import METHODS
 from repro.reporting.tables import Table
 from repro.units import mhz
@@ -770,7 +771,6 @@ def cmd_bench(args) -> int:
         load_report,
         report_path,
         run_suite,
-        strategy_speedups,
         suite_names,
         write_report,
     )
@@ -817,9 +817,6 @@ def cmd_bench(args) -> int:
 
     report = run_suite(args.suite, cases, seed=args.seed,
                        repeats=args.repeat, progress=progress)
-    for pair, speedup in sorted(strategy_speedups(report).items()):
-        tier = "native" if pair.endswith("_native") else "vectorized"
-        print(f"speedup {pair}: {speedup:.2f}x (scalar / {tier})")
     write_report(report, out_path)
     print(f"wrote {out_path}")
 
@@ -1016,10 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_svd.add_argument(
         "--strategy", default="auto",
-        choices=["auto", "scalar", "vectorized", "native"],
+        choices=STRATEGIES,
         help="Jacobi inner-loop strategy for the software engine "
-        "(auto probes native, then vectorized; see "
-        "docs/performance.md)",
+        "(auto is vectorized; see docs/performance.md)",
     )
     p_svd.add_argument(
         "--method", default="accelerator",
@@ -1196,7 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--suite", default=None, metavar="NAME",
-        help="suite to run: solver, dse, scheduler, batch, serve, "
+        help="suite to run: dse, dse_sharded, scheduler, batch, serve, "
         "chaos or workloads",
     )
     p_bench.add_argument(
@@ -1264,7 +1260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--strategy", default="auto",
-        choices=["auto", "scalar", "vectorized", "native"],
+        choices=STRATEGIES,
         help="default Jacobi strategy for the engine tier",
     )
     p_serve.add_argument("--precision", type=float, default=1e-6)

@@ -316,9 +316,9 @@ class BatchExecutor:
             ``BatchReport.degraded_tasks``; when False the error
             propagates.
         strategy: Jacobi inner-loop strategy for the software engine —
-            ``"auto"`` (default: native when Numba is importable, else
-            vectorized), ``"scalar"``, ``"vectorized"`` or
-            ``"native"``; ignored by the accelerator engine.
+            ``"auto"`` (default, which is ``"vectorized"``),
+            ``"scalar"`` or ``"vectorized"``; ignored by the
+            accelerator engine.
         stall_timeout: Optional watchdog timeout (seconds) for the
             pipeline fan-out; a stalled worker raises a retryable
             :class:`~repro.errors.ParallelExecutionError` instead of

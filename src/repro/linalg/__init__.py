@@ -11,8 +11,6 @@ accelerates (paper Section II-A):
 * :mod:`repro.linalg.convergence` — the convergence criterion (Eq. 6).
 * :mod:`repro.linalg.hestenes` — the full one-sided Hestenes-Jacobi SVD
   driver, including the normalization step (Eq. 7).
-* :mod:`repro.linalg.native` — the compiled (Numba) whole-round kernel
-  behind ``strategy="native"``, with a graceful no-Numba fallback.
 * :mod:`repro.linalg.block` — column-block partitioning and block-pair
   enumeration used by the block-Jacobi variant (Algorithm 1).
 * :mod:`repro.linalg.svd` — the public entry point.
@@ -48,7 +46,6 @@ from repro.linalg.hestenes import (
     resolve_strategy,
     sweep_pairs,
 )
-from repro.linalg.native import available as native_available
 from repro.linalg.block import (
     BlockPartition,
     block_pairs,
@@ -67,7 +64,6 @@ __all__ = [
     "pair_convergence_ratios",
     "STRATEGIES",
     "resolve_strategy",
-    "native_available",
     "Ordering",
     "RingOrdering",
     "RoundRobinOrdering",

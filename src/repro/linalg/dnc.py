@@ -14,7 +14,7 @@ one behind LAPACK's ``dbdsdc``:
 2. **Conquer.**  Each half is factored recursively; blocks at or below
    ``leaf_size`` rows are handed to the existing one-sided Jacobi
    solver (:func:`repro.linalg.svd.svd` with ``method="hestenes"``),
-   so the leaves inherit the repo's strategy tiers and guard rails.
+   so the leaves inherit the repo's round kernels and guard rails.
 3. **Merge.**  Substituting the half factorizations turns ``B`` into a
    diagonal-plus-arrow matrix ``M = e_0 z^T + D``.  Its singular
    values are the roots of the secular equation
@@ -28,10 +28,13 @@ one behind LAPACK's ``dbdsdc``:
    as in ``dlasd2``.
 
 Accuracy contract: at float64 the singular values agree with
-``np.linalg.svd`` to a relative tolerance of 1e-10 (the leaves are
-solved at ``min(precision, 1e-10)`` to keep the contract independent
-of the looser Jacobi default), and ``U diag(S) V^T`` reconstructs the
-input to a few ULPs times the spectral norm.  The crossover study in
+``np.linalg.svd`` to a relative tolerance of 1e-10, and ``U diag(S)
+V^T`` reconstructs the input to a few ULPs times the spectral norm.
+The leaves are solved at ``min(precision, 1e-14)``: a leaf's ``U`` is
+orthonormal only to about its stopping precision, so at the looser
+Jacobi default (or at 1e-10) the merged factors miss
+:func:`~repro.guard.check_factor_invariants`' ``1000·n·eps``
+orthogonality tolerance.  The crossover study in
 ``docs/workloads.md`` records where this path overtakes the dense
 Jacobi methods.
 """
@@ -515,11 +518,12 @@ def dnc_svd(
             Jacobi leaf solver; must be at least 3 so every split
             leaves a coupling row.
         precision: Convergence threshold handed to the Jacobi leaves,
-            floored at 1e-10 so the rtol-1e-10 singular-value contract
-            holds even at the looser library default.
+            floored at 1e-14 so the rtol-1e-10 singular-value contract
+            and the factor invariants hold even at the looser library
+            default.
         max_sweeps: Sweep budget for the Jacobi leaves.
-        strategy: Strategy tier for the leaves (``"auto"``,
-            ``"scalar"``, ``"vectorized"``, ``"native"``).
+        strategy: Round kernel for the leaves (``"auto"``,
+            ``"scalar"``, ``"vectorized"``).
         fallback: ``"reference"`` re-solves with LAPACK (marking the
             result ``degraded=True``) if the composed factors fail a
             reconstruction residual check, mirroring the Jacobi
@@ -556,7 +560,7 @@ def dnc_svd(
     work = a.T.copy() if transposed else a.copy()
     ctx = _Context(
         leaf_size=leaf_size,
-        precision=min(precision, 1e-10),
+        precision=min(precision, 1e-14),
         max_sweeps=max_sweeps,
         strategy=strategy,
         deadline=deadline,

@@ -70,24 +70,18 @@ _BLOCK_STALL = 0.9
 
 #: Recognized values for the ``strategy`` knob of the Jacobi solvers.
 #: The strategy picks only the round kernel the drivers call on their
-#: stacked ``W = [B; V]``: ``"auto"`` probes availability (native ->
-#: vectorized); ``"scalar"`` forces the per-pair reference kernel (the
-#: golden reference the other tiers are pinned against);
-#: ``"vectorized"`` forces the batched NumPy kernel; ``"native"``
-#: requests the compiled (Numba) kernel of :mod:`repro.linalg.native`.
-STRATEGIES = ("auto", "scalar", "vectorized", "native")
+#: stacked ``W = [B; V]``: ``"scalar"`` forces the per-pair reference
+#: kernel (the golden reference the batched kernel is pinned against);
+#: ``"vectorized"`` forces the batched NumPy kernel; ``"auto"`` is
+#: ``"vectorized"``.
+STRATEGIES = ("auto", "scalar", "vectorized")
 
 
 def resolve_strategy(strategy: str) -> str:
-    """Map a user-facing strategy name to an executable tier.
+    """Map a user-facing strategy name to its round kernel's name.
 
-    ``"scalar"`` and ``"vectorized"`` pass through unchanged.
-    ``"auto"`` probes availability — the compiled ``"native"`` tier
-    when Numba is importable (see :func:`repro.linalg.native.available`),
-    else ``"vectorized"``; ``"scalar"`` always exists as the golden
-    reference, so the probe cannot fail.  An explicit ``"native"``
-    request degrades the same way rather than raising, so code tuned
-    for a Numba-equipped host runs unchanged (just slower) without it.
+    ``"scalar"`` and ``"vectorized"`` pass through unchanged;
+    ``"auto"`` is ``"vectorized"``.
 
     Raises:
         NumericalError: for unrecognized strategy names.
@@ -96,24 +90,16 @@ def resolve_strategy(strategy: str) -> str:
         raise NumericalError(
             f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
         )
-    if strategy in ("auto", "native"):
-        from repro.linalg import native
-
-        return "native" if native.available() else "vectorized"
-    return strategy
+    return "vectorized" if strategy == "auto" else strategy
 
 
 def _round_sweeper(strategy: str):
     """The round kernel for a resolved strategy.
 
-    All three share the ``(w, m, idx, precision, zero_sq, work)``
-    calling form, with ``zero_sq`` one floor or one per pair, and
-    return ``(ratios, rotations)``: every pair's pre-rotation ratio.
+    Both share the ``(w, m, idx, precision, zero_sq, work)`` calling
+    form, with ``zero_sq`` one floor or one per pair, and return
+    ``(ratios, rotations)``: every pair's pre-rotation ratio.
     """
-    if strategy == "native":
-        from repro.linalg import native
-
-        return native.sweep_pairs_indexed
     if strategy == "scalar":
         return _sweep_pairs_scalar
     return _sweep_pairs_indexed
@@ -652,13 +638,12 @@ def _block_jacobi_svd(
         for x in matrices
     ])
     # One Fortran-order W = [B; V]: each round kernel call moves a
-    # column of B and its V column as one contiguous copy, and the
-    # native kernel walks them stride-1.  Block pairs of one tournament
-    # round touch disjoint column sets, so their (identical) sweeps
-    # commute: interleaving them round by round performs the exact same
-    # rotations as visiting each block pair in sequence, while
-    # multiplying the batch width by the number of concurrent block
-    # pairs.  The per-round index arrays, stacked across each round's
+    # column of B and its V column as one contiguous copy.  Block
+    # pairs of one tournament round touch disjoint column sets, so
+    # their (identical) sweeps commute: interleaving them round by
+    # round performs the exact same rotations as visiting each block
+    # pair in sequence, while multiplying the batch width by the
+    # number of concurrent block pairs.  The per-round index arrays, stacked across each round's
     # pairs, are the shape's memoized schedule (sweep_schedule): it
     # repeats identically every outer sweep and every run, and is read
     # on a matrix's first pairwise sweep (a block solve that never
@@ -933,11 +918,9 @@ def hestenes_svd(
             ``"scalar"`` walks each round's pairs in a Python loop
             (the reference, :func:`_sweep_pairs_scalar`);
             ``"vectorized"`` rotates every round as one batch (see
-            :func:`sweep_pairs`); ``"native"`` runs the compiled
-            whole-round kernel of :mod:`repro.linalg.native` (falling
-            back to vectorized when Numba is absent); ``"auto"``
-            (default) probes native -> vectorized.  All tiers perform
-            the same rotations in the same logical order and agree to
+            :func:`sweep_pairs`); ``"auto"`` (default) is
+            ``"vectorized"``.  Both kernels perform the same rotations
+            in the same logical order and agree to
             floating-point summation order (singular values within
             ~1e-12 relative; pinned at 1e-10 by tests).
         deadline: Optional wall-clock budget — a

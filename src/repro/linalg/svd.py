@@ -203,10 +203,8 @@ def svd(
             methods' pairwise sweeps (``"block"``'s block rotations
             take none): ``"scalar"`` for the per-pair reference kernel,
             ``"vectorized"`` for batched rounds
-            (:func:`~repro.linalg.hestenes.sweep_pairs`), ``"native"``
-            for the compiled (Numba) whole-round kernels of
-            :mod:`repro.linalg.native`, ``"auto"`` (default) to probe
-            native -> vectorized.  Strategies agree to 1e-10 on the
+            (:func:`~repro.linalg.hestenes.sweep_pairs`), ``"auto"``
+            (default) for ``"vectorized"``.  Strategies agree to 1e-10 on the
             singular values; see ``docs/performance.md``.
         validate: Run :func:`~repro.guard.validate_matrix` on the input
             (default).  Rejects NaN/Inf/non-numeric input with a

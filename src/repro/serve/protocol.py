@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.errors import SchemaValidationError, ServeProtocolError
 from repro.guard.schemas import validate_json
+from repro.linalg.hestenes import STRATEGIES, resolve_strategy
 from repro.linalg.svd import JACOBI_METHODS, METHODS
 
 #: Protocol version, echoed by ``ping`` and ``stats`` responses.
@@ -72,8 +73,8 @@ ERROR_CODES = (
     "shutdown", "draining", "internal",
 )
 
-#: Jacobi strategies accepted on the wire (mirrors ``linalg.STRATEGIES``).
-WIRE_STRATEGIES = ("auto", "scalar", "vectorized", "native")
+#: Jacobi strategies accepted on the wire: ``linalg.STRATEGIES``.
+WIRE_STRATEGIES = STRATEGIES
 
 #: Matrix dtypes accepted on the wire.
 WIRE_DTYPES = ("float64", "float32")
@@ -321,12 +322,10 @@ def request_key(doc: Dict[str, Any], shape: Tuple[int, int],
     The shape is keyed as the prepared shape (see
     :class:`CoalesceKey`), and the strategy is normalized through
     :func:`repro.linalg.resolve_strategy` before keying: ``"auto"``
-    and its resolved tier name the same engine configuration, so a
-    mixed batch of ``"auto"`` and explicit-tier requests coalesces
+    and its resolved kernel name the same engine configuration, so a
+    mixed batch of ``"auto"`` and explicit-kernel requests coalesces
     instead of splitting into separate engine runs.
     """
-    from repro.linalg.hestenes import resolve_strategy
-
     rows, cols = int(shape[0]), int(shape[1])
     method = doc.get("method", "block")
     n = min(rows, cols)

@@ -40,10 +40,9 @@ Chaos hardening (``docs/serving.md`` has the failure-mode matrix):
   :class:`~repro.resilience.FaultPlan` attack a live daemon — dropped
   admissions, dispatcher crashes, dropped/slowed responses, injected
   engine failures;
-* a per-strategy :class:`~repro.resilience.CircuitBreaker` demotes a
-  repeatedly failing engine tier down the
-  native → vectorized → brownout ladder and recovers it via seeded
-  half-open probes;
+* a per-strategy :class:`~repro.resilience.CircuitBreaker` sends the
+  batches of a repeatedly failing strategy to the brownout tier and
+  recovers it via seeded half-open probes;
 * the dispatcher runs under a supervisor: a crash answers the
   in-flight batch with structured ``internal`` errors and restarts the
   loop, so every admitted request is answered exactly once;
@@ -118,15 +117,6 @@ SERVE_FAULT_SITES = tuple(register_site(name) for name in (
     "serve.engine_fault",    # engine batch raises a transient ServeError
 ))
 
-#: Circuit-breaker demotion ladder: the tier tried when a strategy's
-#: breaker is open.  ``None`` means no engine tier remains — the batch
-#: is served from the brownout (degraded LAPACK) tier.
-_STRATEGY_DEMOTION: Dict[str, Optional[str]] = {
-    "native": "vectorized",
-    "vectorized": None,
-    "scalar": None,
-}
-
 
 @dataclass
 class ServeConfig:
@@ -157,8 +147,8 @@ class ServeConfig:
             after a ``drain`` op / SIGTERM; leftovers past it are
             answered with ``code="shutdown"``.
         breaker_threshold: Consecutive engine-batch failures of one
-            strategy tier that trip its circuit breaker.
-        breaker_probe_after: Batches withheld from a tripped tier
+            strategy that trip its circuit breaker.
+        breaker_probe_after: Batches withheld from a tripped strategy
             before a half-open recovery probe (plus seeded jitter).
     """
 
@@ -253,7 +243,7 @@ class SVDServer:
         self._side_tasks: set = set()
         self._oversized_inflight = 0
         #: Per-strategy circuit breakers, created lazily on the first
-        #: engine failure of a tier — zero cost on the happy path.
+        #: engine failure of a strategy — zero cost on the happy path.
         self._breakers: Dict[str, CircuitBreaker] = {}
         #: The batch currently on the compute thread; a dispatcher
         #: crash answers these jobs instead of stranding their clients.
@@ -676,25 +666,24 @@ class SVDServer:
             self._configs[key] = config
         return config
 
-    def _select_strategy(
-        self, requested: str
-    ) -> Tuple[Optional[str], Optional[CircuitBreaker]]:
-        """Walk the demotion ladder from the requested strategy to the
-        first tier whose breaker admits the call (closed breaker, no
-        breaker yet, or an open breaker due for a half-open probe).
+    def _admit_engine(
+        self, strategy: str
+    ) -> Tuple[bool, Optional[CircuitBreaker]]:
+        """Whether the strategy's breaker admits an engine batch (a
+        closed breaker, no breaker yet, or an open breaker due for a
+        half-open probe), and that breaker.
 
-        Returns ``(None, None)`` when every tier is tripped — the
+        Returns ``(False, None)`` when the breaker is open — the
         batch is then served from the brownout tier.
         """
-        current: Optional[str] = requested
-        while current is not None:
-            breaker = self._breakers.get(current)
-            if breaker is None or breaker.allow():
-                if breaker is not None and breaker.state == "half_open":
-                    self._count("serve.breaker_probes")
-                return current, breaker
-            current = _STRATEGY_DEMOTION.get(current)
-        return None, None
+        breaker = self._breakers.get(strategy)
+        if breaker is None:
+            return True, None
+        if not breaker.allow():
+            return False, None
+        if breaker.state == "half_open":
+            self._count("serve.breaker_probes")
+        return True, breaker
 
     def _strategy_breaker(self, strategy: str) -> CircuitBreaker:
         breaker = self._breakers.get(strategy)
@@ -750,15 +739,13 @@ class SVDServer:
 
         config = self.config
         dispatched_at = time.monotonic()
-        requested = key.strategy
-        effective, breaker = self._select_strategy(requested)
-        if effective is None:
-            # Every engine tier is tripped: brownout keeps answering.
+        strategy = key.strategy
+        admitted, breaker = self._admit_engine(strategy)
+        if not admitted:
+            # The strategy's breaker is open: brownout keeps answering.
             self._count("serve.breaker_browned_out")
             await self._run_brownout(jobs, shed=True)
             return
-        if effective != requested:
-            self._count("serve.breaker_demoted")
 
         def work():
             with warnings.catch_warnings():
@@ -768,7 +755,7 @@ class SVDServer:
                     engine="software",
                     jobs=config.jobs,
                     retry=self._retry,
-                    strategy=effective,
+                    strategy=strategy,
                     method=key.method,
                 )
                 batch = TaskBatch(
@@ -796,7 +783,7 @@ class SVDServer:
             await self._finish_expired_batch(jobs, dispatched_at, error)
             return
         except Exception as error:
-            await self._handle_engine_failure(jobs, effective, error)
+            await self._handle_engine_failure(jobs, strategy, error)
             return
         if breaker is not None and breaker.record_success() == "recovered":
             self._count("serve.breaker_recoveries")

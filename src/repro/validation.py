@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.accelerator import HeteroSVDAccelerator
 from repro.core.config import HeteroSVDConfig
 from repro.core.cosim import CoSimulator
-from repro.linalg.hestenes import resolve_strategy
 from repro.linalg.reference import (
     orthogonality_error,
     reconstruction_error,
@@ -218,10 +217,7 @@ def _strategies(solver: str) -> Tuple[str, ...]:
         return ("-",)
     if solver not in JACOBI_METHODS:
         return ("auto",)
-    tiers = ("scalar", "vectorized")
-    if resolve_strategy("native") == "native":
-        tiers += ("native",)
-    return tiers
+    return ("scalar", "vectorized")
 
 
 def cells() -> List[Cell]:

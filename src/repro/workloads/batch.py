@@ -98,7 +98,7 @@ def solve_batch(
 
     The serial batched-SVD path: each matrix is factored as
     :func:`repro.linalg.svd` would, with the selected inner-loop
-    ``strategy`` (``"auto"``/``"scalar"``/``"vectorized"``/``"native"``).
+    ``strategy`` (``"auto"``/``"scalar"``/``"vectorized"``).
     For the ``"hestenes"`` and ``"block"`` methods the tasks of one
     shape run as one stacked Jacobi run: each round-kernel call rotates
     that round of every task still sweeping, and each task's result is

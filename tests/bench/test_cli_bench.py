@@ -35,7 +35,7 @@ class TestListAndCheck:
     def test_list_suites(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("solver", "dse", "scheduler", "batch"):
+        for name in ("dse", "scheduler", "batch"):
             assert name in out
 
     def test_check_valid_report(self, tmp_path, capsys):
@@ -71,12 +71,6 @@ class TestRunAndCompare:
         assert report.suite == "scheduler"
         assert report.seed == 3
         assert report.case("schedule_lpt_16") is not None
-
-    def test_solver_smoke_reports_speedup(self, tmp_path, capsys):
-        assert main(["bench", "--suite", "solver", "--size", "16",
-                     "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "speedup hestenes_16" in out
 
     def test_second_run_compares_against_first(self, tmp_path, capsys):
         # Huge threshold: sub-millisecond cases are pure timing noise;

@@ -15,7 +15,6 @@ from repro.bench import (
     report_path,
     run_case,
     run_suite,
-    strategy_speedups,
     suite_names,
     write_report,
 )
@@ -179,8 +178,7 @@ class TestCompareReports:
 class TestSuiteRegistry:
     def test_registered_names(self):
         assert suite_names() == ["batch", "chaos", "dse", "dse_sharded",
-                                  "scheduler", "serve", "solver",
-                                  "workloads"]
+                                  "scheduler", "serve", "workloads"]
 
     def test_unknown_suite_raises(self):
         with pytest.raises(BenchmarkError, match="unknown suite"):
@@ -188,21 +186,7 @@ class TestSuiteRegistry:
 
     def test_too_small_size_raises(self):
         with pytest.raises(BenchmarkError, match="size"):
-            build_suite("solver", 4)
-
-    def test_solver_suite_case_names(self):
-        names = [case.name for case in build_suite("solver", 16)]
-        assert "hestenes_scalar_16" in names
-        assert "hestenes_vectorized_16" in names
-        assert "block_scalar_16" in names
-        assert "block_vectorized_16" in names
-
-    def test_solver_suite_runs_smoke(self):
-        report = run_suite("solver", build_suite("solver", 16), seed=1)
-        scalar = report.case("hestenes_scalar_16")
-        vectorized = report.case("hestenes_vectorized_16")
-        # Identical rotations -> identical sweep counts.
-        assert scalar.metrics["sweeps"] == vectorized.metrics["sweeps"]
+            build_suite("scheduler", 4)
 
     def test_scheduler_suite_runs_smoke(self):
         report = run_suite("scheduler",
@@ -230,17 +214,3 @@ class TestSuiteRegistry:
         assert streaming["sigma_rel_err"] < 1.0
         assert streaming["error_bound"] >= 0.0
 
-
-class TestStrategySpeedups:
-    def test_pairs_extracted(self):
-        report = make_report({
-            "hestenes_scalar_64": 3.0,
-            "hestenes_vectorized_64": 1.0,
-            "solve_batch_vectorized_64": 0.5,
-        })
-        assert strategy_speedups(report) == {
-            "hestenes_64": pytest.approx(3.0)
-        }
-
-    def test_no_pairs_yields_empty(self):
-        assert strategy_speedups(make_report({"a": 1.0})) == {}

@@ -24,7 +24,6 @@ CASES = [
     ("dse_explorer.py", ["128", "10"], "best latency"),
     ("image_compression.py", [], "randomized top-16"),
     ("energy_analysis.py", [], "stream-bound everywhere"),
-    ("benchmark_strategies.py", ["24"], "report round-trip ok"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Tests for the bidiagonal divide-and-conquer SVD (``method="dnc"``)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.linalg.dnc import (
     dnc_svd,
 )
 from repro.linalg.svd import svd
+from repro.workloads.matrices import random_matrix
 
 
 def _check_factorization(a, result, rtol=1e-10, factor_tol=1e-8):
@@ -77,6 +80,22 @@ class TestDnCAccuracy:
                               second.singular_values)
         assert np.array_equal(first.u, second.u)
         assert np.array_equal(first.v, second.v)
+
+
+class TestDnCInvariants:
+    """At the library default precision the merged factors pass
+    ``check_factor_invariants`` (orthogonality to ``1000·n·eps``): the
+    Jacobi leaves must be solved far below that precision (n 25–64
+    spans one and two merge levels)."""
+
+    @pytest.mark.parametrize("n", [25, 32, 48, 64])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_factor_invariants_hold(self, n, seed):
+        a = random_matrix(n, n, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = svd(a, method="dnc", check_invariants=True)
+        assert not result.degraded
 
 
 class TestDnCEdges:

@@ -1,18 +1,13 @@
-"""Cross-strategy parity for the Jacobi inner-loop tiers.
+"""Cross-strategy parity for the Jacobi inner-loop kernels.
 
-The batched tiers (``vectorized``, ``native``) process each ordering
-round (disjoint pairs) as one whole-round kernel.  These tests pin the
-contract from docs/performance.md: same rotations in the same logical
-order, so every strategy agrees on singular values (to floating-point
-summation order), sweep counts, and residual histories — across the
-monolithic and block drivers, odd block counts, wide, rank-deficient,
-and complex inputs — and the batched tiers are substantially faster.
-
-Without Numba installed, ``native`` resolves to ``vectorized``; the
-native legs here then re-check the vectorized contract, and the real
-compiled tier is exercised by the CI leg that installs Numba (see
-tests/linalg/test_native.py for the kernel-level parity that runs
-everywhere).
+The ``vectorized`` kernel processes each ordering round (disjoint
+pairs) as one batch.  These tests pin the contract from
+docs/performance.md: same rotations in the same logical order as the
+``scalar`` reference, so both strategies agree on singular values (to
+floating-point summation order), sweep counts, and residual histories
+— across the monolithic and block drivers, odd block counts, wide,
+rank-deficient, and complex inputs — and the batched kernel is
+substantially faster.
 """
 
 import time
@@ -24,7 +19,6 @@ from repro.errors import NumericalError
 from repro.linalg import (
     STRATEGIES,
     hestenes_svd,
-    native_available,
     resolve_strategy,
     sweep_pairs,
     svd,
@@ -45,35 +39,8 @@ from repro.workloads.matrices import low_rank_matrix, random_matrix
 
 
 class TestResolveStrategy:
-    def test_auto_probes_available_tiers(self):
-        expected = "native" if native_available() else "vectorized"
-        assert resolve_strategy("auto") == expected
-
-    def test_native_degrades_without_numba(self, monkeypatch):
-        from repro.linalg import native
-
-        monkeypatch.setattr(native, "NUMBA_AVAILABLE", False)
-        # Regression: "auto" used to map to "vectorized"
-        # unconditionally; now it probes.  Both spellings must degrade
-        # to the vectorized tier instead of raising NumericalError.
+    def test_auto_is_vectorized(self):
         assert resolve_strategy("auto") == "vectorized"
-        assert resolve_strategy("native") == "vectorized"
-
-    def test_native_resolves_when_numba_present(self, monkeypatch):
-        from repro.linalg import native
-
-        monkeypatch.setattr(native, "NUMBA_AVAILABLE", True)
-        monkeypatch.delenv(native.DISABLE_ENV_VAR, raising=False)
-        assert resolve_strategy("auto") == "native"
-        assert resolve_strategy("native") == "native"
-
-    def test_env_var_disables_native(self, monkeypatch):
-        from repro.linalg import native
-
-        monkeypatch.setattr(native, "NUMBA_AVAILABLE", True)
-        monkeypatch.setenv(native.DISABLE_ENV_VAR, "1")
-        assert resolve_strategy("auto") == "vectorized"
-        assert resolve_strategy("native") == "vectorized"
 
     @pytest.mark.parametrize("name", ["scalar", "vectorized"])
     def test_explicit_passthrough(self, name):
@@ -84,12 +51,14 @@ class TestResolveStrategy:
             resolved = resolve_strategy(name)
             assert resolve_strategy(resolved) == resolved
 
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(NumericalError):
-            resolve_strategy("simd")
+    @pytest.mark.parametrize("name", ["simd", "native"])
+    def test_unknown_strategy_raises(self, name):
+        # "native" names no kernel: it is refused, not aliased.
+        with pytest.raises(NumericalError, match="unknown strategy"):
+            resolve_strategy(name)
 
     def test_registry_contents(self):
-        assert STRATEGIES == ("auto", "scalar", "vectorized", "native")
+        assert STRATEGIES == ("auto", "scalar", "vectorized")
 
     def test_unknown_strategy_raises_from_svd(self, square_matrix):
         with pytest.raises(NumericalError):
@@ -112,17 +81,6 @@ class TestHestenesParity:
         )
         assert scalar.sweeps == vectorized.sweeps
         assert scalar.converged and vectorized.converged
-
-    def test_native_matches_scalar(self, rng):
-        a = rng.standard_normal((64, 64))
-        scalar = hestenes_svd(a, strategy="scalar")
-        native = hestenes_svd(a, strategy="native")
-        np.testing.assert_allclose(
-            scalar.singular_values, native.singular_values,
-            rtol=0.0, atol=1e-14 * scalar.singular_values[0] * 64,
-        )
-        assert scalar.sweeps == native.sweeps
-        assert native.converged
 
     def test_residual_histories_match(self, rng):
         a = rng.standard_normal((32, 32))
@@ -171,19 +129,18 @@ class TestHestenesParity:
 
 
 class TestBlockAndSVDParity:
-    @pytest.mark.parametrize("strategy", ["vectorized", "native"])
     @pytest.mark.parametrize("shape,block_width", [
         ((32, 32), 8),
         ((48, 48), 8),   # odd block count (p=3): tournament bye round
         ((16, 32), 4),   # wide input: transposed internally
         ((33, 16), 4),   # odd row count, rectangular blocks
     ])
-    def test_block_method(self, rng, shape, block_width, strategy):
+    def test_block_method(self, rng, shape, block_width):
         a = rng.standard_normal(shape)
         scalar = svd(a, method="block", block_width=block_width,
                      strategy="scalar")
         batched = svd(a, method="block", block_width=block_width,
-                      strategy=strategy)
+                      strategy="vectorized")
         np.testing.assert_allclose(
             scalar.singular_values, batched.singular_values,
             rtol=0.0, atol=1e-10 * max(scalar.singular_values[0], 1.0),
@@ -276,31 +233,5 @@ class TestAcceptance256:
         )
         assert scalar.sweeps == vectorized.sweeps
         # Measured 2.71x on a 2-CPU container (docs/performance.md);
-        # 2x is the flake-proof floor for shared CI runners
-        # (`repro bench --suite solver` re-measures it).
+        # 2x is the flake-proof floor for shared CI runners.
         assert scalar_s / vectorized_s >= 2.0
-
-    @pytest.mark.skipif(not native_available(),
-                        reason="Numba not installed")
-    def test_native_parity_and_speedup_256(self):
-        a = random_matrix(256, 256, seed=0)
-
-        # Warm-up compiles the kernels outside the timed region.
-        hestenes_svd(random_matrix(16, 16, seed=1), strategy="native")
-
-        started = time.perf_counter()
-        scalar = hestenes_svd(a, strategy="scalar")
-        scalar_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        native = hestenes_svd(a, strategy="native")
-        native_s = time.perf_counter() - started
-
-        np.testing.assert_allclose(
-            scalar.singular_values, native.singular_values,
-            rtol=0.0, atol=1e-10 * scalar.singular_values[0],
-        )
-        assert scalar.sweeps == native.sweeps
-        # The >= 10x headline is measured at 512x512 by the bench
-        # suite; 4x at 256 is the flake-proof CI floor.
-        assert scalar_s / native_s >= 4.0

@@ -93,8 +93,8 @@ class TestStateMachine:
         assert breaker.state == OPEN
 
     def test_repr_names_the_resource(self):
-        breaker = CircuitBreaker("serve.engine.native")
-        assert "serve.engine.native" in repr(breaker)
+        breaker = CircuitBreaker("serve.engine.vectorized")
+        assert "serve.engine.vectorized" in repr(breaker)
         assert "closed" in repr(breaker)
 
 

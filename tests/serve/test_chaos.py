@@ -18,11 +18,7 @@ from repro.resilience import CircuitBreaker, FaultPlan, FaultSpec
 from repro.resilience.faults import load_fault_plan, registered_sites
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.protocol import decode_line, encode
-from repro.serve.server import (
-    SERVE_FAULT_SITES,
-    SVDServer,
-    _STRATEGY_DEMOTION,
-)
+from repro.serve.server import SERVE_FAULT_SITES, SVDServer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -109,20 +105,19 @@ class TestEngineFault:
 
 
 class TestCircuitBreaker:
-    def test_demotion_ladder(self):
-        assert _STRATEGY_DEMOTION["native"] == "vectorized"
-        assert _STRATEGY_DEMOTION["vectorized"] is None
-
-    def test_select_strategy_walks_native_to_vectorized_to_brownout(self):
+    def test_tripped_vectorized_breaker_browns_out(self):
         server = SVDServer(ServeConfig(breaker_threshold=1))
-        server._strategy_breaker("native").record_failure()
-        # Native is tripped: the ladder lands on vectorized, which has
-        # no breaker yet.
-        assert server._select_strategy("native") == ("vectorized", None)
+        # No breaker yet: the engine runs the batch.
+        assert server._admit_engine("vectorized") == (True, None)
         server._strategy_breaker("vectorized").record_failure()
-        # Both engine tiers tripped: (None, None) sends the batch to
-        # the brownout tier.
-        assert server._select_strategy("native") == (None, None)
+        # Tripped: (False, None) sends the batch to the brownout tier.
+        assert server._admit_engine("vectorized") == (False, None)
+
+    def test_each_strategy_keeps_its_own_breaker(self):
+        server = SVDServer(ServeConfig(breaker_threshold=1))
+        server._strategy_breaker("vectorized").record_failure()
+        assert server._admit_engine("vectorized") == (False, None)
+        assert server._admit_engine("scalar") == (True, None)
 
     def test_trips_demotes_to_brownout_and_recovers_via_probe(self):
         # The whole trajectory — trip after `breaker_threshold`

@@ -62,6 +62,7 @@ class TestRequestValidation:
         {"deadline_s": -1.0},
         {"block_width": 0},
         {"strategy": "quantum"},         # unknown strategy
+        {"strategy": "native"},          # no such kernel
         {"dtype": "int8"},               # unknown dtype
         {"seed": "seven"},               # wrong type
     ])

@@ -470,6 +470,20 @@ class TestWireRejections:
         assert response["error"]["code"] == "schema"
         assert "block_width" in response["error"]["message"]
 
+    def test_native_strategy_answered_schema_then_serving_goes_on(
+            self, server):
+        refused, answered = _raw_exchange(
+            server.address,
+            encode({"op": "decompose", "id": "x", "shape": [16, 16],
+                    "seed": 1, "strategy": "native"}),
+            encode({"op": "decompose", "id": "y", "shape": [16, 16],
+                    "seed": 1, "strategy": "vectorized"}),
+        )
+        assert refused["id"] == "x" and refused["ok"] is False
+        assert refused["error"]["code"] == "schema"
+        assert "strategy" in refused["error"]["message"]
+        assert answered["id"] == "y" and answered["ok"] is True
+
     def test_non_finite_matrix_rejected_invalid(self, server):
         (response,) = _raw_exchange(
             server.address,

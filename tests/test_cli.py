@@ -1,9 +1,26 @@
 """Tests for the ``heterosvd`` command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from repro.cli import SHARDED_DEFAULTS, build_parser, main
+from repro.linalg import STRATEGIES
+from repro.serve.protocol import REQUEST_SCHEMA, WIRE_STRATEGIES
+
+
+def _choices(subcommand, dest):
+    """The ``choices`` of a subcommand's option."""
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    (action,) = [
+        action for action in subparsers.choices[subcommand]._actions
+        if action.dest == dest
+    ]
+    return tuple(action.choices)
 
 
 class TestParser:
@@ -85,6 +102,21 @@ class TestParser:
         assert args.strategy == "scalar"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["svd", "--strategy", "simd"])
+
+    def test_one_strategy_list(self):
+        # The CLI, the wire schema and the library accept the same
+        # strategy names, from one tuple.
+        assert _choices("svd", "strategy") == STRATEGIES
+        assert _choices("serve", "strategy") == STRATEGIES
+        assert WIRE_STRATEGIES == STRATEGIES
+        assert REQUEST_SCHEMA["fields"]["strategy"]["enum"] == STRATEGIES
+
+    @pytest.mark.parametrize("subcommand", ["svd", "serve"])
+    def test_native_strategy_is_a_usage_error(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([subcommand, "--strategy", "native"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err
 
     def test_guard_flags(self):
         args = build_parser().parse_args(["svd"])

@@ -144,7 +144,7 @@ def soak_phase(size):
           f"supervised dispatcher restarted after the injected crash "
           f"({stats.get('serve.dispatcher_restarts', 0)} restarts)")
     check(stats.get("serve.requeued_batches", 0) >= 1,
-          "transient engine failure was requeued before demotion")
+          "transient engine failure was requeued before brownout")
     check(stats.get("serve.responses_dropped", 0) >= 1,
           "injected response drops were counted")
     check(stats.get("serve.requests_dropped", 0) >= 1,
