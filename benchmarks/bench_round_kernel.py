@@ -1,11 +1,11 @@
-"""Per-round cost of the Jacobi round kernels.
+"""Per-round cost of the Jacobi round kernel and its references.
 
 One call rotates one ordering round (``n / 2`` disjoint column pairs).
 ``fused`` is :func:`repro.linalg.hestenes._sweep_pairs_indexed` on a
-stacked ``W = [B; V]``; ``scalar`` is the per-pair reference kernel
-:func:`repro.linalg.hestenes._sweep_pairs_scalar` on the same ``W``
-(what ``strategy="scalar"`` runs); ``three-call`` is the kernel
-``fused`` replaced, kept verbatim in
+stacked ``W = [B; V]``; ``scalar`` is
+:func:`repro.linalg.hestenes._sweep_pairs_scalar` on the same ``W``,
+the reference kernel the parity tests pin; ``three-call`` is the
+kernel ``fused`` replaced, kept verbatim in
 ``tests/linalg/test_round_kernel.py``, on separate Fortran-order ``B``
 and ``V``.  Together they regenerate the per-round
 table in docs/performance.md: ``n`` in {16, 32, 64, 128}, with ``V``
@@ -16,7 +16,7 @@ angle, update and scatter path.
 ``test_bench_stacked`` times a whole precision-driven solve of ``T``
 same-shape matrices (``T`` in {1, 2, 4, 8}; 16x16, 24x24 and 32x16;
 ``method="block"``, block width 4, so block rotations, with the
-vectorized kernel for any pairwise finish): ``stacked`` is
+round kernel for any pairwise finish): ``stacked`` is
 one stacked driver run (:func:`repro.linalg.svd._svd_many`, the path of
 ``solve_batch`` and the batch executor), ``one-by-one`` is ``T``
 :func:`repro.linalg.svd` calls.  It regenerates the per-T table in
@@ -80,7 +80,7 @@ def test_bench_round(benchmark, n, with_v, kernel):
     assert count == n // 2
 
 
-STACKED = dict(method="block", block_width=4, strategy="vectorized")
+STACKED = dict(method="block", block_width=4)
 
 
 def _stacked(matrices):

@@ -241,7 +241,7 @@ def _chaos_cases(size: int) -> List[BenchCase]:
         # Deterministic in-code plan (mirrors the committed
         # examples/fault_plans/serve_chaos.json): engine faults on the
         # first three batches exercise the requeue and trip the
-        # strategy breaker, one dispatcher crash exercises supervision
+        # engine breaker, one dispatcher crash exercises supervision
         # and one dropped response exercises the loadgen timeout.
         plan = FaultPlan(seed=11 + seed, faults=[
             FaultSpec(site="serve.engine_fault", at=(0, 1, 2)),

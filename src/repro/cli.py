@@ -29,7 +29,6 @@ from repro.core.dse import DesignSpaceExplorer
 from repro.core.perf_model import PerformanceModel
 from repro.core.placement import place
 from repro.core.timing import TimingSimulator
-from repro.linalg.hestenes import STRATEGIES
 from repro.linalg.svd import METHODS
 from repro.reporting.tables import Table
 from repro.units import mhz
@@ -213,7 +212,6 @@ def _cmd_svd_software(args) -> int:
         method=args.method,
         block_width=args.p_eng if args.method == "block" else None,
         precision=args.precision,
-        strategy=args.strategy,
         # Also svd()'s own check: its health report drives the
         # pre-scaling that keeps extreme-magnitude inputs finite.
         validate=args.validate,
@@ -266,8 +264,8 @@ def _cmd_svd_batch(args) -> int:
     method = "block" if args.method == "accelerator" else args.method
     executor = BatchExecutor(
         config, engine=engine, jobs=args.jobs, cache=_make_cache(args),
-        retry=_make_retry(args), strategy=args.strategy,
-        check_invariants=args.check_invariants, method=method,
+        retry=_make_retry(args), check_invariants=args.check_invariants,
+        method=method,
     )
     report = executor.run(batch, deadline=_make_deadline(args))
     print(f"batch of {len(batch)} {args.size}x{args.size} SVDs on "
@@ -875,7 +873,6 @@ def cmd_serve(args) -> int:
             p_eng=args.p_eng,
             p_task=args.p_task,
             jobs=args.jobs if args.jobs is not None else 1,
-            strategy=args.strategy,
             precision=args.precision,
             admission=AdmissionPolicy(
                 max_depth=args.max_queue,
@@ -1010,12 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="accelerator",
         choices=["accelerator", "software"],
         help="solver the batch workers use",
-    )
-    p_svd.add_argument(
-        "--strategy", default="auto",
-        choices=STRATEGIES,
-        help="Jacobi inner-loop strategy for the software engine "
-        "(auto is vectorized; see docs/performance.md)",
     )
     p_svd.add_argument(
         "--method", default="accelerator",
@@ -1258,11 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--p-task", type=int, default=2,
         help="pipeline workers per coalesced engine batch",
     )
-    p_serve.add_argument(
-        "--strategy", default="auto",
-        choices=STRATEGIES,
-        help="default Jacobi strategy for the engine tier",
-    )
     p_serve.add_argument("--precision", type=float, default=1e-6)
     p_serve.add_argument(
         "--max-queue", type=int, default=4096, metavar="N",
@@ -1311,12 +1297,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--breaker-threshold", type=int, default=3, metavar="N",
-        help="consecutive engine-batch failures that trip a strategy "
-        "tier's circuit breaker (default: 3)",
+        help="consecutive engine-batch failures that trip the engine "
+        "circuit breaker (default: 3)",
     )
     p_serve.add_argument(
         "--breaker-probe-after", type=int, default=4, metavar="N",
-        help="batches withheld from a tripped tier before a half-open "
+        help="batches withheld from a tripped engine before a half-open "
         "recovery probe (default: 4, plus seeded jitter)",
     )
     add_jobs_flag(p_serve)

@@ -17,7 +17,7 @@ batched round kernel
 round of each tournament round.  These are the rotations of sweeping
 the block pairs one by one, and the result equals the block driver
 (:func:`~repro.linalg.hestenes._block_jacobi_svd` with
-``block_width=P_eng``, ``strategy="vectorized"``) on the same matrix
+``block_width=P_eng``) on the same matrix
 bit for bit after the same number of sweeps.  The accelerator stays
 plain Hestenes: ``svd(method="block")`` runs that driver on the ``L``
 of a QR and an LQ of its input instead (:mod:`repro.linalg.svd`).

@@ -137,19 +137,16 @@ def _factor_task(
     matrix: np.ndarray,
     config,
     engine: str,
-    strategy: str = "auto",
     deadline: Optional[Deadline] = None,
     check_invariants: bool = False,
     method: str = "block",
 ) -> np.ndarray:
     """Singular values of one task matrix via the selected engine.
 
-    ``strategy`` selects the Jacobi inner-loop implementation for the
-    software engine (see :func:`repro.linalg.svd`); the accelerator
+    ``method`` selects the software solver (``"block"``,
+    ``"hestenes"``, ``"dnc"`` or ``"streaming"``); the accelerator
     engine models hardware round by round and ignores it (deadlines
-    apply between its tasks, not within them).  ``method`` selects the
-    software solver (``"block"``, ``"hestenes"``, ``"dnc"`` or
-    ``"streaming"``); the accelerator engine ignores it.
+    apply between its tasks, not within them).
     Either engine returns ``min(m, n)`` values: the accelerator's
     padding columns only add zeros, which are dropped.
     """
@@ -177,7 +174,6 @@ def _factor_task(
         method=method,
         block_width=config.p_eng if method == "block" else None,
         precision=config.precision,
-        strategy=strategy,
         deadline=deadline,
         check_invariants=check_invariants,
     ).singular_values
@@ -211,7 +207,7 @@ def _run_pipeline(
     with ``expired=True``; the parent converts the flags into one
     :class:`~repro.errors.DeadlineExceeded`.
     """
-    (pipelines, config, engine, degrade, worker_plan, strategy,
+    (pipelines, config, engine, degrade, worker_plan,
      budget_s, check_invariants, method) = payload
     from repro.linalg.svd import JACOBI_METHODS, _prepare, _svd_stacked
 
@@ -260,7 +256,7 @@ def _run_pipeline(
                     )))
                     continue
                 sigma = _factor_task(
-                    matrix, config, engine, strategy,
+                    matrix, config, engine,
                     deadline=deadline, check_invariants=check_invariants,
                     method=method,
                 )
@@ -274,7 +270,6 @@ def _run_pipeline(
             [task for _, _, task in deferred],
             method=method,
             precision=config.precision,
-            strategy=strategy,
             deadline=deadline,
             check_invariants=check_invariants,
         )
@@ -315,10 +310,6 @@ class BatchExecutor:
             reference LAPACK singular values and is reported via
             ``BatchReport.degraded_tasks``; when False the error
             propagates.
-        strategy: Jacobi inner-loop strategy for the software engine —
-            ``"auto"`` (default, which is ``"vectorized"``),
-            ``"scalar"`` or ``"vectorized"``; ignored by the
-            accelerator engine.
         stall_timeout: Optional watchdog timeout (seconds) for the
             pipeline fan-out; a stalled worker raises a retryable
             :class:`~repro.errors.ParallelExecutionError` instead of
@@ -342,7 +333,6 @@ class BatchExecutor:
         cache=None,
         retry=None,
         degrade: bool = True,
-        strategy: str = "auto",
         stall_timeout: Optional[float] = None,
         check_invariants: bool = False,
         method: str = "block",
@@ -355,14 +345,11 @@ class BatchExecutor:
             raise ConfigurationError(
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
-        from repro.linalg.hestenes import resolve_strategy
-
         self.config = config
         self.engine = engine
         self.jobs = jobs
         self.retry = retry
         self.degrade = degrade
-        self.strategy = resolve_strategy(strategy)
         self.stall_timeout = stall_timeout
         self.check_invariants = check_invariants
         self.method = method
@@ -427,7 +414,6 @@ class BatchExecutor:
                 self.engine,
                 self.degrade,
                 worker_plan,
-                self.strategy,
                 deadline.remaining() if deadline is not None else None,
                 self.check_invariants,
                 self.method,

@@ -40,10 +40,8 @@ from repro.linalg.convergence import (
     pair_convergence_ratios,
 )
 from repro.linalg.hestenes import (
-    STRATEGIES,
     HestenesResult,
     hestenes_svd,
-    resolve_strategy,
     sweep_pairs,
 )
 from repro.linalg.block import (
@@ -62,8 +60,6 @@ __all__ = [
     "apply_rotation",
     "sweep_pairs",
     "pair_convergence_ratios",
-    "STRATEGIES",
-    "resolve_strategy",
     "Ordering",
     "RingOrdering",
     "RoundRobinOrdering",

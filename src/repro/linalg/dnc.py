@@ -14,7 +14,7 @@ one behind LAPACK's ``dbdsdc``:
 2. **Conquer.**  Each half is factored recursively; blocks at or below
    ``leaf_size`` rows are handed to the existing one-sided Jacobi
    solver (:func:`repro.linalg.svd.svd` with ``method="hestenes"``),
-   so the leaves inherit the repo's round kernels and guard rails.
+   so the leaves inherit the repo's round kernel and guard rails.
 3. **Merge.**  Substituting the half factorizations turns ``B`` into a
    diagonal-plus-arrow matrix ``M = e_0 z^T + D``.  Its singular
    values are the roots of the secular equation
@@ -107,13 +107,11 @@ class _Context:
         leaf_size: int,
         precision: float,
         max_sweeps: int,
-        strategy: str,
         deadline: Optional[Deadline],
     ):
         self.leaf_size = leaf_size
         self.precision = precision
         self.max_sweeps = max_sweeps
-        self.strategy = strategy
         self.deadline = deadline
         self.sweeps = 0
         self.merges = 0
@@ -204,7 +202,6 @@ def _leaf(
         method="hestenes",
         precision=ctx.precision,
         max_sweeps=ctx.max_sweeps,
-        strategy=ctx.strategy,
         validate=False,
         prescale=False,
         deadline=ctx.deadline,
@@ -504,7 +501,6 @@ def dnc_svd(
     leaf_size: int = DEFAULT_LEAF_SIZE,
     precision: float = 1e-10,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    strategy: str = "auto",
     fallback: Optional[str] = None,
     validate: bool = True,
     deadline: "Optional[Deadline | float]" = None,
@@ -522,8 +518,6 @@ def dnc_svd(
             and the factor invariants hold even at the looser library
             default.
         max_sweeps: Sweep budget for the Jacobi leaves.
-        strategy: Round kernel for the leaves (``"auto"``,
-            ``"scalar"``, ``"vectorized"``).
         fallback: ``"reference"`` re-solves with LAPACK (marking the
             result ``degraded=True``) if the composed factors fail a
             reconstruction residual check, mirroring the Jacobi
@@ -562,7 +556,6 @@ def dnc_svd(
         leaf_size=leaf_size,
         precision=min(precision, 1e-14),
         max_sweeps=max_sweeps,
-        strategy=strategy,
         deadline=deadline,
     )
 

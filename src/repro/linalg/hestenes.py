@@ -68,43 +68,6 @@ DEFAULT_MAX_SWEEPS = 60
 #: more).  docs/performance.md gives the input set and the bands.
 _BLOCK_STALL = 0.9
 
-#: Recognized values for the ``strategy`` knob of the Jacobi solvers.
-#: The strategy picks only the round kernel the drivers call on their
-#: stacked ``W = [B; V]``: ``"scalar"`` forces the per-pair reference
-#: kernel (the golden reference the batched kernel is pinned against);
-#: ``"vectorized"`` forces the batched NumPy kernel; ``"auto"`` is
-#: ``"vectorized"``.
-STRATEGIES = ("auto", "scalar", "vectorized")
-
-
-def resolve_strategy(strategy: str) -> str:
-    """Map a user-facing strategy name to its round kernel's name.
-
-    ``"scalar"`` and ``"vectorized"`` pass through unchanged;
-    ``"auto"`` is ``"vectorized"``.
-
-    Raises:
-        NumericalError: for unrecognized strategy names.
-    """
-    if strategy not in STRATEGIES:
-        raise NumericalError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    return "vectorized" if strategy == "auto" else strategy
-
-
-def _round_sweeper(strategy: str):
-    """The round kernel for a resolved strategy.
-
-    Both share the ``(w, m, idx, precision, zero_sq, work)`` calling
-    form, with ``zero_sq`` one floor or one per pair, and return
-    ``(ratios, rotations)``: every pair's pre-rotation ratio.
-    """
-    if strategy == "scalar":
-        return _sweep_pairs_scalar
-    return _sweep_pairs_indexed
-
-
 def stack_panels(
     b_panels: "list[np.ndarray]",
     v_panels: "Optional[list[np.ndarray]]" = None,
@@ -312,8 +275,10 @@ def _sweep_pairs_scalar(
     :func:`~repro.linalg.rotations.compute_rotation` applied by
     :func:`~repro.linalg.rotations.apply_rotation` to the whole ``W``
     column pair, ``B`` and ``V`` rows alike.  This is Eqs. 5-6 as
-    written, the golden reference the batched and compiled kernels are
-    pinned against (they agree to dot-product summation order).
+    written: no solver calls it; it is the oracle the tests pin the
+    batched kernel against, by substituting it for
+    ``_sweep_pairs_indexed`` (the two agree to dot-product summation
+    order).
     """
     k = idx.size // 2
     floors = np.broadcast_to(zero_sq, (k,)).tolist()
@@ -565,7 +530,6 @@ def _block_jacobi_svd(
     ordering_cls: Type[Ordering],
     fixed_sweeps: Optional[int],
     fallback: Optional[str] = None,
-    strategy: str = "vectorized",
     deadline: Optional[Deadline] = None,
     check_invariants: bool = False,
     method: str = "block",
@@ -579,8 +543,8 @@ def _block_jacobi_svd(
 
     * a *pairwise* sweep runs a full ``ordering_cls`` sweep over the
       block pair's ``2 * block_width`` columns, ``(2k - 1) x k`` column
-      pair rotations through the round kernel that ``strategy``
-      (already resolved) picks: the accelerator's arithmetic.  With
+      pair rotations through the round kernel
+      :func:`_sweep_pairs_indexed`: the accelerator's arithmetic.  With
       ``block_width = n // 2`` the one block pair holds every column,
       which is the monolithic sweep :func:`hestenes_svd` runs through
       here;
@@ -651,7 +615,6 @@ def _block_jacobi_svd(
     # rounds (panel_schedule).
     w = stack_panels(matrices, [np.eye(n)] * len(matrices))
     work = round_workspace(w.shape, w.dtype)
-    sweep_rounds_fn = _round_sweeper(strategy)
 
     def rounds_for(tasks: "list[int]") -> "list[tuple[np.ndarray, np.ndarray]]":
         # Matrix t's round indices offset by its column base t*n, laid
@@ -717,7 +680,9 @@ def _block_jacobi_svd(
         ratios = []
         for idx, floor in rounds:
             check_deadline(active)
-            round_ratios, _ = sweep_rounds_fn(
+            # Looked up by module-global name at call time, so tracing
+            # and the tests' reference kernel can stand in for it.
+            round_ratios, _ = _sweep_pairs_indexed(
                 w, m, idx, precision, floor, work
             )
             ratios.append(round_ratios.reshape(len(tasks), -1))
@@ -887,7 +852,6 @@ def hestenes_svd(
     ordering_cls: Optional[Type[Ordering]] = None,
     fixed_sweeps: Optional[int] = None,
     fallback: Optional[str] = None,
-    strategy: str = "auto",
     deadline: "Optional[Deadline | float]" = None,
     check_invariants: bool = False,
 ) -> HestenesResult:
@@ -914,15 +878,6 @@ def hestenes_svd(
             non-convergence — the reference LAPACK SVD is returned
             (marked ``degraded=True``) instead of raising; None
             (default) keeps the raising behavior.
-        strategy: The round kernel run on the stacked ``[B; V]``:
-            ``"scalar"`` walks each round's pairs in a Python loop
-            (the reference, :func:`_sweep_pairs_scalar`);
-            ``"vectorized"`` rotates every round as one batch (see
-            :func:`sweep_pairs`); ``"auto"`` (default) is
-            ``"vectorized"``.  Both kernels perform the same rotations
-            in the same logical order and agree to
-            floating-point summation order (singular values within
-            ~1e-12 relative; pinned at 1e-10 by tests).
         deadline: Optional wall-clock budget — a
             :class:`~repro.guard.Deadline` or a number of seconds —
             checked cooperatively once per ordering round; on expiry
@@ -949,7 +904,6 @@ def hestenes_svd(
         raise NumericalError(
             f"unknown fallback {fallback!r}; expected None or 'reference'"
         )
-    strategy = resolve_strategy(strategy)
     deadline = as_deadline(deadline)
     a, injected = _hestenes_input(a, fallback)
     if injected is not None:
@@ -963,7 +917,6 @@ def hestenes_svd(
         ordering_cls=ordering_cls or RingOrdering,
         fixed_sweeps=fixed_sweeps,
         fallback=fallback,
-        strategy=strategy,
         deadline=deadline,
         check_invariants=check_invariants,
         method="hestenes",

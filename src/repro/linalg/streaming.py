@@ -59,14 +59,12 @@ class StreamingSVD:
         self,
         rank: int,
         precision: float = 1e-10,
-        strategy: str = "auto",
         max_sweeps: int = DEFAULT_MAX_SWEEPS,
     ):
         if rank < 1:
             raise ConfigurationError(f"rank must be >= 1, got {rank}")
         self.rank = rank
         self.precision = precision
-        self.strategy = strategy
         self.max_sweeps = max_sweeps
         self._u: Optional[np.ndarray] = None
         self._s: Optional[np.ndarray] = None
@@ -85,7 +83,6 @@ class StreamingSVD:
         power_iterations: int = 2,
         seed: Optional[int] = None,
         precision: float = 1e-10,
-        strategy: str = "auto",
     ) -> "StreamingSVD":
         """Warm-start from ``a`` through the randomized range-finder.
 
@@ -102,7 +99,7 @@ class StreamingSVD:
             raise NumericalError(
                 f"expected a 2-D matrix, got shape {a.shape}"
             )
-        self = cls(rank, precision=precision, strategy=strategy)
+        self = cls(rank, precision=precision)
         res = truncated_svd(
             a,
             rank=min(rank, min(a.shape)),
@@ -196,7 +193,6 @@ class StreamingSVD:
                 method="hestenes",
                 precision=min(self.precision, 1e-12),
                 max_sweeps=self.max_sweeps,
-                strategy=self.strategy,
                 validate=False,
                 prescale=False,
             )
@@ -237,7 +233,6 @@ class StreamingSVD:
             method="hestenes",
             precision=min(self.precision, 1e-12),
             max_sweeps=self.max_sweeps,
-            strategy=self.strategy,
             validate=False,
             prescale=False,
         )
@@ -284,7 +279,6 @@ def streaming_svd(
     chunk_rows: Optional[int] = None,
     precision: float = 1e-10,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    strategy: str = "auto",
     validate: bool = True,
     deadline: "Optional[Deadline | float]" = None,
 ) -> StreamingResult:
@@ -304,7 +298,6 @@ def streaming_svd(
             ``max(rank, 32)``).
         precision: Threshold for the small core solves.
         max_sweeps: Sweep budget for the core solves.
-        strategy: Strategy tier for the core solves.
         validate: Run :func:`~repro.guard.validate_matrix` first.
         deadline: Optional wall-clock budget, checked between folds.
     """
@@ -329,9 +322,7 @@ def streaming_svd(
     if step < 1:
         raise ConfigurationError(f"chunk_rows must be >= 1, got {step}")
 
-    stream = StreamingSVD(
-        k, precision=precision, strategy=strategy, max_sweeps=max_sweeps
-    )
+    stream = StreamingSVD(k, precision=precision, max_sweeps=max_sweeps)
     for start in range(0, m, step):
         if deadline is not None and deadline.expired():
             deadline.check(

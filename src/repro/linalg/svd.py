@@ -57,7 +57,6 @@ from repro.linalg.hestenes import (
     _block_jacobi_svd,
     _hestenes_input,
     reference_fallback,
-    resolve_strategy,
 )
 from repro.linalg.orderings import Ordering, ShiftingRingOrdering
 
@@ -68,6 +67,9 @@ JACOBI_METHODS = ("hestenes", "block")
 #: ones.  The batch executor, the serve wire protocol and the CLI accept
 #: exactly these.
 METHODS = JACOBI_METHODS + ("dnc", "streaming")
+#: The :class:`~repro.guard.PartialResult` kind each method's own
+#: deadline checks report; a Jacobi method's is ``"<method>-sweep"``.
+_DEADLINE_KINDS = {"dnc": "dnc_merge", "streaming": "streaming_fold"}
 
 
 @dataclass
@@ -155,7 +157,6 @@ def svd(
     ordering_cls: Optional[Type[Ordering]] = None,
     fixed_sweeps: Optional[int] = None,
     fallback: Optional[str] = None,
-    strategy: str = "auto",
     validate: bool = True,
     prescale: "bool | str" = "auto",
     deadline: "Optional[Deadline | float]" = None,
@@ -199,13 +200,6 @@ def svd(
         fallback: ``"reference"`` returns the LAPACK factorization
             (``degraded=True``) on non-convergence instead of raising
             :class:`~repro.errors.ConvergenceError`.
-        strategy: The column-pair round kernel of the Jacobi
-            methods' pairwise sweeps (``"block"``'s block rotations
-            take none): ``"scalar"`` for the per-pair reference kernel,
-            ``"vectorized"`` for batched rounds
-            (:func:`~repro.linalg.hestenes.sweep_pairs`), ``"auto"``
-            (default) for ``"vectorized"``.  Strategies agree to 1e-10 on the
-            singular values; see ``docs/performance.md``.
         validate: Run :func:`~repro.guard.validate_matrix` on the input
             (default).  Rejects NaN/Inf/non-numeric input with a
             structured :class:`~repro.errors.InputValidationError`
@@ -249,7 +243,6 @@ def svd(
         ordering_cls=ordering_cls,
         fixed_sweeps=fixed_sweeps,
         fallback=fallback,
-        strategy=strategy,
         validate=validate,
         prescale=prescale,
         deadline=deadline,
@@ -266,7 +259,6 @@ def _svd_many(
     ordering_cls: Optional[Type[Ordering]] = None,
     fixed_sweeps: Optional[int] = None,
     fallback: Optional[str] = None,
-    strategy: str = "auto",
     validate: bool = True,
     prescale: "bool | str" = "auto",
     deadline: "Optional[Deadline | float]" = None,
@@ -282,19 +274,22 @@ def _svd_many(
     Every result is bit-identical to :func:`svd` on its matrix alone.
     The first failure, in task order, is raised.
     """
-    strategy = resolve_strategy(strategy)
     deadline = as_deadline(deadline)
     solver = dict(
         precision=precision,
         max_sweeps=max_sweeps,
         fallback=fallback,
-        strategy=strategy,
         deadline=deadline,
         check_invariants=check_invariants,
     )
     results: "List[Optional[SVDResult]]" = [None] * len(matrices)
     deferred = []
     for i, a in enumerate(matrices):
+        # The preconditioner's QR and LQ can outlast a short budget.
+        if deadline is not None:
+            deadline.check(
+                _DEADLINE_KINDS.get(method, f"{method}-sweep"), completed=0
+            )
         task = _prepare(a, method, block_width, validate, prescale, fallback)
         if task is None:
             # The real embedding shares the input's magnitude range, so
@@ -337,7 +332,6 @@ def _reduce(
     precision: float,
     max_sweeps: int,
     fallback: Optional[str],
-    strategy: str,
     deadline: Optional[Deadline],
     check_invariants: bool,
 ):
@@ -355,7 +349,6 @@ def _reduce(
             work,
             precision=precision,
             max_sweeps=max_sweeps,
-            strategy=strategy,
             fallback=fallback,
             validate=False,
             deadline=deadline,
@@ -367,7 +360,6 @@ def _reduce(
             work,
             precision=precision,
             max_sweeps=max_sweeps,
-            strategy=strategy,
             validate=False,
             deadline=deadline,
         )
@@ -527,7 +519,6 @@ def _svd_stacked(
     ordering_cls: Optional[Type[Ordering]] = None,
     fixed_sweeps: Optional[int] = None,
     fallback: Optional[str] = None,
-    strategy: str = "vectorized",
     deadline: Optional[Deadline] = None,
     check_invariants: bool = False,
 ) -> "List[SVDResult | ReproError]":
@@ -537,10 +528,9 @@ def _svd_stacked(
     (:func:`~repro.linalg.hestenes._block_jacobi_svd` on the list of
     their matrices), so each round-kernel call rotates that round of
     every one of them; each task's bits are those of :func:`svd` on it
-    alone.  ``strategy`` must already be resolved.  Returns one outcome
-    per task, in order: its :class:`SVDResult`, or the
-    :class:`~repro.errors.ConvergenceError` /
-    :class:`~repro.errors.DeadlineExceeded` that ended it.
+    alone.  Returns one outcome per task, in order: its
+    :class:`SVDResult`, or the :class:`~repro.errors.ConvergenceError`
+    / :class:`~repro.errors.DeadlineExceeded` that ended it.
     """
     outcomes: "List[SVDResult | ReproError | None]" = [None] * len(tasks)
     groups: "dict[tuple, List[int]]" = {}
@@ -558,7 +548,6 @@ def _svd_stacked(
             ordering_cls=ordering_cls or ShiftingRingOrdering,
             fixed_sweeps=fixed_sweeps,
             fallback=fallback,
-            strategy=strategy,
             deadline=deadline,
             check_invariants=check_invariants,
             method=method,

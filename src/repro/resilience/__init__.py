@@ -15,8 +15,8 @@ and testable under failure:
   the DSE fan-out;
 * :mod:`repro.resilience.circuit` — :class:`CircuitBreaker`, the
   closed → open → half-open state machine (seeded probe scheduling)
-  the serving layer uses to send a failing engine strategy's batches
-  to the brownout tier and recover it by probing (see ``docs/serving.md``);
+  the serving layer uses to send a failing engine's batches to the
+  brownout tier and recover it by probing (see ``docs/serving.md``);
 * :mod:`repro.resilience.checkpoint` — :class:`SweepCheckpoint`,
   atomic JSON checkpointing of completed design-point evaluations so a
   killed sweep resumes (``--resume``) losing at most one chunk; a

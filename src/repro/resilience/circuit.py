@@ -1,8 +1,8 @@
 """Per-resource circuit breaker with seeded probe scheduling.
 
 A :class:`CircuitBreaker` protects one failure-prone tier (the serving
-layer keeps one per Jacobi strategy) with the classic three-state
-machine:
+layer keeps one, ``serve.engine``, for its engine tier) with the
+classic three-state machine:
 
 * **closed** — normal operation; failures are counted, and
   ``failure_threshold`` consecutive failures *trip* the breaker;

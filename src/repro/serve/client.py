@@ -206,7 +206,6 @@ class ServeClient:
         matrix: Optional[Sequence[Sequence[float]]] = None,
         tenant: Optional[str] = None,
         dtype: Optional[str] = None,
-        strategy: Optional[str] = None,
         method: Optional[str] = None,
         block_width: Optional[int] = None,
         deadline_s: Optional[float] = None,
@@ -232,8 +231,6 @@ class ServeClient:
             doc["tenant"] = tenant
         if dtype is not None:
             doc["dtype"] = dtype
-        if strategy is not None:
-            doc["strategy"] = strategy
         if method is not None:
             doc["method"] = method
         if block_width is not None:

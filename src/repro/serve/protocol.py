@@ -10,8 +10,7 @@ the exact JSON path of the violation instead of a stack trace.
 Request (``op="decompose"``)::
 
     {"op": "decompose", "id": "r-17", "tenant": "alpha",
-     "shape": [32, 32], "seed": 7, "strategy": "auto",
-     "deadline_s": 2.0}
+     "shape": [32, 32], "seed": 7, "deadline_s": 2.0}
 
 The matrix arrives either as ``shape`` + ``seed`` (the server
 regenerates it with :func:`repro.workloads.random_matrix` — the load
@@ -21,6 +20,9 @@ An optional ``method`` field selects the software solver
 ``"streaming"``, i.e. :data:`repro.linalg.svd.METHODS` — see
 ``docs/workloads.md`` for the crossover study);
 jobs with different methods never coalesce into one engine run.
+Since protocol version ``"2"`` there is one round kernel and no field
+to pick it; like any field the schema does not list, version 1's
+kernel-choice field is answered ``code="schema"``.
 ``float64`` values survive the JSON round trip exactly (``repr``
 shortest round-trip), which is what makes the server's answers
 byte-identical to a local :func:`repro.linalg.svd` call.
@@ -58,11 +60,10 @@ import numpy as np
 
 from repro.errors import SchemaValidationError, ServeProtocolError
 from repro.guard.schemas import validate_json
-from repro.linalg.hestenes import STRATEGIES, resolve_strategy
 from repro.linalg.svd import JACOBI_METHODS, METHODS
 
 #: Protocol version, echoed by ``ping`` and ``stats`` responses.
-PROTOCOL_VERSION = "1"
+PROTOCOL_VERSION = "2"
 
 #: Valid request operations.
 OPS = ("decompose", "ping", "stats", "shutdown", "drain")
@@ -72,9 +73,6 @@ ERROR_CODES = (
     "schema", "invalid", "oversized", "overloaded", "deadline",
     "shutdown", "draining", "internal",
 )
-
-#: Jacobi strategies accepted on the wire: ``linalg.STRATEGIES``.
-WIRE_STRATEGIES = STRATEGIES
 
 #: Matrix dtypes accepted on the wire.
 WIRE_DTYPES = ("float64", "float32")
@@ -89,14 +87,13 @@ REQUEST_SCHEMA = {
         "seed": int,
         "matrix": {"items": {"items": (int, float)}, "min_len": 1},
         "dtype": {"enum": WIRE_DTYPES},
-        "strategy": {"enum": WIRE_STRATEGIES},
         "method": {"enum": METHODS},
         "block_width": int,
         "deadline_s": (int, float),
     },
     "optional": {
-        "tenant", "shape", "seed", "matrix", "dtype", "strategy",
-        "method", "block_width", "deadline_s",
+        "tenant", "shape", "seed", "matrix", "dtype", "method",
+        "block_width", "deadline_s",
     },
 }
 
@@ -134,9 +131,8 @@ RESPONSE_SCHEMA = {
 MAX_LINE_BYTES = 1 << 24
 
 
-class CoalesceKey(Tuple[int, int, str, str, int, str]):
-    """Hashable batching key:
-    ``(m, n, dtype, strategy, block_width, method)``.
+class CoalesceKey(Tuple[int, int, str, int, str]):
+    """Hashable batching key: ``(m, n, dtype, block_width, method)``.
 
     ``m x n`` is the prepared shape the solver factors.  The
     ``"hestenes"``/``"block"`` methods sweep the ``n x n`` ``L`` of
@@ -145,7 +141,7 @@ class CoalesceKey(Tuple[int, int, str, str, int, str]):
     other methods factor ``(max(rows, cols), min(rows, cols))``, a wide
     matrix transposed.  Jobs sharing a key are
     interchangeable for the executor — same prepared shape and
-    dtype/strategy/block width/method feed the same solver
+    dtype/block width/method feed the same solver
     configuration, and one stacked Jacobi run — so the dispatcher may
     coalesce them into one :class:`~repro.exec.batch.BatchExecutor`
     run without changing any job's numerical result.
@@ -153,11 +149,9 @@ class CoalesceKey(Tuple[int, int, str, str, int, str]):
 
     __slots__ = ()
 
-    def __new__(cls, m: int, n: int, dtype: str, strategy: str,
-                block_width: int, method: str = "block"):
-        return super().__new__(
-            cls, (m, n, dtype, strategy, block_width, method)
-        )
+    def __new__(cls, m: int, n: int, dtype: str, block_width: int,
+                method: str = "block"):
+        return super().__new__(cls, (m, n, dtype, block_width, method))
 
     @property
     def m(self) -> int:
@@ -172,16 +166,12 @@ class CoalesceKey(Tuple[int, int, str, str, int, str]):
         return self[2]
 
     @property
-    def strategy(self) -> str:
+    def block_width(self) -> int:
         return self[3]
 
     @property
-    def block_width(self) -> int:
-        return self[4]
-
-    @property
     def method(self) -> str:
-        return self[5]
+        return self[4]
 
     @property
     def cells(self) -> int:
@@ -320,11 +310,7 @@ def request_key(doc: Dict[str, Any], shape: Tuple[int, int],
     """The request's coalescing key (shape already materialized).
 
     The shape is keyed as the prepared shape (see
-    :class:`CoalesceKey`), and the strategy is normalized through
-    :func:`repro.linalg.resolve_strategy` before keying: ``"auto"``
-    and its resolved kernel name the same engine configuration, so a
-    mixed batch of ``"auto"`` and explicit-kernel requests coalesces
-    instead of splitting into separate engine runs.
+    :class:`CoalesceKey`).
     """
     rows, cols = int(shape[0]), int(shape[1])
     method = doc.get("method", "block")
@@ -333,7 +319,6 @@ def request_key(doc: Dict[str, Any], shape: Tuple[int, int],
         m=n if method in JACOBI_METHODS else max(rows, cols),
         n=n,
         dtype=doc.get("dtype", "float64"),
-        strategy=resolve_strategy(doc.get("strategy", "auto")),
         block_width=int(doc.get("block_width", default_block_width)),
         method=method,
     )

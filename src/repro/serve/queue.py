@@ -108,7 +108,7 @@ class Job:
         request_id: Client-chosen correlation id (echoed in the
             response envelope).
         tenant: Tenant name for weighted scheduling.
-        key: Coalescing key (shape/dtype/strategy/block width).
+        key: Coalescing key (shape/dtype/block width/method).
         matrix: The materialized input.
         deadline: Per-job SLO budget, or None.
         enqueued_at: ``time.monotonic()`` at admission.

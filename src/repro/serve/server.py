@@ -40,9 +40,9 @@ Chaos hardening (``docs/serving.md`` has the failure-mode matrix):
   :class:`~repro.resilience.FaultPlan` attack a live daemon — dropped
   admissions, dispatcher crashes, dropped/slowed responses, injected
   engine failures;
-* a per-strategy :class:`~repro.resilience.CircuitBreaker` sends the
-  batches of a repeatedly failing strategy to the brownout tier and
-  recovers it via seeded half-open probes;
+* one engine :class:`~repro.resilience.CircuitBreaker`
+  (``serve.engine``) sends the batches of a repeatedly failing engine
+  to the brownout tier and recovers it via seeded half-open probes;
 * the dispatcher runs under a supervisor: a crash answers the
   in-flight batch with structured ``internal`` errors and restarts the
   loop, so every admitted request is answered exactly once;
@@ -133,7 +133,6 @@ class ServeConfig:
         jobs: OS-level parallelism for the executor (1 = inline, the
             recommended serving default — the compute thread is the
             unit of parallelism).
-        strategy: Default Jacobi strategy for the engine tier.
         precision: Convergence threshold forwarded to the solver.
         admission: The admission-control ladder knobs.
         tenant_weights: WFQ weights (unlisted tenants get 1.0).
@@ -146,9 +145,9 @@ class ServeConfig:
         drain_deadline_s: Wall-clock budget for finishing queued work
             after a ``drain`` op / SIGTERM; leftovers past it are
             answered with ``code="shutdown"``.
-        breaker_threshold: Consecutive engine-batch failures of one
-            strategy that trip its circuit breaker.
-        breaker_probe_after: Batches withheld from a tripped strategy
+        breaker_threshold: Consecutive engine-batch failures that trip
+            the engine circuit breaker.
+        breaker_probe_after: Batches withheld from a tripped engine
             before a half-open recovery probe (plus seeded jitter).
     """
 
@@ -157,7 +156,6 @@ class ServeConfig:
     p_eng: int = 4
     p_task: int = 2
     jobs: int = 1
-    strategy: str = "auto"
     precision: float = 1e-6
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     tenant_weights: Dict[str, float] = field(default_factory=dict)
@@ -242,9 +240,13 @@ class SVDServer:
         self._conn_tasks: set = set()
         self._side_tasks: set = set()
         self._oversized_inflight = 0
-        #: Per-strategy circuit breakers, created lazily on the first
-        #: engine failure of a strategy — zero cost on the happy path.
-        self._breakers: Dict[str, CircuitBreaker] = {}
+        #: The engine tier's circuit breaker; while closed it costs
+        #: one state test per batch.
+        self._breaker = CircuitBreaker(
+            name="serve.engine",
+            failure_threshold=self.config.breaker_threshold,
+            probe_after=self.config.breaker_probe_after,
+        )
         #: The batch currently on the compute thread; a dispatcher
         #: crash answers these jobs instead of stranding their clients.
         self._inflight: List[Job] = []
@@ -666,49 +668,31 @@ class SVDServer:
             self._configs[key] = config
         return config
 
-    def _admit_engine(
-        self, strategy: str
-    ) -> Tuple[bool, Optional[CircuitBreaker]]:
-        """Whether the strategy's breaker admits an engine batch (a
-        closed breaker, no breaker yet, or an open breaker due for a
-        half-open probe), and that breaker.
-
-        Returns ``(False, None)`` when the breaker is open — the
-        batch is then served from the brownout tier.
+    def _admit_engine(self) -> bool:
+        """Whether the engine breaker admits a batch: closed, or open
+        and due for a half-open probe.  False sends the batch to the
+        brownout tier.
         """
-        breaker = self._breakers.get(strategy)
-        if breaker is None:
-            return True, None
-        if not breaker.allow():
-            return False, None
-        if breaker.state == "half_open":
+        if not self._breaker.allow():
+            return False
+        if self._breaker.state == "half_open":
             self._count("serve.breaker_probes")
-        return True, breaker
-
-    def _strategy_breaker(self, strategy: str) -> CircuitBreaker:
-        breaker = self._breakers.get(strategy)
-        if breaker is None:
-            breaker = self._breakers[strategy] = CircuitBreaker(
-                name=f"serve.engine.{strategy}",
-                failure_threshold=self.config.breaker_threshold,
-                probe_after=self.config.breaker_probe_after,
-            )
-        return breaker
+        return True
 
     async def _handle_engine_failure(
-        self, jobs: List[Job], strategy: str, error: BaseException
+        self, jobs: List[Job], error: BaseException
     ) -> None:
-        """Feed an engine-batch failure to the strategy's breaker, then
+        """Feed an engine-batch failure to the engine breaker, then
         either requeue the batch once (transient failures, when a retry
         policy is configured) or answer every job ``internal``.
         """
-        event = self._strategy_breaker(strategy).record_failure()
+        event = self._breaker.record_failure()
         if event == "tripped":
             self._count("serve.breaker_trips")
             print(
-                f"serve: circuit breaker tripped for strategy "
-                f"{strategy!r} after {self.config.breaker_threshold} "
-                f"consecutive failures", file=sys.stderr,
+                f"serve: engine circuit breaker tripped after "
+                f"{self.config.breaker_threshold} consecutive failures",
+                file=sys.stderr,
             )
         elif event == "reopened":
             self._count("serve.breaker_reopened")
@@ -739,10 +723,8 @@ class SVDServer:
 
         config = self.config
         dispatched_at = time.monotonic()
-        strategy = key.strategy
-        admitted, breaker = self._admit_engine(strategy)
-        if not admitted:
-            # The strategy's breaker is open: brownout keeps answering.
+        if not self._admit_engine():
+            # The engine breaker is open: brownout keeps answering.
             self._count("serve.breaker_browned_out")
             await self._run_brownout(jobs, shed=True)
             return
@@ -755,7 +737,6 @@ class SVDServer:
                     engine="software",
                     jobs=config.jobs,
                     retry=self._retry,
-                    strategy=strategy,
                     method=key.method,
                 )
                 batch = TaskBatch(
@@ -783,9 +764,9 @@ class SVDServer:
             await self._finish_expired_batch(jobs, dispatched_at, error)
             return
         except Exception as error:
-            await self._handle_engine_failure(jobs, strategy, error)
+            await self._handle_engine_failure(jobs, error)
             return
-        if breaker is not None and breaker.record_success() == "recovered":
+        if self._breaker.record_success() == "recovered":
             self._count("serve.breaker_recoveries")
         self._count("serve.batches")
         self._count("serve.coalesced_tasks", len(jobs))

@@ -2,7 +2,7 @@
 
 :data:`CONTRACTS` states each solver's accuracy contract, once.
 :func:`cells` lists the battery that enforces it: input class x solver
-x strategy x T (tasks per run).  A cell factors its input(s) at
+x T (tasks per run).  A cell factors its input(s) at
 :data:`PRECISION` and compares every result with LAPACK at
 float64 (complex128) on the same values, through the error measures of
 :mod:`repro.linalg.reference`:
@@ -170,25 +170,18 @@ class Cell:
     Attributes:
         solver: A :data:`CONTRACTS` key.
         input_class: An :data:`INPUT_CLASSES` key.
-        strategy: The Jacobi round kernel (``svd(strategy=...)``);
-            ``"auto"`` for the reduction methods, ``"-"`` for the
-            hardware models, which run their own.
         tasks: Matrices per run; above 1 they run as one stacked
             :func:`~repro.workloads.batch.solve_batch` call.
     """
 
     solver: str
     input_class: str
-    strategy: str
     tasks: int = 1
 
     @property
     def name(self) -> str:
-        """``solver/input_class/strategy/T=tasks``, the test id."""
-        return (
-            f"{self.solver}/{self.input_class}/{self.strategy}/"
-            f"T={self.tasks}"
-        )
+        """``solver/input_class/T=tasks``, the test id."""
+        return f"{self.solver}/{self.input_class}/T={self.tasks}"
 
 
 @dataclass(frozen=True)
@@ -212,21 +205,12 @@ class CellResult:
         return not self.failures
 
 
-def _strategies(solver: str) -> Tuple[str, ...]:
-    if solver in _HARDWARE:
-        return ("-",)
-    if solver not in JACOBI_METHODS:
-        return ("auto",)
-    return ("scalar", "vectorized")
-
-
 def cells() -> List[Cell]:
-    """The battery: input class x solver x strategy x T."""
+    """The battery: input class x solver x T."""
     return [
-        Cell(solver, input_class, strategy, tasks)
+        Cell(solver, input_class, tasks)
         for solver, contract in CONTRACTS.items()
         for input_class in contract.classes
-        for strategy in _strategies(solver)
         for tasks in ((1, 3) if solver in JACOBI_METHODS else (1,))
     ]
 
@@ -242,9 +226,7 @@ def _p_eng(n: int) -> int:
     return next(p for p in (4, 2, 1) if n % p == 0 and n // p >= 2)
 
 
-def factor(
-    solver: str, matrices: Sequence[np.ndarray], strategy: str = "auto"
-) -> List[tuple]:
+def factor(solver: str, matrices: Sequence[np.ndarray]) -> List[tuple]:
     """Factor ``matrices`` with one solver, one ``(u, s, v)`` each.
 
     ``v`` is None for the co-simulator, which returns U and the
@@ -266,15 +248,12 @@ def factor(
                 out.append((r.u, r.sigma, None))
         return out
     if len(matrices) == 1:
-        results = [svd(
-            matrices[0], method=solver, strategy=strategy,
-            precision=PRECISION,
-        )]
+        results = [svd(matrices[0], method=solver, precision=PRECISION)]
     else:
         m, n = matrices[0].shape
         results = solve_batch(
-            TaskBatch(m, n, list(matrices)), strategy=strategy,
-            method=solver, precision=PRECISION,
+            TaskBatch(m, n, list(matrices)), method=solver,
+            precision=PRECISION,
         )
     return [(r.u, r.singular_values, r.v) for r in results]
 
@@ -327,7 +306,7 @@ def run_cell(cell: Cell) -> CellResult:
     errors: Dict[str, float] = {}
     failures: List[str] = []
     for t, (a, factors) in enumerate(
-        zip(matrices, factor(cell.solver, matrices, cell.strategy))
+        zip(matrices, factor(cell.solver, matrices))
     ):
         task_errors, task_failures = measure(cell.solver, a, *factors)
         for name, error in task_errors.items():

@@ -90,26 +90,23 @@ def make_batch(m: int, n: int, batch: int, seed: int = 0) -> TaskBatch:
 
 def solve_batch(
     batch: TaskBatch,
-    strategy: str = "auto",
     deadline=None,
     **svd_kwargs,
 ) -> List:
     """Factor every task of a batch in-process with the software solver.
 
     The serial batched-SVD path: each matrix is factored as
-    :func:`repro.linalg.svd` would, with the selected inner-loop
-    ``strategy`` (``"auto"``/``"scalar"``/``"vectorized"``).
-    For the ``"hestenes"`` and ``"block"`` methods the tasks of one
-    shape run as one stacked Jacobi run: each round-kernel call rotates
-    that round of every task still sweeping, and each task's result is
-    bit-identical to a solo ``svd``.  Use
+    :func:`repro.linalg.svd` would.  For the ``"hestenes"`` and
+    ``"block"`` methods the tasks of one shape run as one stacked Jacobi
+    run: each round-kernel call rotates that round of every task still
+    sweeping, and each task's result is bit-identical to a solo
+    ``svd``.  Use
     :class:`~repro.exec.batch.BatchExecutor` instead when the batch
     should fan out across pipeline workers; this helper is the
     single-process building block the benchmark suites time.
 
     Args:
         batch: The task batch.
-        strategy: Jacobi inner-loop strategy, forwarded to ``svd``.
         deadline: Optional wall-clock budget for the *whole batch* (a
             :class:`~repro.guard.Deadline` or seconds).  Anchored once
             here, so every task draws from the same budget; expiry
@@ -123,6 +120,4 @@ def solve_batch(
     """
     from repro.linalg.svd import _svd_many
 
-    return _svd_many(
-        list(batch), strategy=strategy, deadline=deadline, **svd_kwargs
-    )
+    return _svd_many(list(batch), deadline=deadline, **svd_kwargs)

@@ -191,7 +191,6 @@ class TestBlockDriverParity:
             max_sweeps=DEFAULT_MAX_SWEEPS,
             ordering_cls=ShiftingRingOrdering,
             fixed_sweeps=sweeps,
-            strategy="vectorized",
             method="hestenes",
         )
         assert result.iterations == sweeps

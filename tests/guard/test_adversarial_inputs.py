@@ -49,12 +49,11 @@ class TestLibraryEntryPoints:
         assert excinfo.value.reason == "non-finite"
 
     @pytest.mark.parametrize("bad", ADVERSARIAL_NONFINITE)
-    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
-    def test_hestenes_rejects_non_finite(self, bad, strategy):
+    def test_hestenes_rejects_non_finite(self, bad):
         from repro.linalg.hestenes import hestenes_svd
 
         with pytest.raises(InputValidationError):
-            hestenes_svd(bad, strategy=strategy)
+            hestenes_svd(bad)
 
     @pytest.mark.parametrize("bad", ADVERSARIAL_NONFINITE)
     def test_solve_batch_rejects_non_finite(self, bad):

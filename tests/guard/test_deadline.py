@@ -1,5 +1,6 @@
 """Deadline budgets: unit behavior and end-to-end expiry contracts."""
 
+import importlib
 import pickle
 import time
 
@@ -100,6 +101,29 @@ class TestSolverDeadline:
             svd(a, method="block", block_width=8, deadline=0.05,
                 precision=1e-13, max_sweeps=100)
         assert excinfo.value.partial.kind == "block-sweep"
+
+    @pytest.mark.parametrize("method,kind", [
+        ("hestenes", "hestenes-sweep"),
+        ("block", "block-sweep"),
+        ("dnc", "dnc_merge"),
+        ("streaming", "streaming_fold"),
+    ])
+    def test_expired_budget_raises_before_the_preconditioner(
+            self, monkeypatch, method, kind):
+        # The preconditioner's QR and LQ can outlast a short budget, so
+        # an expired one must stop the solve before they run.  (The
+        # module, not the ``repro.linalg.svd`` function.)
+        svd_module = importlib.import_module("repro.linalg.svd")
+
+        def no_prepare(*args, **kwargs):
+            pytest.fail("_prepare ran after the deadline expired")
+
+        monkeypatch.setattr(svd_module, "_prepare", no_prepare)
+        a = conditioned_matrix(64, 64, condition=1e12, seed=0)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            svd_module.svd(a, method=method, deadline=Deadline(0.0))
+        assert excinfo.value.partial.kind == kind
+        assert excinfo.value.partial.completed == 0
 
     def test_generous_deadline_does_not_interfere(self, rng):
         from repro.linalg.svd import svd

@@ -21,6 +21,7 @@ from repro.linalg.svd import _prepare, _svd_many
 from repro.workloads.matrices import conditioned_matrix, random_matrix
 from tests.exec.test_deadline_partial import _CountdownDeadline
 from tests.linalg.test_stacked_driver import _bits
+from tests.linalg.test_strategy_parity import running_kernel
 
 EPS = np.finfo(float).eps
 
@@ -64,8 +65,7 @@ class TestBlockSweeps:
     def test_one_call_per_tournament_round(self, monkeypatch):
         calls = _Calls(monkeypatch)
         a = random_matrix(128, 128, seed=0)
-        result = svd(a, method="block", precision=1e-6,
-                     strategy="vectorized")
+        result = svd(a, method="block", precision=1e-6)
         assert result.converged
         # 16 blocks of 8 columns: 15 tournament rounds per sweep.
         assert calls.blocks == 15 * result.sweeps
@@ -76,8 +76,7 @@ class TestBlockSweeps:
     def test_stalled_block_sweeps_hand_over_to_pairwise(self, monkeypatch):
         calls = _Calls(monkeypatch)
         a = conditioned_matrix(64, 64, 1e10, seed=0)
-        result = svd(a, method="block", precision=1e-10,
-                     strategy="vectorized")
+        result = svd(a, method="block", precision=1e-10)
         assert result.converged and not result.degraded
         residuals = result.sweep_residuals
         # A block sweep that stalls, then pairwise sweeps: 7 tournament
@@ -218,10 +217,10 @@ class TestShapes:
 
 
 class TestPairwiseKernelTiers:
-    """``strategy`` picks the pairwise round kernel, which a block solve
-    runs only in its finish: the scalar-against-batched parity of the
-    two kernels, on kappa = 1e12 inputs whose block sweeps stall and
-    hand over at every one of these shapes."""
+    """A block solve runs the pairwise round kernel only in its finish:
+    the parity of the batched kernel with the scalar reference, on
+    kappa = 1e12 inputs whose block sweeps stall and hand over at every
+    one of these shapes."""
 
     @pytest.mark.parametrize("shape,block_width", [
         ((32, 32), 8),
@@ -231,19 +230,20 @@ class TestPairwiseKernelTiers:
     ])
     def test_block_finish(self, monkeypatch, shape, block_width):
         scalar_calls = [0]
-        scalar_kernel = hestenes._sweep_pairs_scalar
 
         def count_scalar(*args):
             scalar_calls[0] += 1
-            return scalar_kernel(*args)
+            return hestenes._sweep_pairs_scalar(*args)
 
-        monkeypatch.setattr(hestenes, "_sweep_pairs_scalar", count_scalar)
         a = conditioned_matrix(*shape, 1e12, seed=0)
         kwargs = dict(method="block", block_width=block_width,
                       precision=1e-10)
-        scalar = svd(a, strategy="scalar", **kwargs)
+        # The scalar reference stands in for the round kernel.
+        with monkeypatch.context() as patch:
+            patch.setattr(hestenes, "_sweep_pairs_indexed", count_scalar)
+            scalar = svd(a, **kwargs)
         assert scalar_calls[0] > 0
-        batched = svd(a, strategy="vectorized", **kwargs)
+        batched = svd(a, **kwargs)
         np.testing.assert_allclose(
             scalar.singular_values, batched.singular_values,
             rtol=0.0, atol=1e-10 * scalar.singular_values[0],
@@ -267,14 +267,18 @@ def _mixed_stack():
 class TestMixedStack:
     """A stacked run whose tasks sweep different ways in one sweep."""
 
-    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
-    def test_svd_bit_identical(self, monkeypatch, strategy):
+    @pytest.mark.parametrize("kernel_name", ["scalar", "vectorized"])
+    def test_svd_bit_identical(self, monkeypatch, kernel_name):
         matrices = _mixed_stack()
-        kwargs = dict(method="block", precision=1e-10, strategy=strategy)
-        solo = [svd(a, **kwargs) for a in matrices]
+        kwargs = dict(method="block", precision=1e-10)
+        with running_kernel(kernel_name):
+            solo = [svd(a, **kwargs) for a in matrices]
         assert [r.sweeps for r in solo] == [5, 5, 5, 6]
+        # Patched outside the kernel context, so teardown restores the
+        # production kernel.
         calls = _Calls(monkeypatch)
-        stacked = _svd_many(matrices, **kwargs)
+        with running_kernel(kernel_name):
+            stacked = _svd_many(matrices, **kwargs)
         # Sweeps 1-4 rotate the four tasks' panels together; sweep 5
         # the Gaussians' and the second stalled task's, sweep 6 none.
         assert calls.blocks == 7 * 5
@@ -286,7 +290,7 @@ class TestMixedStack:
                  for a in _mixed_stack()]
         args = dict(block_width=8, precision=1e-10, max_sweeps=60,
                     ordering_cls=ShiftingRingOrdering, fixed_sweeps=None,
-                    strategy="vectorized", method="block")
+                    method="block")
         solo = [hestenes._block_jacobi_svd(a, **args) for a in works]
         counter = _CountdownDeadline(60.0)
         stacked = hestenes._block_jacobi_svd(works, deadline=counter,

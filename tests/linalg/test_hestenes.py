@@ -19,6 +19,7 @@ from repro.linalg.orderings import (
 )
 from repro.linalg.svd import svd
 from repro.workloads.matrices import conditioned_matrix
+from tests.linalg.test_strategy_parity import running_kernel
 
 
 class TestHestenesSVD:
@@ -111,13 +112,13 @@ def _one_pair_inputs():
 ONE_PAIR_INPUTS = _one_pair_inputs()
 
 
-def _one_pair_block(a, fixed_sweeps, ordering_cls, strategy):
+def _one_pair_block(a, fixed_sweeps, ordering_cls):
     """The block driver's ``method="block"`` sweeps on ``a`` with one
     block pair."""
     return _block_jacobi_svd(
         a, block_width=a.shape[1] // 2, precision=DEFAULT_PRECISION,
         max_sweeps=DEFAULT_MAX_SWEEPS, ordering_cls=ordering_cls,
-        fixed_sweeps=fixed_sweeps, strategy=strategy, method="block",
+        fixed_sweeps=fixed_sweeps, method="block",
     )
 
 
@@ -131,15 +132,16 @@ class TestOneBlockPair:
     @pytest.mark.parametrize("fixed_sweeps", [1, 3])
     @pytest.mark.parametrize("ordering_cls",
                              [RingOrdering, ShiftingRingOrdering])
-    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("kernel_name", ["scalar", "vectorized"])
     def test_fixed_sweeps_bit_identical(self, case, fixed_sweeps,
-                                        ordering_cls, strategy):
+                                        ordering_cls, kernel_name):
         # The first sweep's V is the panel's rotation itself.  It leaves
         # every pair below precision, so later sweeps (a block sweep,
         # then, stalled, a pairwise one in whatever ordering and
-        # strategy) rotate nothing.
+        # round kernel) rotate nothing.
         a = ONE_PAIR_INPUTS[case]
-        block = _one_pair_block(a, fixed_sweeps, ordering_cls, strategy)
+        with running_kernel(kernel_name):
+            block = _one_pair_block(a, fixed_sweeps, ordering_cls)
         rotation = hestenes._gram_rotations((a.T @ a)[None])[0]
         order = np.argsort(-np.linalg.norm(a @ rotation, axis=0),
                            kind="stable")
@@ -164,13 +166,11 @@ class TestOneBlockPair:
 
         monkeypatch.setattr(hestenes, "_sweep_pairs_indexed", keep_worst)
         a = conditioned_matrix(64, 64, 1e10, seed=1)
-        block = svd(a, method="block", precision=1e-10,
-                    strategy="vectorized")
+        block = svd(a, method="block", precision=1e-10)
         # One pairwise sweep: 7 tournament rounds of 15 ordering rounds.
         assert len(worst) == 7 * 15
         assert max(worst) >= 1e-10 > block.sweep_residuals[-1]
-        mono = svd(a, method="hestenes", precision=1e-10,
-                   strategy="vectorized")
+        mono = svd(a, method="hestenes", precision=1e-10)
         assert (mono.sweeps, block.sweeps) == (7, 5)
         np.testing.assert_allclose(mono.singular_values,
                                    block.singular_values, rtol=1e-12)

@@ -53,7 +53,7 @@ class TestFewerSweeps:
         ops = _solve_like_inputs()
         preconditioned = plain = 0
         for a, method in ops:
-            result = svd(a, method=method, strategy="vectorized")
+            result = svd(a, method=method)
             assert result.converged and not result.degraded
             preconditioned += result.sweeps
             plain += _block_jacobi_svd(
@@ -63,7 +63,6 @@ class TestFewerSweeps:
                 max_sweeps=DEFAULT_MAX_SWEEPS,
                 ordering_cls=ShiftingRingOrdering,
                 fixed_sweeps=None,
-                strategy="vectorized",
                 method=method,
             ).sweeps
         assert preconditioned <= 0.75 * plain, (preconditioned, plain)
@@ -73,7 +72,7 @@ class TestFewerSweeps:
         # these inputs and the LQ step's L 60.
         two_step = one_step = 0
         for a, method in _solve_like_inputs():
-            two_step += svd(a, method=method, strategy="vectorized").sweeps
+            two_step += svd(a, method=method).sweeps
             perm = np.argsort(-np.einsum("ij,ij->j", a, a), kind="stable")
             one_step += _block_jacobi_svd(
                 np.linalg.qr(a[:, perm])[1].T.copy(),
@@ -82,7 +81,6 @@ class TestFewerSweeps:
                 max_sweeps=DEFAULT_MAX_SWEEPS,
                 ordering_cls=ShiftingRingOrdering,
                 fixed_sweeps=None,
-                strategy="vectorized",
                 method=method,
             ).sweeps
         assert two_step <= 0.9 * one_step, (two_step, one_step)
@@ -95,7 +93,7 @@ class TestFewerSweeps:
                 a, block_width=a.shape[1] // 2, precision=1e-10,
                 max_sweeps=DEFAULT_MAX_SWEEPS,
                 ordering_cls=ShiftingRingOrdering, fixed_sweeps=None,
-                strategy="vectorized", method="hestenes",
+                method="hestenes",
             ).sweeps
 
         plain = unpivoted = sorted_qr = 0
@@ -104,8 +102,8 @@ class TestFewerSweeps:
                 a = random_matrix(64, 64, seed=seed) * scales
                 plain += plain_sweeps(a)
                 unpivoted += plain_sweeps(np.linalg.qr(a)[1].T.copy())
-                sorted_qr += svd(a, method="hestenes", precision=1e-10,
-                                 strategy="vectorized").sweeps
+                sorted_qr += svd(a, method="hestenes",
+                                 precision=1e-10).sweeps
         assert sorted_qr < plain < unpivoted, (sorted_qr, plain, unpivoted)
 
 
@@ -157,7 +155,7 @@ class TestShapesShareAStack:
             _prepare(a, method, None, True, "auto", None).work.shape
             for a in matrices
         } == {(16, 16)}
-        kwargs = dict(method=method, strategy="vectorized")
+        kwargs = dict(method=method)
         batch = solve_batch(TaskBatch(16, 16, matrices), **kwargs)
         for a, got in zip(matrices, batch):
             want = svd(a, **kwargs)

@@ -31,6 +31,7 @@ from repro.linalg.svd import _svd_many
 from repro.resilience import FaultPlan, FaultSpec
 from repro.workloads.batch import TaskBatch
 from tests.exec.test_deadline_partial import _CountdownDeadline
+from tests.linalg.test_strategy_parity import running_kernel
 
 
 def _inputs(kind, count, seed=0):
@@ -79,21 +80,22 @@ KINDS = ["tall", "wide", "padded", "float32", "rank_deficient", "huge",
 
 class TestStackEqualsSoloRuns:
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("kernel_name", ["scalar", "vectorized"])
     @pytest.mark.parametrize("method", ["hestenes", "block"])
     @pytest.mark.parametrize("count", [1, 2, 3, 8])
-    def test_svd_bit_identical(self, count, method, strategy, kind):
+    def test_svd_bit_identical(self, count, method, kernel_name, kind):
         matrices = _inputs(kind, count, seed=count)
-        kwargs = dict(method=method, strategy=strategy,
-                      **_method_kwargs(method))
-        stacked = _svd_many(matrices, **kwargs)
-        for a, got in zip(matrices, stacked):
-            assert _bits(got) == _bits(svd(a, **kwargs))
+        kwargs = dict(method=method, **_method_kwargs(method))
+        with running_kernel(kernel_name):
+            stacked = _svd_many(matrices, **kwargs)
+            for a, got in zip(matrices, stacked):
+                assert _bits(got) == _bits(svd(a, **kwargs))
 
-    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("kernel_name", ["scalar", "vectorized"])
     @pytest.mark.parametrize("method", ["hestenes", "block"])
     @pytest.mark.parametrize("count", [1, 2, 3, 8])
-    def test_driver_rotations_bit_identical(self, count, method, strategy):
+    def test_driver_rotations_bit_identical(self, count, method,
+                                            kernel_name):
         rng = np.random.default_rng(count)
         matrices = [rng.standard_normal((18, 16)) for _ in range(count)]
         # Graded columns converge at different sweeps: the set of
@@ -102,12 +104,13 @@ class TestStackEqualsSoloRuns:
         width = 8 if method == "hestenes" else 4
         args = dict(block_width=width, precision=1e-10, max_sweeps=60,
                     ordering_cls=ShiftingRingOrdering, fixed_sweeps=None,
-                    strategy=strategy, method=method)
-        stacked = _block_jacobi_svd(matrices, **args)
-        for a, got in zip(matrices, stacked):
-            want = _block_jacobi_svd(a, **args)
-            assert _bits(got) == _bits(want)
-            assert got.rotations == want.rotations
+                    method=method)
+        with running_kernel(kernel_name):
+            stacked = _block_jacobi_svd(matrices, **args)
+            for a, got in zip(matrices, stacked):
+                want = _block_jacobi_svd(a, **args)
+                assert _bits(got) == _bits(want)
+                assert got.rotations == want.rotations
 
     @pytest.mark.filterwarnings("ignore::repro.errors.DegradedResultWarning")
     @pytest.mark.parametrize("method", ["hestenes", "block"])
@@ -222,7 +225,7 @@ class TestDeadlineCut:
                     rng.standard_normal((16, 12))]
         args = dict(block_width=4, precision=1e-10, max_sweeps=60,
                     ordering_cls=ShiftingRingOrdering, fixed_sweeps=None,
-                    strategy="vectorized", method="block")
+                    method="block")
         solo = [_block_jacobi_svd(a, **args) for a in matrices]
         counter = _CountdownDeadline(60.0)
         _block_jacobi_svd(matrices[1], deadline=counter, **args)

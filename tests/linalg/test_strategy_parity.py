@@ -1,28 +1,31 @@
-"""Cross-strategy parity for the Jacobi inner-loop kernels.
+"""Parity of the production round kernel with the scalar reference.
 
-The ``vectorized`` kernel processes each ordering round (disjoint
-pairs) as one batch.  These tests pin the contract from
-docs/performance.md: same rotations in the same logical order as the
-``scalar`` reference, so both strategies agree on singular values (to
-floating-point summation order), sweep counts, and residual histories
-— across the monolithic and block drivers, odd block counts, wide,
-rank-deficient, and complex inputs — and the batched kernel is
-substantially faster.
+The drivers run one round kernel,
+:func:`~repro.linalg.hestenes._sweep_pairs_indexed`, which processes
+each ordering round (disjoint pairs) as one batch.  The per-pair
+:func:`~repro.linalg.hestenes._sweep_pairs_scalar` is Eqs. 5-6 as
+written and is kept as the oracle: :func:`scalar_kernel` substitutes it
+through the drivers' call-time lookup of the kernel's module-global
+name.  These tests pin the contract from docs/performance.md: same
+rotations in the same logical order, so both kernels agree on singular
+values (to floating-point summation order), sweep counts, and residual
+histories — across the monolithic and block drivers, odd block counts,
+wide, rank-deficient, and complex inputs, and every input class of the
+validation battery — and the batched kernel is substantially faster.
 """
 
+import contextlib
 import time
 
 import numpy as np
 import pytest
 
+import repro.linalg.hestenes as hestenes
+from repro.core.config import HeteroSVDConfig
 from repro.errors import NumericalError
-from repro.linalg import (
-    STRATEGIES,
-    hestenes_svd,
-    resolve_strategy,
-    sweep_pairs,
-    svd,
-)
+from repro.exec.batch import BatchExecutor
+from repro.linalg import hestenes_svd, sweep_pairs, svd
+from repro.linalg.dnc import dnc_svd
 from repro.linalg.block import block_pair_round_indices
 from repro.linalg.hestenes import (
     _sweep_pairs_indexed,
@@ -35,51 +38,47 @@ from repro.linalg.orderings import (
     RoundRobinOrdering,
     ShiftingRingOrdering,
 )
+from repro.linalg.streaming import StreamingSVD, streaming_svd
+from repro.serve.client import ServeClient
+from repro.serve.server import ServeConfig
+from repro.validation import INPUT_CLASSES, PRECISION, Cell, cell_input
+from repro.workloads.batch import TaskBatch, solve_batch
 from repro.workloads.matrices import low_rank_matrix, random_matrix
 
 
-class TestResolveStrategy:
-    def test_auto_is_vectorized(self):
-        assert resolve_strategy("auto") == "vectorized"
+@contextlib.contextmanager
+def scalar_kernel():
+    """Inside the block, the drivers run the scalar reference kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hestenes, "_sweep_pairs_indexed", _sweep_pairs_scalar)
+        yield
 
-    @pytest.mark.parametrize("name", ["scalar", "vectorized"])
-    def test_explicit_passthrough(self, name):
-        assert resolve_strategy(name) == name
 
-    def test_resolution_is_idempotent(self):
-        for name in STRATEGIES:
-            resolved = resolve_strategy(name)
-            assert resolve_strategy(resolved) == resolved
-
-    @pytest.mark.parametrize("name", ["simd", "native"])
-    def test_unknown_strategy_raises(self, name):
-        # "native" names no kernel: it is refused, not aliased.
-        with pytest.raises(NumericalError, match="unknown strategy"):
-            resolve_strategy(name)
-
-    def test_registry_contents(self):
-        assert STRATEGIES == ("auto", "scalar", "vectorized")
-
-    def test_unknown_strategy_raises_from_svd(self, square_matrix):
-        with pytest.raises(NumericalError):
-            svd(square_matrix, strategy="gpu")
+def running_kernel(name: str):
+    """``scalar_kernel()`` for ``"scalar"``; the production kernel, as
+    is, for ``"vectorized"``."""
+    return scalar_kernel() if name == "scalar" else contextlib.nullcontext()
 
 
 def _both(a, **kwargs):
-    scalar = hestenes_svd(a, strategy="scalar", **kwargs)
-    vectorized = hestenes_svd(a, strategy="vectorized", **kwargs)
-    return scalar, vectorized
+    with scalar_kernel():
+        scalar = hestenes_svd(a, **kwargs)
+    return scalar, hestenes_svd(a, **kwargs)
+
+
+def _assert_parity(scalar, vectorized):
+    np.testing.assert_allclose(
+        scalar.singular_values, vectorized.singular_values,
+        rtol=0.0, atol=1e-10 * scalar.singular_values[0],
+    )
+    assert scalar.sweeps == vectorized.sweeps
 
 
 class TestHestenesParity:
     def test_singular_values_and_sweeps(self, rng):
         a = rng.standard_normal((96, 96))
         scalar, vectorized = _both(a)
-        np.testing.assert_allclose(
-            scalar.singular_values, vectorized.singular_values,
-            rtol=0.0, atol=1e-10 * scalar.singular_values[0],
-        )
-        assert scalar.sweeps == vectorized.sweeps
+        _assert_parity(scalar, vectorized)
         assert scalar.converged and vectorized.converged
 
     def test_residual_histories_match(self, rng):
@@ -103,12 +102,7 @@ class TestHestenesParity:
     )
     def test_every_ordering(self, rng, ordering_cls):
         a = rng.standard_normal((24, 24))
-        scalar, vectorized = _both(a, ordering_cls=ordering_cls)
-        np.testing.assert_allclose(
-            scalar.singular_values, vectorized.singular_values,
-            rtol=0.0, atol=1e-10 * scalar.singular_values[0],
-        )
-        assert scalar.sweeps == vectorized.sweeps
+        _assert_parity(*_both(a, ordering_cls=ordering_cls))
 
     def test_rank_deficient(self):
         a = low_rank_matrix(40, 40, rank=5, seed=3, noise=0.0)
@@ -137,10 +131,9 @@ class TestBlockAndSVDParity:
     ])
     def test_block_method(self, rng, shape, block_width):
         a = rng.standard_normal(shape)
-        scalar = svd(a, method="block", block_width=block_width,
-                     strategy="scalar")
-        batched = svd(a, method="block", block_width=block_width,
-                      strategy="vectorized")
+        with scalar_kernel():
+            scalar = svd(a, method="block", block_width=block_width)
+        batched = svd(a, method="block", block_width=block_width)
         np.testing.assert_allclose(
             scalar.singular_values, batched.singular_values,
             rtol=0.0, atol=1e-10 * max(scalar.singular_values[0], 1.0),
@@ -150,20 +143,55 @@ class TestBlockAndSVDParity:
     def test_complex_input(self, rng):
         a = rng.standard_normal((24, 24)) \
             + 1j * rng.standard_normal((24, 24))
-        scalar = svd(a, strategy="scalar")
-        vectorized = svd(a, strategy="vectorized")
+        with scalar_kernel():
+            scalar = svd(a)
+        vectorized = svd(a)
         np.testing.assert_allclose(
             scalar.singular_values, vectorized.singular_values,
             rtol=0.0, atol=1e-10 * scalar.singular_values[0],
         )
 
-    def test_auto_matches_resolved_tier(self, rng):
-        a = rng.standard_normal((32, 32))
-        auto = svd(a, strategy="auto")
-        resolved = svd(a, strategy=resolve_strategy("auto"))
-        np.testing.assert_array_equal(
-            auto.singular_values, resolved.singular_values
-        )
+    @pytest.mark.parametrize("shape", [(64, 64), (80, 48)])
+    @pytest.mark.parametrize("method", ["dnc", "streaming"])
+    def test_reduction_methods(self, rng, method, shape):
+        # The dnc leaves and the streaming fold's solves run the Jacobi
+        # driver, so the seam reaches them too.
+        a = rng.standard_normal(shape)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _sweep_pairs_scalar(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hestenes, "_sweep_pairs_indexed", counted)
+            scalar = svd(a, method=method)
+        assert calls
+        _assert_parity(scalar, svd(a, method=method))
+
+
+@pytest.mark.parametrize("tasks", [1, 3], ids=lambda t: f"T{t}")
+@pytest.mark.parametrize("method", ["hestenes", "block"])
+@pytest.mark.parametrize("input_class", list(INPUT_CLASSES))
+def test_every_input_class(input_class, method, tasks):
+    """The validation battery's Jacobi inputs, at its size and
+    precision: one matrix through ``svd``, three as one stacked
+    ``solve_batch`` run."""
+    matrices = cell_input(Cell(method, input_class, tasks))
+
+    def solve():
+        if tasks == 1:
+            return [svd(matrices[0], method=method, precision=PRECISION)]
+        m, n = matrices[0].shape
+        return solve_batch(TaskBatch(m, n, matrices), method=method,
+                           precision=PRECISION)
+
+    with scalar_kernel():
+        scalar = solve()
+    production = solve()
+    assert len(scalar) == len(production) == tasks
+    for want, got in zip(scalar, production):
+        _assert_parity(want, got)
 
 
 class TestSweepPairs:
@@ -220,11 +248,12 @@ class TestAcceptance256:
         a = random_matrix(256, 256, seed=0)
 
         started = time.perf_counter()
-        scalar = hestenes_svd(a, strategy="scalar")
+        with scalar_kernel():
+            scalar = hestenes_svd(a)
         scalar_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        vectorized = hestenes_svd(a, strategy="vectorized")
+        vectorized = hestenes_svd(a)
         vectorized_s = time.perf_counter() - started
 
         np.testing.assert_allclose(
@@ -235,3 +264,39 @@ class TestAcceptance256:
         # Measured 2.71x on a 2-CPU container (docs/performance.md);
         # 2x is the flake-proof floor for shared CI runners.
         assert scalar_s / vectorized_s >= 2.0
+
+
+def test_svd_takes_no_kernel_option(square_matrix):
+    # One round kernel: the old ``strategy`` knob is an unknown keyword.
+    with pytest.raises(TypeError, match="strategy"):
+        svd(square_matrix, strategy="vectorized")
+
+
+_KERNEL_OPTION = {"strategy": "vectorized"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: hestenes_svd(a, **_KERNEL_OPTION),
+    lambda a: dnc_svd(a, **_KERNEL_OPTION),
+    lambda a: StreamingSVD(a.shape[1], **_KERNEL_OPTION),
+    lambda a: StreamingSVD.from_matrix(a, a.shape[1], **_KERNEL_OPTION),
+    lambda a: streaming_svd(a, **_KERNEL_OPTION),
+    lambda a: solve_batch(TaskBatch(*a.shape, [a]), **_KERNEL_OPTION),
+    lambda a: BatchExecutor(
+        HeteroSVDConfig(m=a.shape[0], n=a.shape[1], p_eng=4, p_task=1),
+        **_KERNEL_OPTION,
+    ),
+    lambda a: ServeConfig(**_KERNEL_OPTION),
+    # The keyword is refused before the lazy client ever connects.
+    lambda a: ServeClient("localhost", 0).decompose(
+        shape=list(a.shape), **_KERNEL_OPTION,
+    ),
+], ids=[
+    "hestenes_svd", "dnc_svd", "StreamingSVD", "StreamingSVD.from_matrix",
+    "streaming_svd", "solve_batch", "BatchExecutor", "ServeConfig",
+    "ServeClient.decompose",
+])
+def test_no_layer_takes_a_kernel_option(square_matrix, call):
+    # Every layer that used to forward ``strategy`` refuses it now.
+    with pytest.raises(TypeError, match="strategy"):
+        call(square_matrix)

@@ -6,6 +6,7 @@ injected failure sequence — and therefore the recovery trajectory the
 test pins — is deterministic.
 """
 
+import asyncio
 import socket
 import time
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import ServeConnectionError, ServeProtocolError
+from repro.errors import ServeConnectionError, ServeError, ServeProtocolError
 from repro.resilience import CircuitBreaker, FaultPlan, FaultSpec
 from repro.resilience.faults import load_fault_plan, registered_sites
 from repro.serve import ServeClient, ServeConfig, ServerThread
@@ -105,19 +106,24 @@ class TestEngineFault:
 
 
 class TestCircuitBreaker:
-    def test_tripped_vectorized_breaker_browns_out(self):
+    def test_tripped_breaker_browns_out(self):
         server = SVDServer(ServeConfig(breaker_threshold=1))
-        # No breaker yet: the engine runs the batch.
-        assert server._admit_engine("vectorized") == (True, None)
-        server._strategy_breaker("vectorized").record_failure()
-        # Tripped: (False, None) sends the batch to the brownout tier.
-        assert server._admit_engine("vectorized") == (False, None)
+        # Closed: the engine runs the batch.
+        assert server._admit_engine() is True
+        server._breaker.record_failure()
+        # Tripped: False sends the batch to the brownout tier.
+        assert server._admit_engine() is False
 
-    def test_each_strategy_keeps_its_own_breaker(self):
+    def test_one_engine_breaker_for_every_batch(self):
+        # One engine failure trips the one breaker, whatever the
+        # failed batch's key, and every later batch browns out.
         server = SVDServer(ServeConfig(breaker_threshold=1))
-        server._strategy_breaker("vectorized").record_failure()
-        assert server._admit_engine("vectorized") == (False, None)
-        assert server._admit_engine("scalar") == (True, None)
+        assert server._breaker.name == "serve.engine"
+        asyncio.run(server._handle_engine_failure([], ServeError("boom")))
+        assert server._breaker.state == "open"
+        assert server.stats()["serve.breaker_trips"] == 1
+        assert server._admit_engine() is False
+        assert server._admit_engine() is False
 
     def test_trips_demotes_to_brownout_and_recovers_via_probe(self):
         # The whole trajectory — trip after `breaker_threshold`
@@ -128,7 +134,7 @@ class TestCircuitBreaker:
                              retries=0)
         plan = FaultPlan(faults=[FaultSpec(site="serve.engine_fault",
                                            at=(0, 1))])
-        twin = CircuitBreaker("serve.engine.vectorized",
+        twin = CircuitBreaker("serve.engine",
                               failure_threshold=2, probe_after=2)
         twin.record_failure()
         twin.record_failure()
@@ -144,13 +150,11 @@ class TestCircuitBreaker:
                     for _ in range(2):
                         with pytest.raises(ServeProtocolError,
                                            match="injected engine fault"):
-                            client.decompose(shape=[16, 16], seed=5,
-                                             strategy="vectorized")
+                            client.decompose(shape=[16, 16], seed=5)
                 # Plan exhausted/inactive: every further failure or
                 # success is the breaker's own doing.
                 trajectory = [
-                    client.decompose(shape=[16, 16], seed=5,
-                                     strategy="vectorized")["degraded"]
+                    client.decompose(shape=[16, 16], seed=5)["degraded"]
                     for _ in range(predicted_brownouts + 1)
                 ]
                 stats = client.stats()
@@ -169,7 +173,7 @@ class TestCircuitBreaker:
         # Twin breaker (same name/seed/knobs) predicts the exact
         # brownout counts before each probe — the seeded schedule is a
         # pure function of (name, seed).
-        twin = CircuitBreaker("serve.engine.vectorized",
+        twin = CircuitBreaker("serve.engine",
                               failure_threshold=1, probe_after=1)
         twin.record_failure()  # trip
         before_first_probe = 0
@@ -186,8 +190,7 @@ class TestCircuitBreaker:
                                            at=(0, 1))])
 
         def ask(client):
-            return client.decompose(shape=[16, 16], seed=5,
-                                    strategy="vectorized")
+            return client.decompose(shape=[16, 16], seed=5)
 
         with ServerThread(config) as handle:
             with ServeClient(*handle.address) as client:

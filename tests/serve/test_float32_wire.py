@@ -54,7 +54,6 @@ class TestFloat32EndToEnd:
         local = svd(
             matrix.astype(np.float32),
             method="block", block_width=4, precision=1e-6,
-            strategy="auto",
         ).singular_values
         wire = np.asarray(response["sigma"], dtype=np.float64)
         assert wire.tobytes() == np.asarray(
@@ -95,7 +94,7 @@ class TestFloat32EndToEnd:
         ):
             local = svd(
                 local_input, method="block", block_width=4,
-                precision=1e-6, strategy="auto",
+                precision=1e-6,
             ).singular_values
             wire = np.asarray(responses[dtype]["sigma"], dtype=np.float64)
             assert wire.tobytes() == np.asarray(

@@ -61,8 +61,9 @@ class TestRequestValidation:
         {"deadline_s": 0},               # non-positive deadline
         {"deadline_s": -1.0},
         {"block_width": 0},
-        {"strategy": "quantum"},         # unknown strategy
-        {"strategy": "native"},          # no such kernel
+        {"strategy": "auto"},            # field gone in protocol 2
+        {"strategy": "vectorized"},
+        {"strategy": "scalar"},
         {"dtype": "int8"},               # unknown dtype
         {"seed": "seven"},               # wrong type
     ])
@@ -170,15 +171,14 @@ class TestCoalesceKey:
         (key,) = keys
         assert (key.m, key.n) == (16, 16)
 
-    def test_strategy_and_dtype_split_keys(self):
+    def test_dtype_splits_keys(self):
         base = request_key(_decompose(), (16, 16), 4)
-        assert request_key(_decompose(strategy="scalar"), (16, 16), 4) != base
         assert request_key(_decompose(dtype="float32"), (16, 16), 4) != base
 
     def test_accessors(self):
-        key = CoalesceKey(16, 32, "float64", "auto", 4)
-        assert (key.m, key.n, key.dtype, key.strategy,
-                key.block_width) == (16, 32, "float64", "auto", 4)
+        key = CoalesceKey(16, 32, "float64", 4)
+        assert (key.m, key.n, key.dtype, key.block_width) == \
+            (16, 32, "float64", 4)
         assert key.cells == 512
         assert key.method == "block"
 

@@ -7,11 +7,11 @@ from repro.errors import ConfigurationError, ServiceOverloadError
 from repro.serve.protocol import CoalesceKey
 from repro.serve.queue import AdmissionPolicy, Job, JobQueue
 
-KEY_A = CoalesceKey(16, 16, "float64", "auto", 4)
-KEY_B = CoalesceKey(24, 24, "float64", "auto", 4)
+KEY_A = CoalesceKey(16, 16, "float64", 4)
+KEY_B = CoalesceKey(24, 24, "float64", 4)
 #: Same cell count as KEY_A but a different key — fairness tests use
 #: it so virtual-time charges stay equal while batches never mix.
-KEY_A2 = CoalesceKey(16, 16, "float64", "scalar", 4)
+KEY_A2 = CoalesceKey(16, 16, "float64", 4, "hestenes")
 
 
 def _job(tenant="default", key=KEY_A, request_id="r"):
@@ -138,37 +138,6 @@ class TestCoalescing:
 
     def test_empty_queue_pops_nothing(self):
         assert JobQueue().pop_batch() == ([], None)
-
-    def test_auto_and_resolved_tier_coalesce(self):
-        # Regression: request_key used to key on the raw wire string,
-        # so an "auto" request and an explicit request for the tier
-        # "auto" resolves to landed in different engine batches despite
-        # being the same computation.  Keys are now normalized through
-        # resolve_strategy before coalescing.
-        from repro.linalg import resolve_strategy
-        from repro.serve.protocol import request_key
-
-        resolved = resolve_strategy("auto")
-        key_auto = request_key({"strategy": "auto"}, (16, 16), 4)
-        key_default = request_key({}, (16, 16), 4)
-        key_explicit = request_key({"strategy": resolved}, (16, 16), 4)
-        assert key_auto == key_default == key_explicit
-        assert key_auto.strategy == resolved
-
-        queue = JobQueue()
-        queue.push(_job(request_id="a", key=key_auto))
-        queue.push(_job(request_id="b", key=key_explicit))
-        batch, key = queue.pop_batch()
-        assert [job.request_id for job in batch] == ["a", "b"]
-        assert key.strategy == resolved
-        assert queue.depth == 0
-
-    def test_distinct_tiers_still_split(self):
-        from repro.serve.protocol import request_key
-
-        key_scalar = request_key({"strategy": "scalar"}, (16, 16), 4)
-        key_auto = request_key({"strategy": "auto"}, (16, 16), 4)
-        assert key_scalar != key_auto
 
 
 class TestWeightedFairness:

@@ -96,7 +96,6 @@ class TestByteIdentity:
             local = svd(
                 random_matrix(*shape, seed=seed),
                 method="block", block_width=4, precision=1e-6,
-                strategy="auto",
             ).singular_values
             wire = np.asarray(response["sigma"], dtype=np.float64)
             assert wire.tobytes() == np.asarray(
@@ -108,7 +107,6 @@ class TestByteIdentity:
         response = client.decompose(matrix=matrix.tolist())
         local = svd(
             matrix, method="block", block_width=4, precision=1e-6,
-            strategy="auto",
         ).singular_values
         assert np.asarray(response["sigma"]).tobytes() == np.asarray(
             local, dtype=np.float64
@@ -139,7 +137,6 @@ class TestByteIdentity:
             local = svd(
                 random_matrix(16, 16, seed=seed),
                 method="block", block_width=4, precision=1e-6,
-                strategy="auto",
             ).singular_values
             assert np.asarray(
                 responses[seed]["sigma"]
@@ -185,7 +182,6 @@ class TestByteIdentity:
             local = svd(
                 random_matrix(*shape, seed=seed),
                 method="block", block_width=4, precision=1e-6,
-                strategy="auto",
             ).singular_values
             assert responses[seed]["degraded"] is False
             assert np.asarray(responses[seed]["sigma"]).tobytes() == \
@@ -233,7 +229,7 @@ class TestByteIdentity:
             local = svd(
                 random_matrix(*shape, seed=seed), method=method,
                 block_width=4 if method == "block" else None,
-                precision=1e-6, strategy="auto",
+                precision=1e-6,
             ).singular_values
             assert responses[seed]["degraded"] is False
             assert np.asarray(responses[seed]["sigma"]).tobytes() == \
@@ -470,14 +466,15 @@ class TestWireRejections:
         assert response["error"]["code"] == "schema"
         assert "block_width" in response["error"]["message"]
 
-    def test_native_strategy_answered_schema_then_serving_goes_on(
+    def test_strategy_field_answered_schema_then_serving_goes_on(
             self, server):
+        # Protocol version 2 has no kernel choice: the field is unknown.
         refused, answered = _raw_exchange(
             server.address,
             encode({"op": "decompose", "id": "x", "shape": [16, 16],
-                    "seed": 1, "strategy": "native"}),
+                    "seed": 1, "strategy": "auto"}),
             encode({"op": "decompose", "id": "y", "shape": [16, 16],
-                    "seed": 1, "strategy": "vectorized"}),
+                    "seed": 1}),
         )
         assert refused["id"] == "x" and refused["ok"] is False
         assert refused["error"]["code"] == "schema"
@@ -507,7 +504,7 @@ class TestManagementOps:
     def test_ping(self, client):
         response = client.ping()
         assert response["pong"] is True
-        assert response["version"] == "1"
+        assert response["version"] == "2"
 
     def test_stats_reflect_traffic(self, client):
         client.decompose(shape=[16, 16], seed=0)
@@ -515,7 +512,7 @@ class TestManagementOps:
         assert stats["serve.requests"] == 1
         assert stats["admitted"] == 1
         assert stats["serve.batches"] == 1
-        assert stats["version"] == "1"
+        assert stats["version"] == "2"
 
     def test_shutdown_stops_the_server(self, server):
         with ServeClient(*server.address) as client:
@@ -563,7 +560,7 @@ class TestTierInternals:
             return real_sigma(matrix)
 
         monkeypatch.setattr(server_mod, "_brownout_sigma", slow_sigma)
-        key = CoalesceKey(8, 8, "float64", "auto", 4)
+        key = CoalesceKey(8, 8, "float64", 4)
 
         async def run():
             server = _loose_server()
@@ -588,7 +585,7 @@ class TestTierInternals:
         import repro.exec.batch as batch_mod
         from repro.serve.protocol import CoalesceKey
 
-        key = CoalesceKey(8, 8, "float64", "auto", 4)
+        key = CoalesceKey(8, 8, "float64", 4)
 
         class HoleyExecutor:
             def __init__(self, *args, **kwargs):
@@ -646,7 +643,7 @@ class TestShutdownAndSideTasks:
     def test_drain_on_shutdown_answers_each_queued_job_exactly_once(self):
         from repro.serve.protocol import CoalesceKey
 
-        key = CoalesceKey(8, 8, "float64", "auto", 4)
+        key = CoalesceKey(8, 8, "float64", 4)
 
         async def run():
             server = _loose_server()

@@ -48,7 +48,7 @@ def test_drawn_matrix_meets_its_contract(solver, m, n, exponent, seed):
     if "wide" not in CONTRACTS[solver].classes:
         m, n = max(m, n), min(m, n)
     a = random_matrix(m, n, seed=seed) * 10.0 ** exponent
-    [factors] = factor(solver, [a], strategy="auto")
+    [factors] = factor(solver, [a])
     _, failures = measure(solver, a, *factors)
     assert not failures
 
@@ -69,10 +69,9 @@ class TestBattery:
             } == set(contract.classes)
 
     @pytest.mark.parametrize("method", ["hestenes", "block"])
-    def test_jacobi_methods_cover_strategies_and_stacked_runs(self, method):
-        runs = {(c.strategy, c.tasks) for c in CELLS if c.solver == method}
-        assert {("scalar", 1), ("vectorized", 1), ("scalar", 3),
-                ("vectorized", 3)} <= runs
+    def test_jacobi_methods_cover_stacked_runs(self, method):
+        runs = {c.tasks for c in CELLS if c.solver == method}
+        assert runs == {1, 3}
 
     @pytest.mark.parametrize("solver", ["accelerator", "cosim"])
     def test_hardware_models_take_real_tall_inputs(self, solver):
@@ -83,7 +82,7 @@ class TestBattery:
 
     def test_input_classes_are_what_they_say(self):
         def build(name):
-            return cell_input(Cell("hestenes", name, "scalar"))[0]
+            return cell_input(Cell("hestenes", name))[0]
 
         s = np.linalg.svd(build("ill-conditioned"), compute_uv=False)
         assert s[0] / s[-1] == pytest.approx(1e10, rel=1e-3)
@@ -147,7 +146,7 @@ class TestBrokenSolversFail:
         assert np.isnan(singular_value_error(a, np.full_like(s, np.nan)))
 
     def test_self_test_exits_1_on_a_nan_solver(self, monkeypatch, capsys):
-        def nan_factor(solver, matrices, strategy="auto"):
+        def nan_factor(solver, matrices):
             return [
                 (np.eye(*a.shape), np.full(min(a.shape), np.nan),
                  np.eye(a.shape[1], min(a.shape)))
@@ -156,12 +155,12 @@ class TestBrokenSolversFail:
 
         monkeypatch.setattr(
             validation, "cells",
-            lambda: [Cell("hestenes", "gaussian", "scalar")],
+            lambda: [Cell("hestenes", "gaussian")],
         )
         monkeypatch.setattr(validation, "factor", nan_factor)
         assert validation.main() == 1
         out = capsys.readouterr().out
-        assert "FAIL hestenes/gaussian/scalar/T=1" in out
+        assert "FAIL hestenes/gaussian/T=1" in out
         assert "1 cells checked, 1 failed" in out
 
 
@@ -171,8 +170,7 @@ class TestSelfTest:
         # One gaussian cell per solver keeps this quick; test_cell runs
         # the whole battery.
         subset = [c for c in CELLS
-                  if c.input_class == "gaussian" and c.tasks == 1
-                  and c.strategy in ("vectorized", "auto", "-")]
+                  if c.input_class == "gaussian" and c.tasks == 1]
         monkeypatch.setattr(validation, "cells", lambda: subset)
         assert validation.main() == 0
         out = capsys.readouterr().out
@@ -186,7 +184,7 @@ class TestSelfTest:
 
         monkeypatch.setattr(
             validation, "cells",
-            lambda: [Cell("block", "tall", "vectorized")],
+            lambda: [Cell("block", "tall")],
         )
         assert main(["validate"]) == 0
         assert "1 cells checked, 0 failed" in capsys.readouterr().out

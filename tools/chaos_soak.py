@@ -11,7 +11,7 @@ Mirrors what ``make chaos-serve`` and ``.github/workflows/ci.yml`` run:
    assert the robustness invariants: every admitted request is
    answered exactly once (``answered + timeout == sent``, zero
    duplicate responses), zero stranded connections, a bounded error
-   budget, and the strategy circuit breaker demonstrably tripped
+   budget, and the engine circuit breaker demonstrably tripped
    while the supervised dispatcher restarted.
 3. Drain the daemon over the wire (the graceful-shutdown path) and
    assert it exits 0.
